@@ -3,7 +3,9 @@
 
 Generates a fixed set of random 3-CNF instances, compiles each with every
 mode under both kernel backends (each in its own process, selected via
-DPLLC_KERNEL), and prints a timing table.
+DPLLC_KERNEL), and prints a timing table.  A backend that fails to load
+(the compiled kernel when it is not built) shows as '-'; the exit status
+is non-zero only when no backend ran.
 
     python3 scripts/kernel_bench.py            # both backends
     python3 scripts/kernel_bench.py --n 80     # bigger instances
@@ -16,6 +18,8 @@ import random
 import subprocess
 import sys
 import time
+
+BACKENDS = ("py", "cy")
 
 
 def make_instances(n, count, seed=12345):
@@ -64,7 +68,7 @@ def main():
         return
 
     results = {}
-    for backend in ("py", "cy"):
+    for backend in BACKENDS:
         env = dict(os.environ, DPLLC_KERNEL=backend)
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--run",
@@ -79,14 +83,19 @@ def main():
 
     if not results:
         sys.exit(1)
-    modes = ("free", "ordered", "decomposed")
-    print("%-12s %10s %10s %8s" % ("mode", "python", "cython", "speedup"))
-    for mode in modes:
-        py = results.get("py", {}).get(mode)
-        cy = results.get("cy", {}).get(mode)
-        if py is None or cy is None:
-            continue
-        print("%-12s %9.2fs %9.2fs %7.1fx" % (mode, py, cy, py / cy if cy else float("inf")))
+    print(format_table(results))
+
+
+def format_table(results):
+    """Seconds per mode for every backend, '-' for a backend that did not
+    run; the speedup column needs both."""
+    lines = ["%-12s %10s %10s %8s" % ("mode", "python", "cython", "speedup")]
+    for mode in ("free", "ordered", "decomposed"):
+        py, cy = (results.get(b, {}).get(mode) for b in BACKENDS)
+        cells = ["%9.2fs" % t if t is not None else "-" for t in (py, cy)]
+        speedup = "%7.1fx" % (py / cy) if py is not None and cy else "-"
+        lines.append("%-12s %10s %10s %8s" % (mode, cells[0], cells[1], speedup))
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,37 @@ Literals within a record are sorted by variable.  The encoding doubles as
 the formula-cache key: two residuals are the same formula exactly when
 their bytes are equal.  The compiled kernel (_kernel_cy) implements the
 same functions over the same layout; outputs must match byte for byte.
+
+Each call decodes its residual once into a list and then works a clause
+at a time, relying on one invariant: a variable occurs at most once per
+record (Cnf._check_clause enforces it, and conditioning only removes
+literals).  So a record holding `lit` is satisfied by it, a record holding
+-lit loses exactly one literal, and a record is unit exactly when one of
+its literals is not yet false.
+
+Unit propagation is one pass in the manner of Chaff's counters
+(Moskewicz et al., DAC 2001): occurrence lists and a count of not-yet-false
+literals per record, so each implied literal touches only the records it
+occurs in.  The rescanning definition it replaces conditions on the unit
+record of smallest position, rescans, and repeats.  The pass takes unit
+records from a heap keyed by record position instead: a record enters the
+heap when its count reaches one and leaves it, skipped, once satisfied, so
+the heap's minimum is always the first unit record of the residual the
+rescanning loop would see, and the implied literals come out in the same
+order.  A count reaching zero is the empty clause that loop would find
+after conditioning on the same literal, so on a conflict the residual
+returned is the same as well.
 """
 
 from array import array
+from heapq import heappop, heappush
 
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
+
+
+def _decode(res: bytes) -> list[int]:
+    return memoryview(res).cast("i").tolist()
 
 
 def has_empty(res: bytes) -> bool:
@@ -30,32 +55,86 @@ def has_empty(res: bytes) -> bool:
 
 def condition(res: bytes, lit: int) -> bytes:
     """Residual after assigning `lit` true: drop satisfied clauses, strip -lit."""
-    v = memoryview(res).cast("i")
-    out = array("i")
+    v = _decode(res)
+    out: list[int] = []
     neg = -lit
     i, n = 0, len(v)
     while i < n:
         k = v[i + 1]
         end = i + 2 + k
-        sat = False
-        hit = -1
-        for j in range(i + 2, end):
-            if v[j] == lit:
-                sat = True
-                break
-            if v[j] == neg:
-                hit = j
-        if not sat:
-            if hit < 0:
-                out.extend(v[i:end])
-            else:
-                out.append(v[i])
-                out.append(k - 1)
-                for j in range(i + 2, end):
-                    if j != hit:
-                        out.append(v[j])
+        lits = v[i + 2 : end]
+        if neg in lits:
+            lits.remove(neg)
+            out.append(v[i])
+            out.append(k - 1)
+            out += lits
+        elif lit not in lits:
+            out += v[i:end]
         i = end
-    return out.tobytes()
+    return array("i", out).tobytes()
+
+
+def _unit_pass(v: list[int]):
+    """Unit propagation over the decoded residual `v`: (conflict, found).
+
+    `found` is None when `v` holds an empty clause or no unit record, and
+    otherwise (starts, counts, true, implied): the record offsets, each
+    record's count of literals not yet false (-1 once it is satisfied),
+    the set of literals made true, and those literals in derivation order.
+    The pass stops at the first implied literal that empties a record.
+    """
+    starts: list[int] = []
+    heap: list[int] = []
+    i, n = 0, len(v)
+    while i < n:
+        k = v[i + 1]
+        if k == 0:
+            return True, None
+        if k == 1:
+            heap.append(len(starts))
+        starts.append(i)
+        i += 2 + k
+    if not heap:
+        return False, None
+    counts: list[int] = []
+    occ: dict[int, list[int]] = {}
+    for c, s in enumerate(starts):
+        k = v[s + 1]
+        counts.append(k)
+        for lit in v[s + 2 : s + 2 + k]:
+            clauses = occ.get(lit)
+            if clauses is None:
+                occ[lit] = [c]
+            else:
+                clauses.append(c)
+    true: set[int] = set()
+    implied: list[int] = []
+    conflict = False
+    # `heap` starts as the unit records in position order, which is a heap.
+    while heap:
+        c = heappop(heap)
+        if counts[c] < 0:
+            continue
+        s = starts[c]
+        for unit in v[s + 2 : s + 2 + v[s + 1]]:
+            if -unit not in true:
+                break
+        implied.append(unit)
+        true.add(unit)
+        for d in occ.get(unit, ()):
+            counts[d] = -1
+        for d in occ.get(-unit, ()):
+            k = counts[d]
+            if k > 0:
+                k -= 1
+                counts[d] = k
+                if k == 1:
+                    heappush(heap, d)
+                elif k == 0:
+                    conflict = True
+        if conflict:
+            break
+    return conflict, (starts, counts, true, implied)
 
 
 def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
@@ -64,22 +143,24 @@ def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
     Returns (residual, implied, conflict); implied is in derivation order
     and conflict means an empty clause is present in the residual.
     """
-    implied: list[int] = []
-    while True:
-        v = memoryview(res).cast("i")
-        i, n = 0, len(v)
-        unit = 0
-        while i < n:
-            k = v[i + 1]
-            if k == 0:
-                return res, tuple(implied), True
-            if k == 1 and unit == 0:
-                unit = v[i + 2]
-            i += 2 + k
-        if unit == 0:
-            return res, tuple(implied), False
-        implied.append(unit)
-        res = condition(res, unit)
+    v = _decode(res)
+    conflict, found = _unit_pass(v)
+    if found is None:
+        return res, (), conflict
+    starts, counts, true, implied = found
+    out: list[int] = []
+    for c, s in enumerate(starts):
+        left = counts[c]
+        if left < 0:
+            continue
+        k = v[s + 1]
+        if left == k:
+            out += v[s : s + 2 + k]
+        else:
+            out.append(v[s])
+            out.append(left)
+            out += [lit for lit in v[s + 2 : s + 2 + k] if -lit not in true]
+    return array("i", out).tobytes(), tuple(implied), conflict
 
 
 def propagate_conflict(res: bytes) -> bool:
@@ -88,20 +169,7 @@ def propagate_conflict(res: bytes) -> bool:
     Same fixpoint as propagate(), but the residual and the implied literals
     are not materialized; this is the cheap conflict lookahead.
     """
-    while True:
-        v = memoryview(res).cast("i")
-        i, n = 0, len(v)
-        unit = 0
-        while i < n:
-            k = v[i + 1]
-            if k == 0:
-                return True
-            if k == 1 and unit == 0:
-                unit = v[i + 2]
-            i += 2 + k
-        if unit == 0:
-            return False
-        res = condition(res, unit)
+    return _unit_pass(_decode(res))[0]
 
 
 def first_unit_var(res: bytes) -> int:
@@ -170,40 +238,56 @@ def split_components(res: bytes) -> list[bytes]:
     Parts come out ordered by smallest original clause index (clauses are
     scanned in index order) and must not contain empty clauses.
     """
-    v = memoryview(res).cast("i")
+    v = _decode(res)
     n = len(v)
     if n == 0:
         return []
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    # group[x] labels the part of variable x; members[g] lists its
+    # variables.  A record joins all groups its variables are in, and the
+    # smaller group is relabelled into the larger.
+    group: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
     i = 0
     while i < n:
         k = v[i + 1]
         if k == 0:
             raise ValueError("cannot split a residual containing an empty clause")
-        first = abs(v[i + 2])
-        parent.setdefault(first, first)
-        for j in range(i + 3, i + 2 + k):
-            var = abs(v[j])
-            parent.setdefault(var, var)
-            parent[find(first)] = find(var)
+        joined: set[int] = set()
+        fresh: list[int] = []
+        for lit in v[i + 2 : i + 2 + k]:
+            x = lit if lit > 0 else -lit
+            g = group.get(x)
+            if g is None:
+                fresh.append(x)
+            else:
+                joined.add(g)
+        if joined:
+            target = joined.pop()
+            into = members[target]
+            for g in joined:
+                other = members.pop(g)
+                if len(other) > len(into):
+                    members[g] = other
+                    del members[target]
+                    target, into, other = g, other, into
+                for x in other:
+                    group[x] = target
+                into += other
+            into += fresh
+        else:
+            target = i
+            members[i] = fresh
+        for x in fresh:
+            group[x] = target
         i += 2 + k
-
-    groups: dict[int, array] = {}
+    if len(members) == 1:
+        return [res]
+    parts: dict[int, list[bytes]] = {}
     i = 0
     while i < n:
-        k = v[i + 1]
-        root = find(abs(v[i + 2]))
-        groups.setdefault(root, array("i")).extend(v[i : i + 2 + k])
-        i += 2 + k
-    if len(groups) == 1:
-        return [res]
-    return [g.tobytes() for g in groups.values()]
+        end = i + 2 + v[i + 1]
+        lit = v[i + 2]
+        part = parts.setdefault(group[lit if lit > 0 else -lit], [])
+        part.append(res[4 * i : 4 * end])
+        i = end
+    return [b"".join(part) for part in parts.values()]

@@ -4,6 +4,8 @@ both must agree with the plain Cnf-level operations."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpllc.compiler as compiler
 from dpllc import _kernel
@@ -21,6 +23,10 @@ except ImportError:
     BACKENDS = [kernel_py]
 
 needs_cy = pytest.mark.skipif(kernel_cy is None, reason="compiled kernel not built")
+per_backend = pytest.mark.parametrize(
+    "kernel", BACKENDS, ids=lambda k: k.__name__.rsplit("_", 1)[-1]
+)
+bounded = settings(max_examples=300, deadline=None)
 
 
 def _cases(count=150, seed=23):
@@ -37,7 +43,7 @@ def _cases(count=150, seed=23):
     return out
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__.rsplit("_", 1)[-1])
+@per_backend
 def test_kernel_matches_cnf_ops(kernel):
     for cnf, lit in _cases():
         res = compute_key(cnf)
@@ -107,3 +113,87 @@ def test_select_var_semantics():
         assert kernel.select_var(cnf, kernel.HEUR_MAX_OCCURRENCE) == 3
         assert kernel.select_var(cnf, kernel.HEUR_MIN_INDEX) == 2
         assert kernel.select_var(b"", kernel.HEUR_MAX_OCCURRENCE) == 0
+
+
+# --- differential tests against the Cnf-level oracles ------------------------
+
+
+@st.composite
+def formulas(draw, max_vars=10, max_clauses=16):
+    """A Cnf that may hold an empty clause (anywhere, the first included)
+    and a unit-implication chain, so propagation can cascade through
+    every variable."""
+    n = draw(st.integers(1, max_vars))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4), unique=True)
+    clauses = []
+    for vs in draw(st.lists(clause, max_size=max_clauses)):
+        clauses.append([v if draw(st.booleans()) else -v for v in vs])
+    if draw(st.booleans()):
+        chain = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, n))]
+        sign = [1 if draw(st.booleans()) else -1 for _ in chain]
+        clauses.append([sign[0] * chain[0]])
+        for j in range(1, len(chain)):
+            clauses.append([-sign[j - 1] * chain[j - 1], sign[j] * chain[j]])
+        clauses = draw(st.permutations(clauses))
+    if draw(st.integers(0, 4)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), [])
+    return Cnf.from_clauses(clauses, n)
+
+
+@per_backend
+@bounded
+@given(data=st.data())
+def test_condition_matches_oracle(kernel, data):
+    cnf = data.draw(formulas())
+    lit = data.draw(st.integers(1, cnf.num_vars)) * data.draw(st.sampled_from((1, -1)))
+    assert kernel.condition(compute_key(cnf), lit) == compute_key(condition(cnf, lit))
+
+
+LEADING_EMPTY = Cnf.from_clauses([[], [1], [-1, 2]], 2)
+LONG_CASCADE = Cnf.from_clauses([[-v, v + 1] for v in range(1, 10)] + [[1]], 10)
+
+
+@per_backend
+@bounded
+@given(cnf=formulas())
+@example(cnf=LEADING_EMPTY)
+@example(cnf=LONG_CASCADE)
+def test_propagate_matches_unit_propagate(kernel, cnf):
+    residual, implied, conflict = unit_propagate(cnf)
+    res = compute_key(cnf)
+    assert kernel.propagate(res) == (compute_key(residual), tuple(implied), conflict)
+    assert kernel.propagate_conflict(res) == conflict
+
+
+@per_backend
+@bounded
+@given(cnf=formulas())
+def test_split_matches_components(kernel, cnf):
+    res = compute_key(cnf)
+    if cnf.has_empty_clause():
+        with pytest.raises(ValueError):
+            kernel.split_components(res)
+    else:
+        assert kernel.split_components(res) == [compute_key(p) for p in components(cnf)]
+
+
+@per_backend
+@bounded
+@given(data=st.data())
+def test_selectors_match_definitions(kernel, data):
+    cnf = data.draw(formulas())
+    order = data.draw(st.permutations(range(1, cnf.num_vars + 1)))
+    res = compute_key(cnf)
+    occurrences = {}
+    for _, lits in cnf.clauses:
+        for lit in lits:
+            occurrences[abs(lit)] = occurrences.get(abs(lit), 0) + 1
+    units = [abs(lits[0]) for _, lits in cnf.clauses if len(lits) == 1]
+    rank = {v: pos for pos, v in enumerate(order)}
+    assert kernel.first_unit_var(res) == (units[0] if units else 0)
+    assert kernel.select_var(res, kernel.HEUR_MIN_INDEX) == min(occurrences, default=0)
+    assert kernel.select_var(res, kernel.HEUR_MAX_OCCURRENCE) == min(
+        occurrences, key=lambda v: (-occurrences[v], v), default=0
+    )
+    ranks = compiler.VarOrder(tuple(order)).rank_bytes
+    assert kernel.min_rank_var(res, ranks) == min(occurrences, key=rank.get, default=0)

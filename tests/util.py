@@ -99,3 +99,36 @@ def shannon_obdd_stats(models: set[int], n: int) -> tuple[int, int]:
     build(1, frozenset(models))
     decisions = len(unique)
     return decisions + len(sinks_used), 2 * decisions
+
+
+def random_3cnf(rng: random.Random, n: int, ratio: float) -> Cnf:
+    """int(ratio*n) clauses over 3 distinct variables, each sign negative
+    with probability 1/2."""
+    clauses = []
+    for _ in range(int(ratio * n)):
+        vs = rng.sample(range(1, n + 1), 3)
+        clauses.append([-v if rng.random() < 0.5 else v for v in vs])
+    return Cnf.from_clauses(clauses, n)
+
+
+def flat_colouring_cnf(rng: random.Random, vertices: int, edges: int) -> Cnf:
+    """3-colouring CNF of a random graph whose edges join only vertices of
+    different hidden colour classes, so it is 3-colourable (the shape of
+    SATLIB `flat*`).  Variable 3v+c+1 says vertex v has colour c."""
+    colour = [v % 3 for v in range(vertices)]
+    rng.shuffle(colour)
+    chosen = set()
+    while len(chosen) < edges:
+        u, w = sorted(rng.sample(range(vertices), 2))
+        if colour[u] != colour[w]:
+            chosen.add((u, w))
+    clauses = []
+    for v in range(vertices):
+        clauses.append([3 * v + 1, 3 * v + 2, 3 * v + 3])
+        for a in range(3):
+            for b in range(a + 1, 3):
+                clauses.append([-(3 * v + a + 1), -(3 * v + b + 1)])
+    for u, w in sorted(chosen):
+        for c in range(1, 4):
+            clauses.append([-(3 * u + c), -(3 * w + c)])
+    return Cnf.from_clauses(clauses, 3 * vertices)
