@@ -13,15 +13,7 @@ from .checks import (
     compile_guided,
     isomorphic,
 )
-from .cnf import (
-    Cnf,
-    DimacsError,
-    brute_force_count,
-    components,
-    condition,
-    parse_dimacs,
-    unit_propagate,
-)
+from .cnf import Cnf, DimacsError, brute_force_count, parse_dimacs
 from .compiler import (
     Cache,
     CompileConfig,
@@ -75,9 +67,7 @@ __all__ = [
     "compile_free",
     "compile_guided",
     "compile_ordered",
-    "components",
     "compute_key",
-    "condition",
     "condition_circuit",
     "entails_clause",
     "enumerate_models",
@@ -92,5 +82,4 @@ __all__ = [
     "select_variable",
     "serialize",
     "stats",
-    "unit_propagate",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cnf import Cnf
 from .compiler import VarOrder
-from .queries import LanguageError
+from .queries import LanguageError, annotate, variable_masks
 from .store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 
@@ -41,25 +41,6 @@ class MembershipReport:
             self.language,
             self.witness if self.witness is not None else "-",
         )
-
-
-def _below_masks(store: NodeStore, order: list[int]) -> dict[int, int]:
-    masks: dict[int, int] = {}
-    for nid in order:
-        node = store.nodes[nid]
-        kind = node[0]
-        if kind in ("F", "T"):
-            masks[nid] = 0
-        elif kind == "L":
-            masks[nid] = 1 << (abs(node[1]) - 1)
-        elif kind == "D":
-            masks[nid] = masks[node[2]] | masks[node[3]] | (1 << (node[1] - 1))
-        else:
-            m = 0
-            for c in node[1]:
-                m |= masks[c]
-            masks[nid] = m
-    return masks
 
 
 def _path_to(store: NodeStore, root: int, target: int) -> list[int]:
@@ -121,23 +102,18 @@ def check_fbdd(circuit: Circuit) -> MembershipReport:
             return MembershipReport(
                 False, "fbdd", witness="non-decision node %s@%d" % (kind, nid)
             )
-    masks = _below_masks(store, order)
-    for nid in order:
-        node = store.nodes[nid]
-        if node[0] != "D":
-            continue
-        var = node[1]
-        bit = 1 << (var - 1)
-        for child in (node[2], node[3]):
-            if masks[child] & bit:
-                path = _path_to(store, circuit.root, nid)
-                path += _descend_to_var(store, masks, child, var)
-                return MembershipReport(
-                    False,
-                    "fbdd",
-                    witness="variable %d repeats on path %s"
-                    % (var, _render_path(store, path)),
-                )
+    masks, bad = variable_masks(store, order)
+    if bad is not None:
+        nid, var = bad
+        _, _, low, high = store.nodes[nid]
+        child = low if masks[low] & (1 << (var - 1)) else high
+        path = _path_to(store, circuit.root, nid)
+        path += _descend_to_var(store, masks, child, var)
+        return MembershipReport(
+            False,
+            "fbdd",
+            witness="variable %d repeats on path %s" % (var, _render_path(store, path)),
+        )
     return MembershipReport(True, "fbdd")
 
 
@@ -216,35 +192,11 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
 
 def check_decision_dnnf(circuit: Circuit) -> MembershipReport:
     """Decomposable circuit whose every disjunction is a decision node."""
-    store = circuit.store
-    store.audit()
-    topo = reachable(store, circuit.root)
-    masks = _below_masks(store, topo)
-    for nid in topo:
-        node = store.nodes[nid]
-        kind = node[0]
-        if kind == "D":
-            bit = 1 << (node[1] - 1)
-            for child in (node[2], node[3]):
-                if masks[child] & bit:
-                    return MembershipReport(
-                        False,
-                        "decision-dnnf",
-                        witness="branch variable %d reappears below node %d"
-                        % (node[1], nid),
-                    )
-        elif kind == "A":
-            acc = 0
-            for c in node[1]:
-                overlap = acc & masks[c]
-                if overlap:
-                    var = overlap.bit_length()
-                    return MembershipReport(
-                        False,
-                        "decision-dnnf",
-                        witness="conjuncts of node %d share variable %d" % (nid, var),
-                    )
-                acc |= masks[c]
+    circuit.store.audit()
+    try:
+        annotate(circuit)
+    except LanguageError as err:
+        return MembershipReport(False, "decision-dnnf", witness=str(err))
     return MembershipReport(True, "decision-dnnf")
 
 

@@ -1,5 +1,4 @@
-"""CNF formulas: DIMACS parsing, conditioning, unit propagation, connected
-components, and a truth-table model-count oracle.
+"""CNF formulas: DIMACS parsing and a truth-table model-count oracle.
 
 Literals follow the DIMACS convention: variable x is the positive integer x,
 its negation is -x.  Every clause keeps the index it had in the input
@@ -165,85 +164,6 @@ def parse_dimacs(text: str) -> Cnf:
         tuple((i, lits) for i, lits in enumerate(clauses)),
         dropped_tautologies=tautologies,
     )
-
-
-def condition(delta: Cnf, lit: int) -> Cnf:
-    """The residual formula after assigning `lit` true.
-
-    Clauses containing `lit` are removed; the complementary literal is
-    removed from the rest.  A clause that loses all its literals stays as
-    the empty clause: contradiction detection is the caller's job.
-    """
-    v = abs(lit)
-    if not 1 <= v <= delta.num_vars:
-        raise ValueError("literal %d outside universe 1..%d" % (lit, delta.num_vars))
-    out = []
-    for idx, lits in delta.clauses:
-        if lit in lits:
-            continue
-        if -lit in lits:
-            out.append((idx, tuple(l for l in lits if l != -lit)))
-        else:
-            out.append((idx, lits))
-    return Cnf(delta.num_vars, tuple(out))
-
-
-def condition_all(delta: Cnf, lits: Iterable[int]) -> Cnf:
-    for lit in lits:
-        delta = condition(delta, lit)
-    return delta
-
-
-def unit_propagate(delta: Cnf) -> tuple[Cnf, list[int], bool]:
-    """Condition on unit clauses until fixpoint.
-
-    Returns (residual, implied, conflict).  `implied` lists forced literals
-    in derivation order; `conflict` is true iff an empty clause is present
-    at the end (the residual is then only guaranteed to contain one).
-    """
-    implied: list[int] = []
-    cur = delta
-    while True:
-        if cur.has_empty_clause():
-            return cur, implied, True
-        unit = next((lits[0] for _, lits in cur.clauses if len(lits) == 1), None)
-        if unit is None:
-            return cur, implied, False
-        implied.append(unit)
-        cur = condition(cur, unit)
-
-
-def components(delta: Cnf) -> list[Cnf]:
-    """Finest partition of the clauses into variable-disjoint sub-formulas.
-
-    Parts are ordered by their smallest original clause index and share
-    delta's universe.  Callers must rule out empty clauses first.
-    """
-    if delta.has_empty_clause():
-        raise ValueError("components() requires a formula without empty clauses")
-    if not delta.clauses:
-        return []
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for _, lits in delta.clauses:
-        vs = [abs(l) for l in lits]
-        for v in vs:
-            parent.setdefault(v, v)
-        for v in vs[1:]:
-            parent[find(vs[0])] = find(v)
-
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for idx, lits in delta.clauses:
-        groups.setdefault(find(abs(lits[0])), []).append((idx, lits))
-    return [Cnf(delta.num_vars, tuple(g)) for g in groups.values()]
 
 
 def _var_table(v: int, n: int) -> int:

@@ -1,28 +1,29 @@
 """Exhaustive DPLL compilers whose recorded traces are NNF circuits.
 
-Three search disciplines over the same engine:
+One search loop, `_search`, records the trace of an exhaustive DPLL
+search; the three target languages differ only in the discipline it runs
+under:
 
   free        branch on any variable (heuristic choice); the trace is a
               reduced FBDD.
   ordered     branch on the first variable of a fixed order that still
               occurs; the trace is the canonical reduced OBDD for that
               order.
-  decomposed  split variable-disjoint components and conjoin their
+  decomposed  also split variable-disjoint components and conjoin their
               sub-traces; the trace is a reduced decision-DNNF.
 
-Formula caching memoizes the compilation of residual formulas keyed by
-their surviving-clause fingerprint.  Searches run on an explicit work
-stack, so formulas with very many variables cannot overflow the call
-stack.
+So a discipline is a branch picker plus whether components are split;
+`compile_cnf` derives both from a CompileConfig.  Formula caching
+memoizes the compilation of residual formulas keyed by their
+surviving-clause fingerprint.  The search runs on an explicit work stack,
+so formulas with very many variables cannot overflow the call stack.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
-
-import dataclasses
 
 from . import _kernel
 from .cnf import Cnf
@@ -35,23 +36,20 @@ MODES = ("free", "ordered", "decomposed")
 HEURISTICS = ("max-occurrence", "min-index")
 
 
-def encode(clauses) -> bytes:
-    """Pack (index, literals) pairs into the kernel's residual byte layout."""
-    arr = array("i")
-    for idx, lits in clauses:
-        arr.append(idx)
-        arr.append(len(lits))
-        arr.extend(sorted(lits, key=abs))
-    return arr.tobytes()
-
-
 def compute_key(delta: Cnf) -> bytes:
-    """Canonical fingerprint of a residual formula.
+    """Canonical fingerprint of a residual formula, in the kernel's
+    residual byte layout: per clause its index, its length and its
+    literals sorted by variable.
 
     Equal keys exactly when the surviving-clause sets are identical; the
     full key is stored and compared, never a lossy hash.
     """
-    return encode(delta.clauses)
+    arr = array("i")
+    for idx, lits in delta.clauses:
+        arr.append(idx)
+        arr.append(len(lits))
+        arr.extend(sorted(lits, key=abs))
+    return arr.tobytes()
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,23 @@ def bandwidth_order(delta: Cnf) -> VarOrder:
 
 @dataclass(frozen=True)
 class CompileConfig:
-    """Knobs the search disciplines leave open."""
+    """Knobs the search disciplines leave open.
+
+    What unit_propagation does depends on the mode:
+
+      free        branch on a variable forced by a unit clause first; this
+                  keeps the trace in decision form, since the violating
+                  branch conditions to an empty clause and comes back as
+                  the false sink.
+      ordered     only a contradiction lookahead: branching out of order
+                  on an implied variable would break the ordering
+                  property, but cutting an unsatisfiable subtree early
+                  changes nothing (its trace reduces to the false sink
+                  either way).
+      decomposed  propagate to fixpoint before splitting; implied
+                  literals become literal leaves conjoined with the
+                  residual's sub-trace.
+    """
 
     mode: str = "free"
     caching: bool = True
@@ -180,6 +194,12 @@ class Cache:
         return len(self.table)
 
 
+def _heuristic_code(heuristic: str) -> int:
+    if heuristic not in HEURISTICS:
+        raise ValueError("unknown heuristic %r" % heuristic)
+    return KERNEL.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else KERNEL.HEUR_MIN_INDEX
+
+
 def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
     """Branch variable of a formula under the named heuristic.
 
@@ -188,10 +208,7 @@ def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
     index.  It is a contract violation to call this on a formula without
     variables.
     """
-    if heuristic not in HEURISTICS:
-        raise ValueError("unknown heuristic %r" % heuristic)
-    code = KERNEL.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else KERNEL.HEUR_MIN_INDEX
-    var = KERNEL.select_var(compute_key(delta), code)
+    var = KERNEL.select_var(compute_key(delta), _heuristic_code(heuristic))
     if var == 0:
         raise ValueError("formula mentions no variables")
     return var
@@ -200,14 +217,25 @@ def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
 _EVAL, _DEC, _AND = 0, 1, 2
 
 
-def _run_split(res0: bytes, store: NodeStore, cache: Cache | None, pick, lookahead: bool):
-    """Plain branching search (free and ordered modes)."""
+def _search(
+    res0: bytes, store: NodeStore, cache: Cache | None, pick, decompose: bool, propagate: bool
+) -> int:
+    """Exhaustive search from res0; returns the root id of its trace.
+
+    With decompose, a residual is first unit-propagated (if `propagate`)
+    and split into components, and the implied literals and component
+    traces are conjoined.  Otherwise `propagate` turns on the conflict
+    lookahead.  A residual that is one component and no cache hit gets a
+    decision node on pick(residual).
+    """
     K = KERNEL
+    lookahead = propagate and not decompose
     work: list[tuple] = [(_EVAL, res0)]
     vals: list[int] = []
     while work:
         frame = work.pop()
-        if frame[0] == _EVAL:
+        tag = frame[0]
+        if tag == _EVAL:
             res = frame[1]
             if K.has_empty(res):
                 vals.append(FALSE)
@@ -215,6 +243,19 @@ def _run_split(res0: bytes, store: NodeStore, cache: Cache | None, pick, lookahe
             if not res:
                 vals.append(TRUE)
                 continue
+            if decompose:
+                implied: tuple[int, ...] = ()
+                if propagate:
+                    res, implied, conflict = K.propagate(res)
+                    if conflict:
+                        vals.append(FALSE)
+                        continue
+                comps = K.split_components(res) if res else []
+                if implied or len(comps) > 1:
+                    work.append((_AND, implied, len(comps)))
+                    for comp in reversed(comps):
+                        work.append((_EVAL, comp))
+                    continue
             if cache is not None:
                 hit = cache.probe(res)
                 if hit is not None:
@@ -231,54 +272,6 @@ def _run_split(res0: bytes, store: NodeStore, cache: Cache | None, pick, lookahe
             work.append((_DEC, x, res))
             work.append((_EVAL, K.condition(res, x)))
             work.append((_EVAL, K.condition(res, -x)))
-        else:
-            x, res = frame[1], frame[2]
-            high = vals.pop()
-            low = vals.pop()
-            node = store.get_node(x, low, high)
-            if cache is not None:
-                cache.insert(res, node)
-            vals.append(node)
-    return vals[0]
-
-
-def _run_decomposed(res0: bytes, store: NodeStore, cache: Cache | None, pick, up: bool):
-    """Branching search with dynamic component decomposition."""
-    K = KERNEL
-    work: list[tuple] = [(_EVAL, res0)]
-    vals: list[int] = []
-    while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == _EVAL:
-            res = frame[1]
-            if K.has_empty(res):
-                vals.append(FALSE)
-                continue
-            if not res:
-                vals.append(TRUE)
-                continue
-            implied: tuple[int, ...] = ()
-            if up:
-                res, implied, conflict = K.propagate(res)
-                if conflict:
-                    vals.append(FALSE)
-                    continue
-            comps = K.split_components(res) if res else []
-            if len(comps) <= 1 and not implied:
-                if cache is not None:
-                    hit = cache.probe(res)
-                    if hit is not None:
-                        vals.append(hit)
-                        continue
-                x = pick(res)
-                work.append((_DEC, x, res))
-                work.append((_EVAL, K.condition(res, x)))
-                work.append((_EVAL, K.condition(res, -x)))
-            else:
-                work.append((_AND, implied, len(comps)))
-                for comp in reversed(comps):
-                    work.append((_EVAL, comp))
         elif tag == _DEC:
             x, res = frame[1], frame[2]
             high = vals.pop()
@@ -289,109 +282,70 @@ def _run_decomposed(res0: bytes, store: NodeStore, cache: Cache | None, pick, up
             vals.append(node)
         else:
             implied, k = frame[1], frame[2]
-            if k:
-                parts = vals[-k:]
-                del vals[-k:]
-            else:
-                parts = []
+            cut = len(vals) - k
+            parts = vals[cut:]
+            del vals[cut:]
             if FALSE in parts:
                 vals.append(FALSE)
-                continue
-            conjuncts = [store.literal(lit) for lit in implied]
-            conjuncts.extend(parts)
-            vals.append(store.get_and_node(conjuncts))
+            else:
+                vals.append(store.get_and_node([store.literal(lit) for lit in implied] + parts))
     return vals[0]
 
 
-def _heuristic_pick(cfg: CompileConfig):
-    code = KERNEL.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else KERNEL.HEUR_MIN_INDEX
-    K = KERNEL
-    return lambda res: K.select_var(res, code)
-
-
-def _free_pick(cfg: CompileConfig):
-    if not cfg.unit_propagation:
-        return _heuristic_pick(cfg)
-    # Branching on a forced variable first keeps the trace in decision
-    # form: the violating branch conditions to an empty clause and comes
-    # back as the false sink.
-    K = KERNEL
-    plain = _heuristic_pick(cfg)
-    return lambda res: K.first_unit_var(res) or plain(res)
+def _checked(cfg: CompileConfig, mode: str, entry: str) -> CompileConfig:
+    cfg.validate()
+    if cfg.mode != mode:
+        raise ValueError("%s needs mode=%r" % (entry, mode))
+    return cfg
 
 
 def compile_free(delta: Cnf, cfg: CompileConfig | None = None) -> Circuit:
     """Exhaustive search with free variable choice; trace is a reduced FBDD."""
-    cfg = cfg or CompileConfig(mode="free")
-    cfg.validate()
-    if cfg.mode != "free":
-        raise ValueError("compile_free needs mode='free'")
-    store = NodeStore()
-    cache = Cache() if cfg.caching else None
-    root = _run_split(compute_key(delta), store, cache, _free_pick(cfg), lookahead=False)
-    store.freeze()
-    return Circuit(store, root, delta.num_vars)
+    return compile_cnf(delta, _checked(cfg or CompileConfig(mode="free"), "free", "compile_free"))
 
 
 def compile_ordered(delta: Cnf, order: VarOrder, cfg: CompileConfig | None = None) -> Circuit:
     """Exhaustive search branching in a fixed order; trace is the canonical
-    reduced OBDD of the formula under that order.
-
-    Unit propagation here is only a contradiction lookahead: branching out
-    of order on an implied variable would break the ordering property, but
-    cutting an unsatisfiable subtree early changes nothing (its trace
-    reduces to the false sink either way).
-    """
+    reduced OBDD of the formula under that order."""
     cfg = cfg or CompileConfig(mode="ordered", order=order)
     if cfg.order is None:
-        cfg = dataclasses.replace(cfg, order=order)
+        cfg = replace(cfg, order=order)
     elif cfg.order != order:
         raise ValueError("cfg.order disagrees with the order argument")
-    cfg.validate()
-    if cfg.mode != "ordered":
-        raise ValueError("compile_ordered needs mode='ordered'")
-    if order.n < delta.num_vars:
-        raise ValueError("order covers %d of %d variables" % (order.n, delta.num_vars))
-    ranks = order.rank_bytes
-    K = KERNEL
-    store = NodeStore()
-    cache = Cache() if cfg.caching else None
-    root = _run_split(
-        compute_key(delta),
-        store,
-        cache,
-        lambda res: K.min_rank_var(res, ranks),
-        lookahead=cfg.unit_propagation,
-    )
-    store.freeze()
-    return Circuit(store, root, delta.num_vars)
+    return compile_cnf(delta, _checked(cfg, "ordered", "compile_ordered"))
 
 
 def compile_decomposed(delta: Cnf, cfg: CompileConfig | None = None) -> Circuit:
     """Exhaustive search with component decomposition; trace is a reduced
-    decision-DNNF.
-
-    With unit propagation on, implied literals become literal leaves
-    conjoined with the residual's sub-trace.
-    """
-    cfg = cfg or CompileConfig(mode="decomposed")
-    cfg.validate()
-    if cfg.mode != "decomposed":
-        raise ValueError("compile_decomposed needs mode='decomposed'")
-    store = NodeStore()
-    cache = Cache() if cfg.caching else None
-    root = _run_decomposed(
-        compute_key(delta), store, cache, _heuristic_pick(cfg), up=cfg.unit_propagation
+    decision-DNNF."""
+    return compile_cnf(
+        delta, _checked(cfg or CompileConfig(mode="decomposed"), "decomposed", "compile_decomposed")
     )
-    store.freeze()
-    return Circuit(store, root, delta.num_vars)
 
 
 def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
-    """Dispatch on cfg.mode."""
+    """Compile under the discipline cfg.mode names (see CompileConfig)."""
     cfg.validate()
-    if cfg.mode == "free":
-        return compile_free(delta, cfg)
+    K = KERNEL
+    code = _heuristic_code(cfg.heuristic)
     if cfg.mode == "ordered":
-        return compile_ordered(delta, cfg.order, cfg)
-    return compile_decomposed(delta, cfg)
+        if cfg.order.n < delta.num_vars:
+            raise ValueError("order covers %d of %d variables" % (cfg.order.n, delta.num_vars))
+        ranks = cfg.order.rank_bytes
+        pick = lambda res: K.min_rank_var(res, ranks)
+    elif cfg.mode == "free" and cfg.unit_propagation:
+        pick = lambda res: K.first_unit_var(res) or K.select_var(res, code)
+    else:
+        pick = lambda res: K.select_var(res, code)
+    store = NodeStore()
+    cache = Cache() if cfg.caching else None
+    root = _search(
+        compute_key(delta),
+        store,
+        cache,
+        pick,
+        decompose=cfg.mode == "decomposed",
+        propagate=cfg.unit_propagation and cfg.mode != "free",
+    )
+    store.freeze()
+    return Circuit(store, root, delta.num_vars)

@@ -28,16 +28,18 @@ class LanguageError(ValueError):
     """The circuit is outside the language class the query needs."""
 
 
-def _annotate(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
-    """Reachable ids in topological order plus per-node variable bitmasks.
+def variable_masks(
+    store: NodeStore, order: list[int]
+) -> tuple[dict[int, int], tuple[int, int] | None]:
+    """Per-node bitmasks of the variables at or below each node of a
+    topological order, plus its first violation of the properties the
+    queries rely on, or None.
 
-    Verifies the structural properties the queries rely on: conjuncts
-    share no variables, and a decision's branch variable occurs in neither
-    child.  (Disjunctions are decision nodes by construction, so
-    determinism is never at issue.)
+    A violation is (node id, variable): a decision whose branch variable
+    occurs in a child, or a conjunction whose conjuncts share the variable.
+    The pass stops there, so masks then cover only the nodes before it,
+    which include everything below it.
     """
-    store = circuit.store
-    order = reachable(store, circuit.root)
     masks: dict[int, int] = {}
     for nid in order:
         node = store.nodes[nid]
@@ -51,25 +53,42 @@ def _annotate(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
             below = masks[low] | masks[high]
             bit = 1 << (var - 1)
             if below & bit:
-                raise LanguageError(
-                    "branch variable %d reappears below decision node %d" % (var, nid)
-                )
+                return masks, (nid, var)
             masks[nid] = below | bit
         else:
-            mask = 0
-            total = 0
+            acc = 0
             for c in node[1]:
-                mask |= masks[c]
-                total += masks[c].bit_count()
-            if mask.bit_count() != total:
-                raise LanguageError("conjuncts of node %d share variables" % nid)
-            masks[nid] = mask
+                mask = masks[c]
+                if acc & mask:
+                    return masks, (nid, (acc & mask).bit_length())
+                acc |= mask
+            masks[nid] = acc
+    return masks, None
+
+
+def annotate(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
+    """Reachable ids in topological order plus per-node variable bitmasks.
+
+    Raises LanguageError unless conjuncts share no variables and no
+    decision's branch variable occurs in a child.  (Disjunctions are
+    decision nodes by construction, so they are always deterministic.)
+    """
+    store = circuit.store
+    order = reachable(store, circuit.root)
+    masks, bad = variable_masks(store, order)
+    if bad is not None:
+        nid, var = bad
+        if store.nodes[nid][0] == "D":
+            raise LanguageError(
+                "branch variable %d reappears below decision node %d" % (var, nid)
+            )
+        raise LanguageError("conjuncts of node %d share variable %d" % (nid, var))
     return order, masks
 
 
 def model_count(circuit: Circuit) -> int:
     """Number of satisfying assignments over the circuit's universe."""
-    order, masks = _annotate(circuit)
+    order, masks = annotate(circuit)
     store = circuit.store
     counts: dict[int, int] = {}
     for nid in order:
@@ -100,7 +119,7 @@ def model_count(circuit: Circuit) -> int:
 
 def is_consistent(circuit: Circuit) -> bool:
     """Satisfiability by a single bottom-up sweep."""
-    order, _ = _annotate(circuit)
+    order, _ = annotate(circuit)
     store = circuit.store
     sat: dict[int, bool] = {}
     for nid in order:
@@ -203,7 +222,7 @@ def enumerate_models(circuit: Circuit) -> Iterator[frozenset[int]]:
     so it stands for 2^(universe - len(term)) total assignments, and those
     weights sum to the model count.  Output size can be exponential.
     """
-    _annotate(circuit)  # structural preconditions only
+    annotate(circuit)  # structural preconditions only
     store = circuit.store
 
     def walk(nid: int) -> Iterator[frozenset[int]]:
@@ -288,8 +307,8 @@ def prob_equiv(
     """
     if a.universe != b.universe:
         raise ValueError("universe mismatch: %d vs %d" % (a.universe, b.universe))
-    _, masks_a = _annotate(a)
-    _, masks_b = _annotate(b)
+    _, masks_a = annotate(a)
+    _, masks_b = annotate(b)
     # Conditioned circuits can mention indices above their count-universe;
     # size the random point by whatever actually occurs.
     width = max(

@@ -1,19 +1,32 @@
 """Circuit sizes and counts pinned on fixed seeded formulas.
 
-A change meant only for speed must leave every compiled circuit as it
-was; these values were recorded before the kernel was last rewritten and
-fail on any drift in node count, edge count or model count.
+A change meant only for speed or simplicity must leave every compiled
+circuit as it was.  PINNED was recorded before the kernel was last
+rewritten and fails on any drift in node count, edge count or model count
+of the default configurations; CONFIGURATIONS_DIGEST was recorded before
+the search loops were merged and fails on any change to the serialized
+circuit or the store size under any configuration.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from dpllc.compiler import bandwidth_order, compile_decomposed, compile_free, compile_ordered
+from dpllc.compiler import (
+    HEURISTICS,
+    MODES,
+    CompileConfig,
+    bandwidth_order,
+    compile_cnf,
+    compile_decomposed,
+    compile_free,
+    compile_ordered,
+)
 from dpllc.queries import model_count
-from dpllc.store import stats
+from dpllc.store import serialize, stats
 
-from util import flat_colouring_cnf, random_3cnf
+from util import flat_colouring_cnf, random_3cnf, random_cnf, running_cnf
 
 FORMULAS = {
     "r3-n30-3.6": lambda: random_3cnf(random.Random(1), 30, 3.6),
@@ -45,3 +58,33 @@ PINNED = {
 def test_circuit_size_is_pinned(formula, mode):
     circuit = COMPILERS[mode](FORMULAS[formula]())
     assert stats(circuit) + (model_count(circuit),) == PINNED[formula, mode]
+
+
+# SHA-256 over CONFIGURATIONS_CORPUS x every CompileConfig: the serialize
+# text of each circuit, then its store size.
+CONFIGURATIONS_DIGEST = "d0ac90943f2574fa96cb5351a6ad84b848a6c5b0b050bf1f0ba44ed96a132c13"
+
+
+def configurations_corpus():
+    yield running_cnf()
+    rng = random.Random(20)
+    for _ in range(30):
+        yield random_cnf(rng)
+    yield FORMULAS["flat-v8-e14"]()
+
+
+def test_every_configuration_is_pinned():
+    digest = hashlib.sha256()
+    for cnf in configurations_corpus():
+        order = bandwidth_order(cnf)
+        for mode in MODES:
+            for caching in (False, True):
+                for up in (False, True):
+                    for heuristic in HEURISTICS:
+                        cfg = CompileConfig(
+                            mode, caching, up, heuristic, order if mode == "ordered" else None
+                        )
+                        circuit = compile_cnf(cnf, cfg)
+                        digest.update(serialize(circuit).encode())
+                        digest.update(b"%d\n" % len(circuit.store))
+    assert digest.hexdigest() == CONFIGURATIONS_DIGEST

@@ -2,19 +2,19 @@ import random
 
 import pytest
 
-from dpllc.cnf import (
-    Cnf,
-    DimacsError,
-    as_term,
-    brute_force_count,
+from dpllc.cnf import Cnf, DimacsError, as_term, brute_force_count, parse_dimacs
+
+from util import (
+    RUNNING_DIMACS,
+    assignments,
     components,
     condition,
     condition_all,
-    parse_dimacs,
+    eval_cnf,
+    random_cnf,
+    running_cnf,
     unit_propagate,
 )
-
-from util import RUNNING_DIMACS, assignments, eval_cnf, random_cnf, running_cnf
 
 
 # --- parsing ---------------------------------------------------------------

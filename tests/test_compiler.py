@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dpllc.checks import check_decision_dnnf, check_fbdd, check_obdd, isomorphic
-from dpllc.cnf import Cnf, brute_force_count, condition
+from dpllc.cnf import Cnf, brute_force_count
 from dpllc.compiler import (
     Cache,
     CompileConfig,
@@ -19,7 +19,7 @@ from dpllc.compiler import (
 from dpllc.queries import model_count
 from dpllc.store import FALSE, TRUE, stats
 
-from util import random_cnf, running_cnf
+from util import condition, random_cnf, running_cnf
 
 ALL_SETTINGS = [
     CompileConfig(caching=c, unit_propagation=u, heuristic=h)

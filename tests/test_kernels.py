@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import dpllc.compiler as compiler
 from dpllc import _kernel
-from dpllc.cnf import Cnf, components, condition, unit_propagate
+from dpllc.cnf import Cnf
 from dpllc.compiler import compute_key
 
-from util import random_cnf
+from util import components, condition, random_cnf, unit_propagate
 
 kernel_py = _kernel.load("py")
 try:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dpllc.checks import isomorphic
-from dpllc.cnf import Cnf, brute_force_count, condition_all
+from dpllc.cnf import Cnf, brute_force_count
 from dpllc.compiler import CompileConfig, VarOrder, compile_decomposed, compile_free, compile_ordered
 from dpllc.queries import (
     EQ_PRIME,
@@ -21,7 +21,15 @@ from dpllc.queries import (
 )
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore
 
-from util import assignments, eval_circuit, eval_cnf, model_set, random_cnf, running_cnf
+from util import (
+    assignments,
+    condition_all,
+    eval_circuit,
+    eval_cnf,
+    model_set,
+    random_cnf,
+    running_cnf,
+)
 
 
 def _modes(cnf):

@@ -1,0 +1,129 @@
+"""The layers reach each other through module-level names, so a tracer can
+rebind them from outside without touching the package: the compiler looks
+up KERNEL, Cache and NodeStore in its own globals on every compile, and
+store, queries and checks look up `reachable` and `NodeStore` in theirs.
+A refactor that captures one of these names early breaks such tracing
+silently; these tests catch it."""
+
+import random
+import types
+from collections import Counter
+
+import pytest
+
+import dpllc.compiler as compiler
+from dpllc import checks, queries, store
+from dpllc.compiler import bandwidth_order, compile_decomposed, compile_free, compile_ordered
+
+from util import random_3cnf
+
+ORIGINAL = (compiler.KERNEL, compiler.Cache, compiler.NodeStore)
+
+KERNEL_OPS = (
+    "condition",
+    "propagate",
+    "propagate_conflict",
+    "split_components",
+    "select_var",
+    "first_unit_var",
+    "min_rank_var",
+    "has_empty",
+)
+
+COMPILERS = {
+    "free": compile_free,
+    "ordered": lambda cnf: compile_ordered(cnf, bandwidth_order(cnf)),
+    "decomposed": compile_decomposed,
+}
+
+# Kernel operations each discipline cannot do without.
+MODE_OPS = {
+    "free": {"has_empty", "condition", "first_unit_var", "select_var"},
+    "ordered": {"has_empty", "condition", "propagate_conflict", "min_rank_var"},
+    "decomposed": {"has_empty", "condition", "propagate", "split_components", "select_var"},
+}
+
+
+@pytest.fixture
+def rebound():
+    """Rebind compiler.KERNEL, Cache and NodeStore to counting stand-ins."""
+    calls = Counter()
+    kernel = compiler.KERNEL
+
+    def counted(name, fn):
+        def op(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return op
+
+    ns = types.SimpleNamespace(
+        **{k: getattr(kernel, k) for k in dir(kernel) if not k.startswith("__")}
+    )
+    for name in KERNEL_OPS:
+        setattr(ns, name, counted(name, getattr(kernel, name)))
+
+    base_cache, base_store = compiler.Cache, compiler.NodeStore
+
+    class CountingCache(base_cache):
+        def probe(self, key):
+            calls["cache.probe"] += 1
+            return base_cache.probe(self, key)
+
+        def insert(self, key, node):
+            calls["cache.insert"] += 1
+            base_cache.insert(self, key, node)
+
+    class CountingStore(base_store):
+        def get_node(self, var, low, high):
+            calls["store.get_node"] += 1
+            return base_store.get_node(self, var, low, high)
+
+    saved = (compiler.KERNEL, compiler.Cache, compiler.NodeStore)
+    compiler.KERNEL, compiler.Cache, compiler.NodeStore = ns, CountingCache, CountingStore
+    try:
+        yield calls, CountingStore
+    finally:
+        compiler.KERNEL, compiler.Cache, compiler.NodeStore = saved
+
+
+@pytest.mark.parametrize("mode", sorted(COMPILERS))
+def test_compile_goes_through_rebound_names(rebound, mode):
+    calls, counting_store = rebound
+    circuit = COMPILERS[mode](random_3cnf(random.Random(5), 16, 2.5))
+    assert isinstance(circuit.store, counting_store)
+    assert MODE_OPS[mode] <= {op for op in KERNEL_OPS if calls[op]}
+    assert calls["cache.probe"] and calls["cache.insert"] and calls["store.get_node"]
+
+
+def test_rebinding_is_undone():
+    assert (compiler.KERNEL, compiler.Cache, compiler.NodeStore) == ORIGINAL
+
+
+@pytest.mark.parametrize("module", [store, queries, checks], ids=lambda m: m.__name__)
+def test_post_compile_layers_name_reachable_and_node_store(module):
+    assert module.reachable is store.reachable
+    assert module.NodeStore is store.NodeStore
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [
+        (store, store.serialize),
+        (queries, queries.model_count),
+        (checks, checks.check_fbdd),
+    ],
+    ids=["store", "queries", "checks"],
+)
+def test_post_compile_layers_look_up_reachable_at_call_time(monkeypatch, module, run):
+    seen = []
+    reachable = store.reachable
+
+    def counting_reachable(st, root):
+        seen.append(root)
+        return reachable(st, root)
+
+    monkeypatch.setattr(module, "reachable", counting_reachable)
+    circuit = compile_free(random_3cnf(random.Random(6), 10, 2.0))
+    run(circuit)
+    assert circuit.root in seen
