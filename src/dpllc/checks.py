@@ -10,12 +10,16 @@ decision-DNNF circuit, a CNF whose literals carry a color script, and
 compile_guided replays the decomposed compiler with its nondeterministic
 choices resolved by that script, reproducing the original circuit up to
 isomorphism.
+
+Costs: circuit_to_cnf and compile_guided take time linear in the circuit
+plus the clause text, and isomorphic linear in both circuits (up to
+sorting conjunction children).  Every function here walks with explicit
+stacks, so none depends on the recursion limit.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .cnf import Cnf
@@ -44,21 +48,31 @@ class MembershipReport:
 
 
 def _path_to(store: NodeStore, root: int, target: int) -> list[int]:
-    """Some root-to-target node path, as a list of ids."""
-    stack: list[tuple[int, list[int]]] = [(root, [root])]
-    seen = set()
+    """Some root-to-target node path, as a list of ids.
+
+    Depth-first from the root; each node records the parent it was first
+    expanded under, and the path is read back from those links, so memory
+    stays linear in the circuit however deep the target lies.
+    """
+    stack: list[tuple[int, int | None]] = [(root, None)]
+    parent: dict[int, int | None] = {}
     while stack:
-        nid, path = stack.pop()
+        nid, via = stack.pop()
         if nid == target:
+            path = [nid]
+            while via is not None:
+                path.append(via)
+                via = parent[via]
+            path.reverse()
             return path
-        if nid in seen:
+        if nid in parent:
             continue
-        seen.add(nid)
+        parent[nid] = via
         node = store.nodes[nid]
         kind = node[0]
         kids = (node[2], node[3]) if kind == "D" else node[1] if kind == "A" else ()
         for c in kids:
-            stack.append((c, path + [c]))
+            stack.append((c, nid))
     raise AssertionError("target not reachable")
 
 
@@ -230,36 +244,51 @@ def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
     high part's; a conjunction unions its parts, tagging each part's
     clauses with a fresh color on their first literal.  Literal leaves are
     treated as their two-sink decision expansion.
+
+    Colors are numbered per conjunction edge in topological order.  One
+    iterative depth-first walk emits every clause once, as a copy of the
+    shared root-to-leaf path, so the cost is linear in the circuit plus
+    the clause text and independent of the recursion limit.
     """
     report = check_decision_dnnf(circuit)
     if not report.verdict:
         raise LanguageError("not decision-DNNF: %s" % report.witness)
     store = circuit.store
-    fresh = itertools.count(1)
-    delta: dict[int, tuple[GuidedClause, ...]] = {}
+    nodes = store.nodes
+    first_color: dict[int, int] = {}
+    fresh = 1
     for nid in reachable(store, circuit.root):
-        node = store.nodes[nid]
+        node = nodes[nid]
+        if node[0] == "A":
+            first_color[nid] = fresh
+            fresh += len(node[1])
+    out: list[GuidedClause] = []
+    path: list[tuple[int, tuple[int, ...]]] = []
+    # (node, path length above it, the pair it appends to the path or None,
+    # colors its first literal still has to take)
+    stack: list[tuple] = [(circuit.root, 0, None, ())]
+    while stack:
+        nid, depth, head, colors = stack.pop()
+        del path[depth:]
+        if head is not None:
+            path.append(head)
+            depth += 1
+        node = nodes[nid]
         kind = node[0]
         if kind == "F":
-            delta[nid] = ((),)
-        elif kind == "T":
-            delta[nid] = ()
+            out.append(tuple(path))
         elif kind == "L":
-            delta[nid] = (((node[1], ()),),)
+            out.append(tuple(path) + ((node[1], colors),))
         elif kind == "D":
             _, var, low, high = node
-            delta[nid] = tuple(((var, ()),) + cl for cl in delta[low]) + tuple(
-                ((-var, ()),) + cl for cl in delta[high]
-            )
-        else:
-            out: list[GuidedClause] = []
-            for c in node[1]:
-                color = next(fresh)
-                for cl in delta[c]:
-                    (lit, colors), rest = cl[0], cl[1:]
-                    out.append(((lit, (color,) + colors),) + rest)
-            delta[nid] = tuple(out)
-    return GuidedCnf(delta[circuit.root], circuit.universe)
+            stack.append((high, depth, (-var, colors), ()))
+            stack.append((low, depth, (var, colors), ()))
+        elif kind == "A":
+            kids = node[1]
+            base = first_color[nid]
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], depth, None, colors + (base + i,)))
+    return GuidedCnf(tuple(out), circuit.universe)
 
 
 def compile_guided(guided: GuidedCnf) -> Circuit:
@@ -269,37 +298,78 @@ def compile_guided(guided: GuidedCnf) -> Circuit:
     (popping it); otherwise every clause starts with the same variable and
     the search branches on it.  The result is isomorphic to the circuit
     the script came from.
+
+    Each clause keeps a cursor on its current literal and on that
+    literal's next color, so a step costs one per clause it touches and
+    the replay is linear in the script.  It runs on an explicit work
+    stack, independent of the recursion limit, and builds nodes in the
+    post-order of the recursive definition.
     """
+    clauses = guided.clauses
+    lit_at = [0] * len(clauses)
+    color_at = [0] * len(clauses)
     store = NodeStore()
-
-    def build(clauses: tuple[GuidedClause, ...]) -> int:
-        if any(not cl for cl in clauses):
-            return FALSE
-        if not clauses:
-            return TRUE
-        heads = [cl[0] for cl in clauses]
-        colored = [bool(colors) for _, colors in heads]
-        if any(colored):
-            if not all(colored):
-                raise GuidedScriptError("mixed colored and uncolored first literals")
-            parts: dict[int, list[GuidedClause]] = {}
-            for cl in clauses:
-                (lit, colors), rest = cl[0], cl[1:]
-                parts.setdefault(colors[0], []).append(((lit, colors[1:]),) + rest)
-            children = [build(tuple(p)) for p in parts.values()]
-            if FALSE in children:
-                return FALSE
-            return store.get_and_node(children)
+    results: list[int] = []
+    # ("expand", clause ids) | ("and", child count) | ("decide", var)
+    work: list[tuple] = [("expand", list(range(len(clauses))))]
+    while work:
+        op, arg = work.pop()
+        if op == "and":
+            children = results[len(results) - arg :]
+            del results[len(results) - arg :]
+            results.append(FALSE if FALSE in children else store.get_and_node(children))
+            continue
+        if op == "decide":
+            high = results.pop()
+            low = results.pop()
+            results.append(store.get_node(arg, low, high))
+            continue
+        try:
+            heads = [clauses[i][lit_at[i]] for i in arg]
+        except IndexError:  # some clause is used up: the empty clause
+            results.append(FALSE)
+            continue
+        if not heads:
+            results.append(TRUE)
+            continue
+        if color_at[arg[0]] < len(heads[0][1]):
+            parts: dict[int, list[int]] = {}
+            for i, (_, colors) in zip(arg, heads):
+                k = color_at[i]
+                if k == len(colors):
+                    raise GuidedScriptError("mixed colored and uncolored first literals")
+                color_at[i] = k + 1
+                part = parts.get(colors[k])
+                if part is None:
+                    parts[colors[k]] = [i]
+                else:
+                    part.append(i)
+            work.append(("and", len(parts)))
+            work.extend(("expand", p) for p in reversed(parts.values()))
+            continue
         var = abs(heads[0][0])
-        if any(abs(lit) != var for lit, _ in heads):
+        low: list[int] = []
+        high: list[int] = []
+        agree = True
+        for i, (lit, colors) in zip(arg, heads):
+            if color_at[i] < len(colors):
+                raise GuidedScriptError("mixed colored and uncolored first literals")
+            if lit == var:
+                low.append(i)
+            elif lit == -var:
+                high.append(i)
+            else:
+                agree = False
+            lit_at[i] += 1
+            color_at[i] = 0
+        if not agree:
             raise GuidedScriptError("uncolored first literals disagree on the variable")
-        low = tuple(cl[1:] for cl in clauses if cl[0][0] == var)
-        high = tuple(cl[1:] for cl in clauses if cl[0][0] == -var)
-        return store.get_node(var, build(low), build(high))
+        work.append(("decide", var))
+        work.append(("expand", high))
+        work.append(("expand", low))
 
-    root = build(guided.clauses)
     store.freeze()
-    return Circuit(store, root, guided.num_vars)
+    return Circuit(store, results[0], guided.num_vars)
 
 
 # --- structural isomorphism -----------------------------------------------
@@ -319,70 +389,26 @@ def isomorphic(a: Circuit, b: Circuit) -> bool:
 
     Literal leaves are identified with their two-sink decision expansion
     (the compact and the explicit drawing of the same node).  Conjunction
-    children are matched by a perfect matching under isomorphism; children
-    of a reduced conjunction are pairwise distinct, so the matching is
-    effectively forced.
+    children match as multisets: every reachable node of either circuit
+    gets a canonical id, hash-consed over both on its kind, variable and
+    children's ids (sorted, for a conjunction), and the circuits are
+    isomorphic iff their roots get the same id.  Linear in the two
+    circuits up to the sort, and independent of the recursion limit.
     """
-    sa, sb = a.store, b.store
-    memo: dict[tuple[int, int], bool] = {}
-
-    def pairs_of(ia: int, ib: int) -> list[tuple[int, int]]:
-        na, nb = _iso_view(sa, ia), _iso_view(sb, ib)
-        if na[0] != nb[0]:
-            return []
-        if na[0] == "D":
-            return [(na[2], nb[2]), (na[3], nb[3])]
-        if na[0] == "A":
-            return [(x, y) for x in na[1] for y in nb[1]]
-        return []
-
-    def decide(ia: int, ib: int) -> bool:
-        na, nb = _iso_view(sa, ia), _iso_view(sb, ib)
-        if na[0] != nb[0]:
-            return False
-        if na[0] in ("F", "T"):
-            return True
-        if na[0] == "D":
-            return (
-                na[1] == nb[1]
-                and memo[(na[2], nb[2])]
-                and memo[(na[3], nb[3])]
-            )
-        xs, ys = na[1], nb[1]
-        if len(xs) != len(ys):
-            return False
-        # Perfect matching by augmenting paths; k is small in practice.
-        match: dict[int, int] = {}
-
-        def augment(xi: int, banned: set[int]) -> bool:
-            for yj, y in enumerate(ys):
-                if yj in banned or not memo[(xs[xi], y)]:
-                    continue
-                banned.add(yj)
-                if yj not in match or augment(match[yj], banned):
-                    match[yj] = xi
-                    return True
-            return False
-
-        return all(augment(i, set()) for i in range(len(xs)))
-
-    pending: set[tuple[int, int]] = set()
-    stack = [(a.root, b.root, False)]
-    while stack:
-        ia, ib, expanded = stack.pop()
-        if (ia, ib) in memo:
-            continue
-        if expanded:
-            memo[(ia, ib)] = decide(ia, ib)
-            continue
-        if (ia, ib) in pending:
-            continue
-        pending.add((ia, ib))
-        if sa is sb and ia == ib:
-            memo[(ia, ib)] = True
-            continue
-        stack.append((ia, ib, True))
-        for pair in pairs_of(ia, ib):
-            if pair not in memo and pair not in pending:
-                stack.append((pair[0], pair[1], False))
-    return memo[(a.root, b.root)]
+    ids: dict[tuple, int] = {("F",): FALSE, ("T",): TRUE}
+    roots = []
+    for circuit in (a, b):
+        store = circuit.store
+        canon = {FALSE: FALSE, TRUE: TRUE}
+        for nid in reachable(store, circuit.root):
+            node = _iso_view(store, nid)
+            kind = node[0]
+            if kind == "D":
+                key = ("D", node[1], canon[node[2]], canon[node[3]])
+            elif kind == "A":
+                key = ("A", tuple(sorted([canon[c] for c in node[1]])))
+            else:
+                key = node
+            canon[nid] = ids.setdefault(key, len(ids))
+        roots.append(canon[circuit.root])
+    return roots[0] == roots[1]

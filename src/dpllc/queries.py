@@ -265,15 +265,16 @@ class EqVerdict:
         return self.outcome == "equivalent-probably"
 
 
-def _poly_eval(circuit: Circuit, point: list[int], p: int) -> int:
-    """Evaluate the circuit's network polynomial at a field point.
+def _poly_eval(circuit: Circuit, order: list[int], point: list[int], p: int) -> int:
+    """Evaluate the circuit's network polynomial at a field point, sweeping
+    the reachable ids in `order` (topological, as from annotate).
 
     A variable absent below a node would contribute the factor
     r + (1 - r) = 1, so non-smooth gaps need no correction.
     """
     store = circuit.store
     vals: dict[int, int] = {}
-    for nid in reachable(store, circuit.root):
+    for nid in order:
         node = store.nodes[nid]
         kind = node[0]
         if kind == "F":
@@ -307,8 +308,8 @@ def prob_equiv(
     """
     if a.universe != b.universe:
         raise ValueError("universe mismatch: %d vs %d" % (a.universe, b.universe))
-    _, masks_a = annotate(a)
-    _, masks_b = annotate(b)
+    order_a, masks_a = annotate(a)
+    order_b, masks_b = annotate(b)
     # Conditioned circuits can mention indices above their count-universe;
     # size the random point by whatever actually occurs.
     width = max(
@@ -320,7 +321,7 @@ def prob_equiv(
     rng = random.Random(seed)
     for done in range(1, rounds + 1):
         point = [0] + [rng.randrange(p) for _ in range(width)]
-        if _poly_eval(a, point, p) != _poly_eval(b, point, p):
+        if _poly_eval(a, order_a, point, p) != _poly_eval(b, order_b, point, p):
             return EqVerdict("not-equivalent", done, p, Fraction(0))
     return EqVerdict(
         "equivalent-probably", rounds, p, Fraction(a.universe, p) ** rounds

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpllc.checks import (
+    GuidedCnf,
     GuidedScriptError,
     check_decision_dnnf,
     check_fbdd,
@@ -20,9 +23,15 @@ from dpllc.compiler import (
     compile_ordered,
 )
 from dpllc.queries import LanguageError, model_count
-from dpllc.store import FALSE, TRUE, Circuit, NodeStore, stats
+from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable, stats
 
-from util import random_cnf, running_cnf
+from util import (
+    oracle_circuit_to_cnf,
+    oracle_compile_guided,
+    oracle_isomorphic,
+    random_cnf,
+    running_cnf,
+)
 
 
 # --- membership predicates ---------------------------------------------------
@@ -39,6 +48,17 @@ def test_fbdd_rejects_repeated_variable():
     report = check_fbdd(Circuit(s, s.get_node(1, inner, TRUE), 1))
     assert not report.verdict
     assert "variable 1" in report.witness
+
+
+def test_fbdd_witness_takes_the_first_path_found():
+    # The repeated decision sits below a node shared by two paths.
+    s = NodeStore()
+    a = s.get_node(3, FALSE, TRUE)
+    b = s.get_node(2, a, s.get_node(3, TRUE, FALSE))
+    c = s.get_node(4, b, s.get_node(2, s.get_node(1, FALSE, TRUE), a))
+    root = s.get_node(1, c, s.get_node(5, c, TRUE))
+    report = check_fbdd(Circuit(s, root, 5))
+    assert report.witness == "variable 1 repeats on path x1@9->x4@7->x2@6->x1@5"
 
 
 def test_fbdd_rejects_non_decision_nodes():
@@ -148,19 +168,37 @@ def test_guided_roundtrip_sinks():
         assert again.root == root
 
 
+def _four_configurations(cnf, order):
+    return (
+        compile_free(cnf),
+        compile_ordered(cnf, order),
+        compile_decomposed(cnf),
+        compile_decomposed(cnf, CompileConfig("decomposed", unit_propagation=False)),
+    )
+
+
+def _outcome(fn, guided):
+    try:
+        circuit = fn(guided)
+    except GuidedScriptError as err:
+        return ("error", str(err))
+    return (circuit.root, circuit.store.nodes)
+
+
 def test_guided_roundtrip_all_modes():
+    # The clauses, the replay's nodes and the verdict are also exactly those
+    # of the reference definitions in util.
     rng = random.Random(103)
     for _ in range(25):
         cnf = random_cnf(rng, max_vars=8, max_clauses=12)
         order = VarOrder(tuple(rng.sample(range(1, cnf.num_vars + 1), cnf.num_vars)))
-        for circuit in (
-            compile_free(cnf),
-            compile_ordered(cnf, order),
-            compile_decomposed(cnf),
-            compile_decomposed(cnf, CompileConfig("decomposed", unit_propagation=False)),
-        ):
-            again = compile_guided(circuit_to_cnf(circuit))
+        for circuit in _four_configurations(cnf, order):
+            guided = circuit_to_cnf(circuit)
+            assert guided == oracle_circuit_to_cnf(circuit)
+            assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
+            again = compile_guided(guided)
             assert isomorphic(again, circuit)
+            assert oracle_isomorphic(again, circuit)
 
 
 def test_derived_clauses_preserve_semantics():
@@ -243,3 +281,158 @@ def test_isomorphic_circuits_share_counts():
         assert isomorphic(a, b)
         assert stats(a) == stats(b)
         assert model_count(a) == model_count(b)
+
+
+# --- agreement with the reference definitions -----------------------------------
+
+
+def _rebuild(circuit, target=None, how=None):
+    """Copy of the circuit in a fresh store, with node `target` changed."""
+    src, out = circuit.store, NodeStore()
+    remap = {FALSE: FALSE, TRUE: TRUE}
+    for nid in reachable(src, circuit.root):
+        node = src.nodes[nid]
+        kind = node[0]
+        if kind == "L":
+            lit = node[1]
+            if nid == target and how == "expand":
+                remap[nid] = out.get_node(abs(lit), *((FALSE, TRUE) if lit > 0 else (TRUE, FALSE)))
+            elif nid == target and how == "expand-positive":
+                remap[nid] = out.get_node(abs(lit), FALSE, TRUE)
+            else:
+                remap[nid] = out.literal(lit)
+        elif kind == "D":
+            _, var, low, high = node
+            low, high = remap[low], remap[high]
+            if nid == target and how == "swap":
+                low, high = high, low
+            elif nid == target and how == "revar":
+                var = circuit.universe + 1
+            remap[nid] = out.get_node(var, low, high)
+        elif kind == "A":
+            kids = [remap[c] for c in node[1]]
+            if nid == target and how == "drop":
+                kids = kids[1:]
+            remap[nid] = out.get_and_node(kids)
+    return Circuit(out, remap[circuit.root], circuit.universe + 1)
+
+
+def _mutations(node):
+    if node[0] == "D":
+        return ("swap", "revar")
+    if node[0] == "A":
+        return ("drop",)
+    if node[0] == "L":
+        # a negative literal also against the positive expansion
+        return ("expand", "expand-positive") if node[1] < 0 else ("expand",)
+    return ()
+
+
+def test_isomorphic_matches_the_reference_on_mutated_pairs():
+    rng = random.Random(113)
+    verdicts = set()
+    for _ in range(30):
+        cnf = random_cnf(rng, max_vars=8, max_clauses=12)
+        order = VarOrder(tuple(rng.sample(range(1, cnf.num_vars + 1), cnf.num_vars)))
+        for circuit in _four_configurations(cnf, order):
+            copy = _rebuild(circuit)
+            assert isomorphic(circuit, copy) and oracle_isomorphic(circuit, copy)
+            for nid in reachable(circuit.store, circuit.root):
+                for how in _mutations(circuit.store.nodes[nid]):
+                    mutant = _rebuild(circuit, nid, how)
+                    verdict = isomorphic(circuit, mutant)
+                    assert verdict == oracle_isomorphic(circuit, mutant), (nid, how)
+                    assert isomorphic(mutant, circuit) == verdict
+                    verdicts.add((how, verdict))
+    # Every mutation changes the structure except a literal drawn as its own
+    # two-sink decision.
+    assert verdicts == {
+        ("swap", False),
+        ("revar", False),
+        ("drop", False),
+        ("expand", True),
+        ("expand-positive", False),
+    }
+
+
+MALFORMED_SCRIPTS = [
+    # first literals disagree on the variable, with no colors to split on
+    (((1, ()),), ((2, ()),)),
+    # colors on only some first literals
+    (((1, (5,)),), ((2, ()),)),
+    (((1, (1,)),), ((-1, ()),)),
+    (((1, ()),), ((-1, (1,)),)),
+    # the second part of a split disagrees, after the first part is built
+    (((1, (1,)),), ((2, (2,)), (3, ())), ((-2, (2,)),), ((4, (2,)),)),
+    # mixed colors below a decision
+    (((1, ()), (2, (1,))), ((1, ()), (3, ()))),
+    # both faults in one step: the mixed-color fault is the one reported
+    (((1, ()),), ((2, ()),), ((3, (1,)),)),
+]
+
+
+@pytest.mark.parametrize("clauses", MALFORMED_SCRIPTS)
+def test_guided_script_errors_match_the_reference(clauses):
+    guided = GuidedCnf(clauses, 4)
+    with pytest.raises(GuidedScriptError):
+        compile_guided(guided)
+    assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
+
+
+def test_empty_clause_takes_precedence_over_a_malformed_step():
+    guided = GuidedCnf(((), ((1, ()),), ((2, (3,)),)), 2)
+    assert compile_guided(guided).root == FALSE
+
+
+_script_literal = st.tuples(
+    st.sampled_from([1, -1, 2, -2, 3, -3]),
+    st.lists(st.integers(1, 3), max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(_script_literal, max_size=3).map(tuple), max_size=5).map(tuple))
+def test_compile_guided_matches_the_reference_on_any_script(clauses):
+    guided = GuidedCnf(clauses, 3)
+    assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
+
+
+# --- deep and wide circuits ------------------------------------------------------
+
+
+def test_guided_roundtrip_of_a_deep_chain():
+    # 3,000 nested decisions, mostly with a true sink beside the chain, some
+    # with a false one, and every 500 levels a conjunction with a fresh
+    # literal; the recursion limit stays at its default.
+    n = 3000
+    s = NodeStore()
+    node = TRUE
+    for v in range(n, 0, -1):
+        node = s.get_node(v, FALSE, node) if v % 97 == 0 else s.get_node(v, node, TRUE)
+        if v % 500 == 0:
+            node = s.get_and_node([node, s.literal(-(n + v // 500))])
+    circuit = Circuit(s, node, n + 6)
+    guided = circuit_to_cnf(circuit)
+    assert max(len(cl) for cl in guided.clauses) == n
+    again = compile_guided(guided)
+    assert isomorphic(again, circuit)
+    assert model_count(again) == model_count(circuit)
+
+
+def _wide(n, expanded=False, flip=None, drop=None):
+    s = NodeStore()
+    kids = []
+    for v in range(1, n + 1):
+        if v == drop:
+            continue
+        lit = -v if v == flip else v
+        kids.append(s.get_node(v, FALSE, TRUE) if expanded else s.literal(lit))
+    return Circuit(s, s.get_and_node(kids), n)
+
+
+def test_isomorphic_wide_conjunction():
+    literals = _wide(2000)
+    assert isomorphic(literals, _wide(2000, expanded=True))
+    assert not isomorphic(_wide(2000, flip=1234), _wide(2000, expanded=True))
+    assert not isomorphic(_wide(2000, drop=777), _wide(2000, expanded=True))
+    assert not isomorphic(literals, _wide(2000, flip=2000))

@@ -10,6 +10,7 @@ from dpllc.queries import (
     EQ_PRIME,
     LanguageError,
     _poly_eval,
+    annotate,
     condition_circuit,
     entails_clause,
     enumerate_models,
@@ -290,9 +291,10 @@ def test_eq_zero_one_points_match_boolean_evaluation():
     for _ in range(10):
         cnf = random_cnf(rng, max_vars=5, max_clauses=8)
         circuit = compile_decomposed(cnf)
+        order, _ = annotate(circuit)
         for a in assignments(cnf.num_vars):
             point = [0] + [int(a[v]) for v in range(1, cnf.num_vars + 1)]
-            assert _poly_eval(circuit, point, EQ_PRIME) == int(eval_circuit(circuit, a))
+            assert _poly_eval(circuit, order, point, EQ_PRIME) == int(eval_circuit(circuit, a))
             assert eval_circuit(circuit, a) == eval_cnf(cnf, a)
 
 

@@ -112,8 +112,10 @@ def test_post_compile_layers_name_reachable_and_node_store(module):
         (store, store.serialize),
         (queries, queries.model_count),
         (checks, checks.check_fbdd),
+        (checks, checks.circuit_to_cnf),
+        (checks, lambda circuit: checks.isomorphic(circuit, circuit)),
     ],
-    ids=["store", "queries", "checks"],
+    ids=["store", "queries", "checks", "checks-circuit_to_cnf", "checks-isomorphic"],
 )
 def test_post_compile_layers_look_up_reachable_at_call_time(monkeypatch, module, run):
     seen = []
@@ -127,3 +129,18 @@ def test_post_compile_layers_look_up_reachable_at_call_time(monkeypatch, module,
     circuit = compile_free(random_3cnf(random.Random(6), 10, 2.0))
     run(circuit)
     assert circuit.root in seen
+
+
+def test_prob_equiv_walks_each_circuit_once(monkeypatch):
+    seen = []
+    reachable = store.reachable
+
+    def counting_reachable(st, root):
+        seen.append(root)
+        return reachable(st, root)
+
+    monkeypatch.setattr(queries, "reachable", counting_reachable)
+    a = compile_free(random_3cnf(random.Random(6), 10, 2.0))
+    b = compile_decomposed(random_3cnf(random.Random(6), 10, 2.0))
+    assert queries.prob_equiv(a, b).equivalent
+    assert sorted(seen) == sorted([a.root, b.root])

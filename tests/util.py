@@ -1,10 +1,14 @@
 """Shared test helpers: the running example, random formula generation, and
 oracles kept independent of the code under test."""
 
+import itertools
 import random
 from typing import Iterable
 
+from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision_dnnf
 from dpllc.cnf import Cnf
+from dpllc.queries import LanguageError
+from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 RUNNING_DIMACS = "p cnf 3 3\n1 2 0\n1 -2 -3 0\n-1 2 -3 0\n"
 RUNNING_CLAUSES = [[1, 2], [1, -2, -3], [-1, 2, -3]]
@@ -215,3 +219,137 @@ def components(delta: Cnf) -> list[Cnf]:
     for idx, lits in delta.clauses:
         groups.setdefault(find(abs(lits[0])), []).append((idx, lits))
     return [Cnf(delta.num_vars, tuple(g)) for g in groups.values()]
+
+
+# --- reference versions of the guided round-trip ----------------------------
+#
+# The straightforward definitions that checks.circuit_to_cnf, compile_guided
+# and isomorphic must agree with exactly: bottom-up clause tuples (each
+# ancestor copies the clauses below it), a recursive replay, and pairwise
+# isomorphism with a perfect matching of conjunction children.
+
+
+def oracle_circuit_to_cnf(circuit):
+    report = check_decision_dnnf(circuit)
+    if not report.verdict:
+        raise LanguageError("not decision-DNNF: %s" % report.witness)
+    store = circuit.store
+    fresh = itertools.count(1)
+    delta = {}
+    for nid in reachable(store, circuit.root):
+        node = store.nodes[nid]
+        kind = node[0]
+        if kind == "F":
+            delta[nid] = ((),)
+        elif kind == "T":
+            delta[nid] = ()
+        elif kind == "L":
+            delta[nid] = (((node[1], ()),),)
+        elif kind == "D":
+            _, var, low, high = node
+            delta[nid] = tuple(((var, ()),) + cl for cl in delta[low]) + tuple(
+                ((-var, ()),) + cl for cl in delta[high]
+            )
+        else:
+            out = []
+            for c in node[1]:
+                color = next(fresh)
+                for cl in delta[c]:
+                    (lit, colors), rest = cl[0], cl[1:]
+                    out.append(((lit, (color,) + colors),) + rest)
+            delta[nid] = tuple(out)
+    return GuidedCnf(delta[circuit.root], circuit.universe)
+
+
+def oracle_compile_guided(guided):
+    store = NodeStore()
+
+    def build(clauses):
+        if any(not cl for cl in clauses):
+            return FALSE
+        if not clauses:
+            return TRUE
+        heads = [cl[0] for cl in clauses]
+        colored = [bool(colors) for _, colors in heads]
+        if any(colored):
+            if not all(colored):
+                raise GuidedScriptError("mixed colored and uncolored first literals")
+            parts = {}
+            for cl in clauses:
+                (lit, colors), rest = cl[0], cl[1:]
+                parts.setdefault(colors[0], []).append(((lit, colors[1:]),) + rest)
+            children = [build(tuple(p)) for p in parts.values()]
+            if FALSE in children:
+                return FALSE
+            return store.get_and_node(children)
+        var = abs(heads[0][0])
+        if any(abs(lit) != var for lit, _ in heads):
+            raise GuidedScriptError("uncolored first literals disagree on the variable")
+        low = tuple(cl[1:] for cl in clauses if cl[0][0] == var)
+        high = tuple(cl[1:] for cl in clauses if cl[0][0] == -var)
+        return store.get_node(var, build(low), build(high))
+
+    root = build(guided.clauses)
+    store.freeze()
+    return Circuit(store, root, guided.num_vars)
+
+
+def oracle_isomorphic(a, b) -> bool:
+    sa, sb = a.store, b.store
+    memo = {}
+
+    def pairs_of(ia, ib):
+        na, nb = _iso_view(sa, ia), _iso_view(sb, ib)
+        if na[0] != nb[0]:
+            return []
+        if na[0] == "D":
+            return [(na[2], nb[2]), (na[3], nb[3])]
+        if na[0] == "A":
+            return [(x, y) for x in na[1] for y in nb[1]]
+        return []
+
+    def decide(ia, ib):
+        na, nb = _iso_view(sa, ia), _iso_view(sb, ib)
+        if na[0] != nb[0]:
+            return False
+        if na[0] in ("F", "T"):
+            return True
+        if na[0] == "D":
+            return na[1] == nb[1] and memo[(na[2], nb[2])] and memo[(na[3], nb[3])]
+        xs, ys = na[1], nb[1]
+        if len(xs) != len(ys):
+            return False
+        match = {}
+
+        def augment(xi, banned):
+            for yj, y in enumerate(ys):
+                if yj in banned or not memo[(xs[xi], y)]:
+                    continue
+                banned.add(yj)
+                if yj not in match or augment(match[yj], banned):
+                    match[yj] = xi
+                    return True
+            return False
+
+        return all(augment(i, set()) for i in range(len(xs)))
+
+    pending = set()
+    stack = [(a.root, b.root, False)]
+    while stack:
+        ia, ib, expanded = stack.pop()
+        if (ia, ib) in memo:
+            continue
+        if expanded:
+            memo[(ia, ib)] = decide(ia, ib)
+            continue
+        if (ia, ib) in pending:
+            continue
+        pending.add((ia, ib))
+        if sa is sb and ia == ib:
+            memo[(ia, ib)] = True
+            continue
+        stack.append((ia, ib, True))
+        for pair in pairs_of(ia, ib):
+            if pair not in memo and pair not in pending:
+                stack.append((pair[0], pair[1], False))
+    return memo[(a.root, b.root)]
