@@ -76,7 +76,7 @@ def _path_to(store: NodeStore, root: int, target: int) -> list[int]:
     raise AssertionError("target not reachable")
 
 
-def _descend_to_var(store: NodeStore, masks: dict[int, int], nid: int, var: int) -> list[int]:
+def _descend_to_var(store: NodeStore, masks: list[int], nid: int, var: int) -> list[int]:
     """Path from nid down to a node that decides or mentions var."""
     bit = 1 << (var - 1)
     path = [nid]

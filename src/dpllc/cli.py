@@ -115,7 +115,6 @@ def cmd_query(args) -> int:
     elif args.implicant is not None:
         print("true" if queries.is_implicant(_parse_lits(args.implicant), circuit) else "false")
     elif args.enumerate:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * circuit.universe + 1000))
         models = queries.enumerate_models(circuit)
         if args.limit is not None:
             models = itertools.islice(models, args.limit)

@@ -6,6 +6,22 @@ Counting does not require smooth circuits.  Each node is annotated with the
 set of variables occurring at or below it (a bitmask); a child missing g of
 the parent's variables contributes its count times 2^g, and the root count
 scales by 2^(universe - |vars(root)|).
+
+Costs, for a circuit of |C| reachable nodes and edges over n variables:
+
+- The first query on a circuit pays O(|C|) to annotate it (`annotate`:
+  topological order plus variable masks).  The annotation is cached on the
+  `Circuit`, so later queries on it skip that pass.
+- `model_count`, `is_consistent` and `is_valid` take one bottom-up sweep;
+  counting does big-integer arithmetic of up to n bits per node.
+- `entails_clause` and `is_implicant` take one sweep under the clause's
+  negation or the term, and build no store.
+- `condition_circuit` takes one sweep that builds a fresh, reduced store.
+- `enumerate_models` streams its terms with O(n) time between consecutive
+  terms, and materialises no conjunct's terms.
+- `prob_equiv` takes one sweep per circuit per round.
+
+Every pass is iterative, so no query depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -13,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator
 
 from .cnf import as_term
@@ -30,23 +45,22 @@ class LanguageError(ValueError):
 
 def variable_masks(
     store: NodeStore, order: list[int]
-) -> tuple[dict[int, int], tuple[int, int] | None]:
+) -> tuple[list[int], tuple[int, int] | None]:
     """Per-node bitmasks of the variables at or below each node of a
-    topological order, plus its first violation of the properties the
-    queries rely on, or None.
+    topological order (a list indexed by node id), plus its first
+    violation of the properties the queries rely on, or None.
 
     A violation is (node id, variable): a decision whose branch variable
     occurs in a child, or a conjunction whose conjuncts share the variable.
     The pass stops there, so masks then cover only the nodes before it,
     which include everything below it.
     """
-    masks: dict[int, int] = {}
+    nodes = store.nodes
+    masks = [0] * len(nodes)
     for nid in order:
-        node = store.nodes[nid]
+        node = nodes[nid]
         kind = node[0]
-        if kind in ("F", "T"):
-            masks[nid] = 0
-        elif kind == "L":
+        if kind == "L":
             masks[nid] = 1 << (abs(node[1]) - 1)
         elif kind == "D":
             _, var, low, high = node
@@ -55,7 +69,7 @@ def variable_masks(
             if below & bit:
                 return masks, (nid, var)
             masks[nid] = below | bit
-        else:
+        elif kind == "A":
             acc = 0
             for c in node[1]:
                 mask = masks[c]
@@ -66,13 +80,18 @@ def variable_masks(
     return masks, None
 
 
-def annotate(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
-    """Reachable ids in topological order plus per-node variable bitmasks.
+def annotate(circuit: Circuit) -> tuple[list[int], list[int]]:
+    """Reachable ids in topological order plus per-node variable bitmasks
+    (indexed by node id).  Callers must not modify either list.
 
-    Raises LanguageError unless conjuncts share no variables and no
-    decision's branch variable occurs in a child.  (Disjunctions are
-    decision nodes by construction, so they are always deterministic.)
+    The first success is cached on the circuit and returned by every later
+    call; a failure is not cached.  Raises LanguageError unless conjuncts
+    share no variables and no decision's branch variable occurs in a
+    child.  (Disjunctions are decision nodes by construction, so they are
+    always deterministic.)
     """
+    if circuit.annotation is not None:
+        return circuit.annotation
     store = circuit.store
     order = reachable(store, circuit.root)
     masks, bad = variable_masks(store, order)
@@ -83,62 +102,98 @@ def annotate(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
                 "branch variable %d reappears below decision node %d" % (var, nid)
             )
         raise LanguageError("conjuncts of node %d share variable %d" % (nid, var))
-    return order, masks
+    object.__setattr__(circuit, "annotation", (order, masks))
+    return circuit.annotation
+
+
+def _check_universe(universe: int, mentioned: int) -> None:
+    if universe < mentioned:
+        raise ValueError(
+            "universe %d smaller than the %d variables mentioned" % (universe, mentioned)
+        )
 
 
 def model_count(circuit: Circuit) -> int:
     """Number of satisfying assignments over the circuit's universe."""
     order, masks = annotate(circuit)
-    store = circuit.store
-    counts: dict[int, int] = {}
+    nodes = circuit.store.nodes
+    counts = [0] * len(nodes)
     for nid in order:
-        node = store.nodes[nid]
+        node = nodes[nid]
         kind = node[0]
-        if kind == "F":
-            counts[nid] = 0
-        elif kind in ("T", "L"):
-            counts[nid] = 1
-        elif kind == "D":
-            _, var, low, high = node
+        if kind == "D":
+            _, _, low, high = node
             here = masks[nid].bit_count() - 1
             counts[nid] = (counts[low] << (here - masks[low].bit_count())) + (
                 counts[high] << (here - masks[high].bit_count())
             )
-        else:
+        elif kind == "A":
             acc = 1
             for c in node[1]:
                 acc *= counts[c]
             counts[nid] = acc
+        elif kind != "F":
+            counts[nid] = 1
     mentioned = masks[circuit.root].bit_count()
-    if circuit.universe < mentioned:
-        raise ValueError(
-            "universe %d smaller than the %d variables mentioned" % (circuit.universe, mentioned)
-        )
+    _check_universe(circuit.universe, mentioned)
     return counts[circuit.root] << (circuit.universe - mentioned)
+
+
+def _assignment(term: frozenset[int], universe: int) -> dict[int, bool]:
+    """Variable -> value for a normalized term that must fit the universe."""
+    assigned = {abs(l): l > 0 for l in term}
+    if len(assigned) > universe:
+        raise ValueError("term assigns more variables than the universe holds")
+    return assigned
+
+
+def _decide_under(
+    circuit: Circuit, order: list[int], assigned: dict[int, bool], validity: bool
+) -> bool:
+    """Is the circuit conditioned on `assigned` satisfiable (or, with
+    `validity`, valid)?  One sweep over `order`.
+
+    Decomposability and determinism make both local: a conjunction of
+    variable-disjoint parts is satisfiable (valid) iff every part is, and
+    a decision on an unassigned variable absent below it iff either
+    branch is satisfiable (both are valid).  An unassigned literal is
+    satisfiable but not valid.
+    """
+    nodes = circuit.store.nodes
+    holds = [False] * len(nodes)
+    value = assigned.get
+    for nid in order:
+        node = nodes[nid]
+        kind = node[0]
+        if kind == "D":
+            val = value(node[1])
+            if val is not None:
+                holds[nid] = holds[node[3] if val else node[2]]
+            elif validity:
+                holds[nid] = holds[node[2]] and holds[node[3]]
+            else:
+                holds[nid] = holds[node[2]] or holds[node[3]]
+        elif kind == "A":
+            holds[nid] = all(map(holds.__getitem__, node[1]))
+        elif kind == "L":
+            val = value(abs(node[1]))
+            holds[nid] = not validity if val is None else val == (node[1] > 0)
+        elif kind == "T":
+            holds[nid] = True
+    return holds[circuit.root]
 
 
 def is_consistent(circuit: Circuit) -> bool:
     """Satisfiability by a single bottom-up sweep."""
     order, _ = annotate(circuit)
-    store = circuit.store
-    sat: dict[int, bool] = {}
-    for nid in order:
-        node = store.nodes[nid]
-        kind = node[0]
-        if kind == "F":
-            sat[nid] = False
-        elif kind in ("T", "L"):
-            sat[nid] = True
-        elif kind == "D":
-            sat[nid] = sat[node[2]] or sat[node[3]]
-        else:
-            sat[nid] = all(sat[c] for c in node[1])
-    return sat[circuit.root]
+    return _decide_under(circuit, order, {}, validity=False)
 
 
 def is_valid(circuit: Circuit) -> bool:
     """True iff every assignment over the universe satisfies the circuit."""
-    return model_count(circuit) == 1 << circuit.universe
+    order, masks = annotate(circuit)
+    _check_universe(circuit.universe, masks[circuit.root].bit_count())
+    return _decide_under(circuit, order, {}, validity=True)
 
 
 def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
@@ -147,21 +202,22 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
     The rewrite goes through a fresh store's constructors, so the result
     is reduced and stays in the source's language class (an ordered input
     keeps its order).  The universe shrinks by one per assigned variable,
-    whether or not it occurs in the circuit.
+    whether or not it occurs in the circuit.  Reuses the source's cached
+    order when it has one; it does not annotate the source itself.
     """
     t = as_term(term)
-    assigned = {abs(l): (l > 0) for l in t}
-    if len(assigned) > circuit.universe:
-        raise ValueError("term assigns more variables than the universe holds")
+    assigned = _assignment(t, circuit.universe)
     src = circuit.store
+    if circuit.annotation is not None:
+        order = circuit.annotation[0]
+    else:
+        order = reachable(src, circuit.root)
     out = NodeStore()
-    remap: dict[int, int] = {}
-    for nid in reachable(src, circuit.root):
+    remap = [FALSE] * len(src.nodes)
+    for nid in order:
         node = src.nodes[nid]
         kind = node[0]
-        if kind == "F":
-            remap[nid] = FALSE
-        elif kind == "T":
+        if kind == "T":
             remap[nid] = TRUE
         elif kind == "L":
             lit = node[1]
@@ -177,11 +233,9 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
                 remap[nid] = out.get_node(var, remap[low], remap[high])
             else:
                 remap[nid] = remap[high] if val else remap[low]
-        else:
+        elif kind == "A":
             kids = [remap[c] for c in node[1]]
-            if FALSE in kids:
-                remap[nid] = FALSE
-            else:
+            if FALSE not in kids:
                 remap[nid] = out.get_and_node(kids)
     out.freeze()
     return Circuit(out, remap[circuit.root], circuit.universe - len(assigned))
@@ -190,29 +244,45 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
 def entails_clause(circuit: Circuit, clause: Iterable[int]) -> bool:
     """Does the circuit imply the clause?
 
-    Conditions the circuit on the clause's negation and checks the result
-    is inconsistent.  Tautologous clauses are entailed trivially and
-    reported without conditioning.
+    One consistency sweep under the clause's negation: the clause is
+    entailed iff no model survives it.  Tautologous clauses are entailed
+    trivially and reported without a sweep.  On a decision-DNNF circuit,
+    answers and errors are those of checking
+    `condition_circuit(circuit, negation)` for consistency.
     """
     lits = list(clause)
     if any(-l in lits for l in lits):
         return True
     if not lits:
         return not is_consistent(circuit)
-    return not is_consistent(condition_circuit(circuit, [-l for l in lits]))
+    assigned = _assignment(as_term([-l for l in lits]), circuit.universe)
+    order, _ = annotate(circuit)
+    return not _decide_under(circuit, order, assigned, validity=False)
 
 
 def is_implicant(term: Iterable[int], circuit: Circuit) -> bool:
     """Does the term imply the circuit?
 
-    Conditions on the term and checks validity over the shrunken
-    universe.  Inconsistent terms imply everything.
+    One validity sweep under the term.  Inconsistent terms imply
+    everything.  On a decision-DNNF circuit, answers and errors are those
+    of `is_valid` on `condition_circuit(circuit, term)`, whose universe
+    shrinks by the term's size.
     """
     try:
         t = as_term(term)
     except ValueError:
         return True
-    return is_valid(condition_circuit(circuit, t))
+    assigned = _assignment(t, circuit.universe)
+    order, masks = annotate(circuit)
+    free = masks[circuit.root]
+    for var in assigned:
+        free &= ~(1 << (var - 1))
+    if circuit.universe - len(assigned) < free.bit_count():
+        # The term assigns variables the circuit never mentions, beyond the
+        # universe's slack.  Whether the conditioned circuit still fits its
+        # universe depends on what its reduction drops, so build it.
+        return is_valid(condition_circuit(circuit, t))
+    return _decide_under(circuit, order, assigned, validity=True)
 
 
 def enumerate_models(circuit: Circuit) -> Iterator[frozenset[int]]:
@@ -221,30 +291,47 @@ def enumerate_models(circuit: Circuit) -> Iterator[frozenset[int]]:
     Each term is a partial assignment; variables it leaves out are free,
     so it stands for 2^(universe - len(term)) total assignments, and those
     weights sum to the model count.  Output size can be exponential.
+
+    Terms come in the order of a depth-first expansion: a decision's low
+    branch before its high branch, and a conjunction's first conjunct as
+    the outermost loop (the order of itertools.product over the
+    conjuncts' terms).
     """
     annotate(circuit)  # structural preconditions only
-    store = circuit.store
+    return _expand_terms(circuit.store.nodes, circuit.root)
 
-    def walk(nid: int) -> Iterator[frozenset[int]]:
-        node = store.nodes[nid]
-        kind = node[0]
-        if kind == "F":
-            return
-        if kind == "T":
-            yield frozenset()
-        elif kind == "L":
-            yield frozenset((node[1],))
-        elif kind == "D":
-            _, var, low, high = node
-            for term in walk(low):
-                yield term | {-var}
-            for term in walk(high):
-                yield term | {var}
+
+def _expand_terms(nodes: list[tuple], root: int) -> Iterator[frozenset[int]]:
+    # A state is the nodes still to expand and the literals chosen so far,
+    # both as linked lists of pairs, so a saved state shares its tails with
+    # the live one.  A decision saves its high branch as a choice point and
+    # expands the low one; a finished or failed state backtracks to the
+    # latest choice point, which re-expands the conjuncts after it.
+    choices: list[tuple] = [((root, None), None)]
+    while choices:
+        pending, term = choices.pop()
+        while pending is not None:
+            nid, pending = pending
+            node = nodes[nid]
+            kind = node[0]
+            if kind == "D":
+                var = node[1]
+                choices.append(((node[3], pending), (var, term)))
+                pending = (node[2], pending)
+                term = (-var, term)
+            elif kind == "A":
+                for c in reversed(node[1]):
+                    pending = (c, pending)
+            elif kind == "L":
+                term = (node[1], term)
+            elif kind == "F":
+                break
         else:
-            for combo in product(*(list(walk(c)) for c in node[1])):
-                yield frozenset().union(*combo)
-
-    return walk(circuit.root)
+            lits = []
+            while term is not None:
+                lit, term = term
+                lits.append(lit)
+            yield frozenset(lits)
 
 
 @dataclass(frozen=True)
@@ -272,27 +359,25 @@ def _poly_eval(circuit: Circuit, order: list[int], point: list[int], p: int) -> 
     A variable absent below a node would contribute the factor
     r + (1 - r) = 1, so non-smooth gaps need no correction.
     """
-    store = circuit.store
-    vals: dict[int, int] = {}
+    nodes = circuit.store.nodes
+    vals = [0] * len(nodes)
     for nid in order:
-        node = store.nodes[nid]
+        node = nodes[nid]
         kind = node[0]
-        if kind == "F":
-            vals[nid] = 0
-        elif kind == "T":
-            vals[nid] = 1
-        elif kind == "L":
-            r = point[abs(node[1])]
-            vals[nid] = r if node[1] > 0 else (1 - r) % p
-        elif kind == "D":
+        if kind == "D":
             _, var, low, high = node
             r = point[var]
             vals[nid] = ((1 - r) * vals[low] + r * vals[high]) % p
-        else:
+        elif kind == "A":
             acc = 1
             for c in node[1]:
                 acc = acc * vals[c] % p
             vals[nid] = acc
+        elif kind == "L":
+            r = point[abs(node[1])]
+            vals[nid] = r if node[1] > 0 else (1 - r) % p
+        elif kind == "T":
+            vals[nid] = 1
     return vals[circuit.root]
 
 

@@ -17,7 +17,7 @@ free and at least binary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 FALSE = 0
 TRUE = 1
@@ -159,11 +159,18 @@ class Circuit:
     For freshly compiled circuits every variable mentioned below the root
     is <= universe; conditioning shrinks the universe to a plain count of
     unassigned variables, so treat universe as a count, not an index bound.
+
+    `annotation` caches `queries.annotate`'s (order, masks) once it has
+    succeeded.  The ids reachable from a root never change in the
+    append-only arena, so the cache cannot go stale.
     """
 
     store: NodeStore
     root: int
     universe: int
+    annotation: tuple[list[int], list[int]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         self.store._check_id(self.root)

@@ -1,9 +1,10 @@
 import csv
+import sys
 
 import pytest
 
 from dpllc.cli import main
-from dpllc.store import parse_nnf
+from dpllc.store import FALSE, TRUE, Circuit, NodeStore, parse_nnf, serialize
 
 from util import RUNNING_DIMACS
 
@@ -70,6 +71,21 @@ def test_query_flags(workdir, capsys):
     assert covered == 4
     assert run("query", "--enumerate", "--limit", "1", out) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+
+def test_query_enumerates_a_deep_chain_at_the_default_recursion_limit(workdir, capsys):
+    n = 3000
+    limit = sys.getrecursionlimit()
+    assert limit < n
+    s = NodeStore()
+    node = TRUE
+    for v in range(n, 0, -1):
+        node = s.get_node(v, FALSE, node)
+    chain = workdir / "chain.nnf"
+    chain.write_text(serialize(Circuit(s, node, n)))
+    assert run("query", "--enumerate", chain) == 0
+    assert capsys.readouterr().out == " ".join(map(str, range(1, n + 1))) + "\n"
+    assert sys.getrecursionlimit() == limit
 
 
 def test_query_condition_writes_circuit(workdir, capsys):

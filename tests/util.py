@@ -3,11 +3,11 @@ oracles kept independent of the code under test."""
 
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision_dnnf
-from dpllc.cnf import Cnf
-from dpllc.queries import LanguageError
+from dpllc.cnf import Cnf, as_term
+from dpllc.queries import LanguageError, annotate, condition_circuit, is_consistent, model_count
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 RUNNING_DIMACS = "p cnf 3 3\n1 2 0\n1 -2 -3 0\n-1 2 -3 0\n"
@@ -353,3 +353,54 @@ def oracle_isomorphic(a, b) -> bool:
             if pair not in memo and pair not in pending:
                 stack.append((pair[0], pair[1], False))
     return memo[(a.root, b.root)]
+
+
+#
+# The definitions that queries.entails_clause, is_implicant and
+# enumerate_models must agree with exactly on decision-DNNF circuits:
+# condition the circuit in a fresh store and query the copy, and a
+# recursive enumeration that materialises every conjunct's term list.
+
+
+def oracle_entails_clause(circuit, clause) -> bool:
+    lits = list(clause)
+    if any(-l in lits for l in lits):
+        return True
+    if not lits:
+        return not is_consistent(circuit)
+    return not is_consistent(condition_circuit(circuit, [-l for l in lits]))
+
+
+def oracle_is_implicant(term, circuit) -> bool:
+    try:
+        t = as_term(term)
+    except ValueError:
+        return True
+    conditioned = condition_circuit(circuit, t)
+    return model_count(conditioned) == 1 << conditioned.universe
+
+
+def oracle_enumerate_models(circuit) -> Iterator[frozenset[int]]:
+    annotate(circuit)
+    store = circuit.store
+
+    def walk(nid):
+        node = store.nodes[nid]
+        kind = node[0]
+        if kind == "F":
+            return
+        if kind == "T":
+            yield frozenset()
+        elif kind == "L":
+            yield frozenset((node[1],))
+        elif kind == "D":
+            _, var, low, high = node
+            for term in walk(low):
+                yield term | {-var}
+            for term in walk(high):
+                yield term | {var}
+        else:
+            for combo in itertools.product(*(list(walk(c)) for c in node[1])):
+                yield frozenset().union(*combo)
+
+    return walk(circuit.root)
