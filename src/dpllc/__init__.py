@@ -13,17 +13,14 @@ from .checks import (
     compile_guided,
     isomorphic,
 )
-from .cnf import Cnf, DimacsError, brute_force_count, parse_dimacs
+from .cnf import Cnf, DimacsError, parse_dimacs
 from .compiler import (
-    Cache,
     CompileConfig,
     VarOrder,
     compile_cnf,
     compile_decomposed,
     compile_free,
     compile_ordered,
-    compute_key,
-    select_variable,
 )
 from .queries import (
     EqVerdict,
@@ -42,7 +39,6 @@ from .store import Circuit, NnfFormatError, NodeStore, StoreError, parse_nnf, se
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cache",
     "Circuit",
     "Cnf",
     "CompileConfig",
@@ -57,7 +53,6 @@ __all__ = [
     "NodeStore",
     "StoreError",
     "VarOrder",
-    "brute_force_count",
     "check_decision_dnnf",
     "check_fbdd",
     "check_obdd",
@@ -67,7 +62,6 @@ __all__ = [
     "compile_free",
     "compile_guided",
     "compile_ordered",
-    "compute_key",
     "condition_circuit",
     "entails_clause",
     "enumerate_models",
@@ -79,7 +73,6 @@ __all__ = [
     "parse_dimacs",
     "parse_nnf",
     "prob_equiv",
-    "select_variable",
     "serialize",
     "stats",
 ]

@@ -105,17 +105,16 @@ def _render_path(store: NodeStore, path: list[int]) -> str:
     return "->".join(parts)
 
 
-def check_fbdd(circuit: Circuit) -> MembershipReport:
-    """Decision-form circuit in which no path tests a variable twice."""
+def _fbdd_witness(circuit: Circuit) -> tuple[str | None, list[int]]:
+    """check_fbdd's witness (None inside FBDD) and the reachable ids in
+    topological order, which check_obdd walks next."""
     store = circuit.store
     store.audit()
     order = reachable(store, circuit.root)
     for nid in order:
         kind = store.nodes[nid][0]
         if kind not in ("F", "T", "D"):
-            return MembershipReport(
-                False, "fbdd", witness="non-decision node %s@%d" % (kind, nid)
-            )
+            return "non-decision node %s@%d" % (kind, nid), order
     masks, bad = variable_masks(store, order)
     if bad is not None:
         nid, var = bad
@@ -123,12 +122,14 @@ def check_fbdd(circuit: Circuit) -> MembershipReport:
         child = low if masks[low] & (1 << (var - 1)) else high
         path = _path_to(store, circuit.root, nid)
         path += _descend_to_var(store, masks, child, var)
-        return MembershipReport(
-            False,
-            "fbdd",
-            witness="variable %d repeats on path %s" % (var, _render_path(store, path)),
-        )
-    return MembershipReport(True, "fbdd")
+        return "variable %d repeats on path %s" % (var, _render_path(store, path)), order
+    return None, order
+
+
+def check_fbdd(circuit: Circuit) -> MembershipReport:
+    """Decision-form circuit in which no path tests a variable twice."""
+    witness, _ = _fbdd_witness(circuit)
+    return MembershipReport(witness is None, "fbdd", witness=witness)
 
 
 def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipReport:
@@ -138,27 +139,29 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
     without one, a consistent total order is recovered from the observed
     edges (smallest-index-first among the unconstrained) and reported.
     """
-    base = check_fbdd(circuit)
-    if not base.verdict:
-        return MembershipReport(False, "obdd", witness=base.witness)
-    store = circuit.store
-    topo = reachable(store, circuit.root)
+    witness, topo = _fbdd_witness(circuit)
+    if witness is not None:
+        return MembershipReport(False, "obdd", witness=witness)
+    nodes = circuit.store.nodes
+    # Decision variables in first-seen topological order, and the
+    # parent-above-child variable pairs of decision edges.
+    vars_seen: dict[int, None] = {}
     edges: set[tuple[int, int]] = set()
     for nid in topo:
-        node = store.nodes[nid]
+        node = nodes[nid]
         if node[0] != "D":
             continue
+        vars_seen[node[1]] = None
         for child in (node[2], node[3]):
-            cnode = store.nodes[child]
+            cnode = nodes[child]
             if cnode[0] == "D":
                 edges.add((node[1], cnode[1]))
     if order is not None:
         rank = {var: i for i, var in enumerate(order.order)}
-        for nid in topo:
-            node = store.nodes[nid]
-            if node[0] == "D" and node[1] not in rank:
+        for var in vars_seen:
+            if var not in rank:
                 return MembershipReport(
-                    False, "obdd", witness="variable %d missing from the order" % node[1]
+                    False, "obdd", witness="variable %d missing from the order" % var
                 )
         for a, b in sorted(edges):
             if rank[a] >= rank[b]:
@@ -171,16 +174,10 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
     # Recover an order: topological sort of the precedence constraints.
     succ: dict[int, set[int]] = {}
     indeg: dict[int, int] = {}
-    vars_seen: set[int] = set()
     for a, b in edges:
-        vars_seen.update((a, b))
         if b not in succ.setdefault(a, set()):
             succ[a].add(b)
             indeg[b] = indeg.get(b, 0) + 1
-    for nid in topo:
-        node = store.nodes[nid]
-        if node[0] == "D":
-            vars_seen.add(node[1])
     ready = sorted(v for v in vars_seen if indeg.get(v, 0) == 0)
     recovered: list[int] = []
     heapq.heapify(ready)
@@ -198,9 +195,8 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
             "obdd",
             witness="variables %s appear in conflicting orders" % (cyc,),
         )
-    full = recovered + [
-        v for v in range(1, circuit.universe + 1) if v not in set(recovered)
-    ]
+    placed = set(recovered)
+    full = recovered + [v for v in range(1, circuit.universe + 1) if v not in placed]
     return MembershipReport(True, "obdd", order=tuple(full))
 
 

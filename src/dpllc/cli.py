@@ -13,10 +13,10 @@ import time
 from pathlib import Path
 
 from . import checks, compiler, queries
-from .cnf import DimacsError, parse_dimacs
+from .cnf import parse_dimacs
 from .compiler import CompileConfig, VarOrder, bandwidth_order
 from .queries import LanguageError
-from .store import Circuit, NnfFormatError, parse_nnf, serialize, stats
+from .store import Circuit, parse_nnf, serialize, stats
 
 LANG_MODES = {"fbdd": "free", "obdd": "ordered", "ddnnf": "decomposed"}
 DEFAULT_TIME_LIMIT = 900.0
@@ -25,27 +25,11 @@ TIME_LIMIT_ENV = "DPLLC_TIME_LIMIT"
 log = logging.getLogger("dpllc")
 
 
-def _read_cnf(path: str):
+def _read(path: str, parse):
+    """parse(text of path); an unreadable file or a parse error (always a
+    ValueError) exits with a one-line message naming the file."""
     try:
-        return parse_dimacs(Path(path).read_text())
-    except OSError as exc:
-        raise SystemExit("error: cannot read %s: %s" % (path, exc))
-    except DimacsError as exc:
-        raise SystemExit("error: %s: %s" % (path, exc))
-
-
-def _read_circuit(path: str):
-    try:
-        return parse_nnf(Path(path).read_text())
-    except OSError as exc:
-        raise SystemExit("error: cannot read %s: %s" % (path, exc))
-    except NnfFormatError as exc:
-        raise SystemExit("error: %s: %s" % (path, exc))
-
-
-def _read_order(path: str) -> VarOrder:
-    try:
-        return VarOrder.from_text(Path(path).read_text())
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise SystemExit("error: cannot read %s: %s" % (path, exc))
     except ValueError as exc:
@@ -73,17 +57,14 @@ def _config_from_args(args, order: VarOrder | None) -> CompileConfig:
 
 
 def cmd_compile(args) -> int:
-    cnf = _read_cnf(args.input)
-    order = None
-    if args.lang == "obdd":
-        order = _read_order(args.order)
-        if order.n < cnf.num_vars:
-            raise SystemExit(
-                "error: order covers %d of %d variables" % (order.n, cnf.num_vars)
-            )
+    cnf = _read(args.input, parse_dimacs)
+    order = _read(args.order, VarOrder.from_text) if args.lang == "obdd" else None
     cfg = _config_from_args(args, order)
     start = time.perf_counter()
-    circuit = compiler.compile_cnf(cnf, cfg)
+    try:
+        circuit = compiler.compile_cnf(cnf, cfg)
+    except ValueError as exc:
+        raise SystemExit("error: %s" % exc)
     elapsed = time.perf_counter() - start
     Path(args.output).write_text(serialize(circuit))
     nodes, edges = stats(circuit)
@@ -98,7 +79,7 @@ def _require_ddnnf(circuit) -> None:
 
 
 def cmd_query(args) -> int:
-    circuit = _read_circuit(args.circuit)
+    circuit = _read(args.circuit, parse_nnf)
     if args.universe is not None:
         if args.universe < circuit.universe:
             raise SystemExit("error: --universe below the circuit's own universe")
@@ -134,15 +115,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    a = _read_circuit(args.a)
-    b = _read_circuit(args.b)
-    if a.universe != b.universe:
-        raise SystemExit(
-            "error: universe mismatch: %d vs %d" % (a.universe, b.universe)
-        )
+    a = _read(args.a, parse_nnf)
+    b = _read(args.b, parse_nnf)
     try:
         verdict = queries.prob_equiv(a, b, seed=args.seed, rounds=args.rounds)
-    except LanguageError as exc:
+    except ValueError as exc:
         raise SystemExit("error: %s" % exc)
     if verdict.equivalent:
         print(
@@ -155,11 +132,11 @@ def cmd_eq(args) -> int:
 
 
 def cmd_check(args) -> int:
-    circuit = _read_circuit(args.circuit)
+    circuit = _read(args.circuit, parse_nnf)
     if args.language == "fbdd":
         report = checks.check_fbdd(circuit)
     elif args.language == "obdd":
-        order = _read_order(args.order) if args.order else None
+        order = _read(args.order, VarOrder.from_text) if args.order else None
         report = checks.check_obdd(circuit, order)
     else:
         report = checks.check_decision_dnnf(circuit)

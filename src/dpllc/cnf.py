@@ -1,4 +1,4 @@
-"""CNF formulas: DIMACS parsing and a truth-table model-count oracle.
+"""CNF formulas and DIMACS parsing.
 
 Literals follow the DIMACS convention: variable x is the positive integer x,
 its negation is -x.  Every clause keeps the index it had in the input
@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 log = logging.getLogger(__name__)
-
-# Hard ceiling for the truth-table oracle; 2^24 assignment bits is ~2 MB per
-# table and anything beyond that defeats the purpose of a safety oracle.
-BRUTE_FORCE_VAR_LIMIT = 24
 
 
 class DimacsError(ValueError):
@@ -164,58 +160,6 @@ def parse_dimacs(text: str) -> Cnf:
         tuple((i, lits) for i, lits in enumerate(clauses)),
         dropped_tautologies=tautologies,
     )
-
-
-def _var_table(v: int, n: int) -> int:
-    # Truth table of variable v over all 2^n assignments, one bit per
-    # assignment (bit i is the value of v in assignment i).
-    half = 1 << (v - 1)
-    block = ((1 << half) - 1) << half
-    width = half << 1
-    total = 1 << n
-    while width < total:
-        block |= block << width
-        width <<= 1
-    return block
-
-
-def brute_force_count(delta: Cnf) -> int:
-    """Exact model count over all num_vars variables by truth-table sweep.
-
-    Independent of the search-based compilers on purpose: this is the test
-    oracle for them.  Refuses universes beyond BRUTE_FORCE_VAR_LIMIT.
-    """
-    n = delta.num_vars
-    if n > BRUTE_FORCE_VAR_LIMIT:
-        raise ValueError(
-            "refusing brute-force count over %d > %d variables" % (n, BRUTE_FORCE_VAR_LIMIT)
-        )
-    full = (1 << (1 << n)) - 1
-    table = full
-    for _, lits in delta.clauses:
-        acc = 0
-        for lit in lits:
-            t = _var_table(abs(lit), n)
-            acc |= t if lit > 0 else full ^ t
-        table &= acc
-        if not table:
-            return 0
-    return table.bit_count()
-
-
-def brute_force_models(delta: Cnf) -> Iterator[int]:
-    """Yield satisfying assignments as bitmasks (bit v-1 = value of var v)."""
-    n = delta.num_vars
-    if n > BRUTE_FORCE_VAR_LIMIT:
-        raise ValueError("universe too large for model sweep")
-    for m in range(1 << n):
-        ok = True
-        for _, lits in delta.clauses:
-            if not any((m >> (abs(l) - 1)) & 1 == (l > 0) for l in lits):
-                ok = False
-                break
-        if ok:
-            yield m
 
 
 def as_term(lits: Iterable[int]) -> frozenset[int]:

@@ -176,42 +176,15 @@ class Cache:
 
     def __init__(self):
         self.table: dict[bytes, int] = {}
-        self.hits = 0
-        self.misses = 0
 
     def probe(self, key: bytes) -> int | None:
-        got = self.table.get(key)
-        if got is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return got
+        return self.table.get(key)
 
     def insert(self, key: bytes, node: int) -> None:
         self.table[key] = node
 
     def __len__(self) -> int:
         return len(self.table)
-
-
-def _heuristic_code(heuristic: str) -> int:
-    if heuristic not in HEURISTICS:
-        raise ValueError("unknown heuristic %r" % heuristic)
-    return KERNEL.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else KERNEL.HEUR_MIN_INDEX
-
-
-def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
-    """Branch variable of a formula under the named heuristic.
-
-    max-occurrence picks the variable in the most surviving clauses,
-    min-index the smallest occurring index; ties break to the smaller
-    index.  It is a contract violation to call this on a formula without
-    variables.
-    """
-    var = KERNEL.select_var(compute_key(delta), _heuristic_code(heuristic))
-    if var == 0:
-        raise ValueError("formula mentions no variables")
-    return var
 
 
 _EVAL, _DEC, _AND = 0, 1, 2
@@ -327,7 +300,7 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     """Compile under the discipline cfg.mode names (see CompileConfig)."""
     cfg.validate()
     K = KERNEL
-    code = _heuristic_code(cfg.heuristic)
+    code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
     if cfg.mode == "ordered":
         if cfg.order.n < delta.num_vars:
             raise ValueError("order covers %d of %d variables" % (cfg.order.n, delta.num_vars))

@@ -266,13 +266,8 @@ def serialize(circuit: Circuit) -> str:
             b = emit_and((pos, line_of[high]))
             line_of[nid] = emit(("O", var, a, b), "O %d 2 %d %d" % (var, a, b))
 
-    edges = 0
-    for text in lines:
-        fields = text.split()
-        if fields[0] == "A":
-            edges += len(fields) - 2
-        elif fields[0] == "O":
-            edges += len(fields) - 3
+    # Each memo key is one emitted line; its edges are its children.
+    edges = sum(len(key[1]) if key[0] == "A" else 2 if key[0] == "O" else 0 for key in memo)
     out = ["nnf %d %d %d" % (len(lines), edges, circuit.universe)]
     out.extend(lines)
     return "\n".join(out) + "\n"

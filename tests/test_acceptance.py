@@ -23,7 +23,7 @@ from dpllc.checks import (
     compile_guided,
     isomorphic,
 )
-from dpllc.cnf import Cnf, brute_force_count, parse_dimacs
+from dpllc.cnf import Cnf, parse_dimacs
 from dpllc.compiler import (
     CompileConfig,
     VarOrder,
@@ -44,7 +44,7 @@ from dpllc.queries import (
 )
 from dpllc.store import parse_nnf, serialize, stats
 
-from util import model_set, random_cnf, running_cnf
+from util import brute_force_count, model_set, random_cnf, running_cnf
 
 SETTINGS = [
     (caching, up) for caching in (True, False) for up in (True, False)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpllc.checks as checks
 from dpllc.checks import (
     GuidedCnf,
     GuidedScriptError,
@@ -14,7 +15,7 @@ from dpllc.checks import (
     compile_guided,
     isomorphic,
 )
-from dpllc.cnf import Cnf, brute_force_count
+from dpllc.cnf import Cnf
 from dpllc.compiler import (
     CompileConfig,
     VarOrder,
@@ -26,6 +27,7 @@ from dpllc.queries import LanguageError, model_count
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable, stats
 
 from util import (
+    brute_force_count,
     oracle_circuit_to_cnf,
     oracle_compile_guided,
     oracle_isomorphic,
@@ -61,6 +63,17 @@ def test_fbdd_witness_takes_the_first_path_found():
     assert report.witness == "variable 1 repeats on path x1@9->x4@7->x2@6->x1@5"
 
 
+def test_fbdd_witness_below_the_root():
+    # The repeat is two levels down, so the witness needs the path search.
+    s = NodeStore()
+    inner = s.get_node(1, FALSE, TRUE)
+    bad = s.get_node(1, inner, TRUE)
+    mid = s.get_node(2, bad, TRUE)
+    root = s.get_node(3, mid, s.get_node(4, TRUE, mid))
+    report = check_fbdd(Circuit(s, root, 4))
+    assert report.witness == "variable 1 repeats on path x3@6->x4@5->x2@4->x1@3->x1@2"
+
+
 def test_fbdd_rejects_non_decision_nodes():
     s = NodeStore()
     report = check_fbdd(Circuit(s, s.literal(1), 1))
@@ -92,6 +105,38 @@ def test_obdd_single_variable_any_order():
     circuit = Circuit(s, s.get_node(2, FALSE, TRUE), 3)
     for perm in ((1, 2, 3), (3, 2, 1), (2, 1, 3)):
         assert check_obdd(circuit, VarOrder(perm)).verdict
+
+
+def test_obdd_reports_the_fbdd_failure():
+    s = NodeStore()
+    inner = s.get_node(1, FALSE, TRUE)
+    circuit = Circuit(s, s.get_node(2, s.get_node(1, inner, TRUE), TRUE), 2)
+    fbdd = check_fbdd(circuit)
+    for order in (None, VarOrder((1, 2))):
+        report = check_obdd(circuit, order)
+        assert (report.verdict, report.language) == (False, "obdd")
+        assert report.witness == fbdd.witness == "variable 1 repeats on path x2@4->x1@3->x1@2"
+
+
+def test_obdd_flags_a_variable_missing_from_the_order():
+    s = NodeStore()
+    circuit = Circuit(s, s.get_node(1, FALSE, s.get_node(3, FALSE, TRUE)), 3)
+    report = check_obdd(circuit, VarOrder((2, 1)))
+    assert not report.verdict
+    assert report.witness == "variable 3 missing from the order"
+
+
+def test_obdd_walks_the_circuit_once(monkeypatch):
+    circuit = compile_ordered(running_cnf(), VarOrder((2, 3, 1)))
+    calls = []
+
+    def counting(store, root):
+        calls.append(root)
+        return reachable(store, root)
+
+    monkeypatch.setattr(checks, "reachable", counting)
+    assert check_obdd(circuit).verdict
+    assert calls == [circuit.root]
 
 
 def test_obdd_recovers_an_order():

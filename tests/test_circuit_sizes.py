@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import dpllc.compiler as compiler
 from dpllc.compiler import (
     HEURISTICS,
     MODES,
@@ -73,7 +74,8 @@ def configurations_corpus():
     yield FORMULAS["flat-v8-e14"]()
 
 
-def test_every_configuration_is_pinned():
+def test_every_configuration_is_pinned(kernel, monkeypatch):
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
     digest = hashlib.sha256()
     for cnf in configurations_corpus():
         order = bandwidth_order(cnf)

@@ -49,6 +49,81 @@ def test_compile_parse_error_exits_1(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Exact stderr of failing commands; {d} stands for the work directory.
+ERROR_CASES = {
+    "missing-cnf": (
+        ["compile", "--lang", "fbdd", "{d}/missing.cnf", "-o", "{d}/x.nnf"],
+        "error: cannot read {d}/missing.cnf: [Errno 2] No such file or directory: "
+        "'{d}/missing.cnf'",
+    ),
+    "missing-order": (
+        ["compile", "--lang", "obdd", "--order", "{d}/missing.ord", "{d}/run.cnf", "-o", "{d}/x.nnf"],
+        "error: cannot read {d}/missing.ord: [Errno 2] No such file or directory: "
+        "'{d}/missing.ord'",
+    ),
+    "missing-nnf": (
+        ["query", "--count", "{d}/missing.nnf"],
+        "error: cannot read {d}/missing.nnf: [Errno 2] No such file or directory: "
+        "'{d}/missing.nnf'",
+    ),
+    "bad-cnf": (
+        ["compile", "--lang", "fbdd", "{d}/bad.cnf", "-o", "{d}/x.nnf"],
+        "error: {d}/bad.cnf: line 2: variable 2 exceeds declared universe 1",
+    ),
+    "binary-cnf": (
+        ["compile", "--lang", "fbdd", "{d}/binary.cnf", "-o", "{d}/x.nnf"],
+        "error: {d}/binary.cnf: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    ),
+    "bad-order": (
+        ["compile", "--lang", "obdd", "--order", "{d}/bad.ord", "{d}/run.cnf", "-o", "{d}/x.nnf"],
+        "error: {d}/bad.ord: invalid literal for int() with base 10: 'x'",
+    ),
+    "repeated-order": (
+        ["check", "--language", "obdd", "--order", "{d}/dup.ord", "{d}/a.nnf"],
+        "error: {d}/dup.ord: order is not a permutation of 1..3",
+    ),
+    "short-order": (
+        ["compile", "--lang", "obdd", "--order", "{d}/short.ord", "{d}/run.cnf", "-o", "{d}/x.nnf"],
+        "error: order covers 2 of 3 variables",
+    ),
+    "bad-nnf-query": (
+        ["query", "--count", "{d}/bad.nnf"],
+        "error: {d}/bad.nnf: line 2: non-numeric field in 'L x'",
+    ),
+    "bad-nnf-check": (
+        ["check", "--language", "fbdd", "{d}/bad.nnf"],
+        "error: {d}/bad.nnf: line 2: non-numeric field in 'L x'",
+    ),
+    "bad-nnf-eq": (
+        ["eq", "{d}/a.nnf", "{d}/bad.nnf"],
+        "error: {d}/bad.nnf: line 2: non-numeric field in 'L x'",
+    ),
+    "universe-mismatch": (
+        ["eq", "{d}/a.nnf", "{d}/b.nnf"],
+        "error: universe mismatch: 2 vs 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_messages_are_pinned(workdir, capsys, case):
+    (workdir / "bad.cnf").write_text("p cnf 1 1\n2 0\n")
+    (workdir / "binary.cnf").write_bytes(b"\xff\xfe\n")
+    (workdir / "bad.ord").write_text("1 x\n")
+    (workdir / "dup.ord").write_text("1 1 2\n")
+    (workdir / "short.ord").write_text("1 2\n")
+    (workdir / "bad.nnf").write_text("nnf 1 0 2\nL x\n")
+    (workdir / "a.nnf").write_text("nnf 1 0 2\nA 0\n")
+    (workdir / "b.nnf").write_text("nnf 1 0 3\nA 0\n")
+    argv, expected = ERROR_CASES[case]
+    d = str(workdir)
+    assert run(*(arg.format(d=d) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == expected.format(d=d) + "\n"
+    assert captured.out == ""
+
+
 def test_query_flags(workdir, capsys):
     out = workdir / "d.nnf"
     run("compile", "--lang", "ddnnf", workdir / "run.cnf", "-o", out)

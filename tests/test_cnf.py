@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from dpllc.cnf import Cnf, DimacsError, as_term, brute_force_count, parse_dimacs
+from dpllc.cnf import Cnf, DimacsError, as_term, parse_dimacs
 
 from util import (
     RUNNING_DIMACS,
     assignments,
+    brute_force_count,
     components,
     condition,
     condition_all,
@@ -68,6 +69,31 @@ def test_parse_errors_carry_line(text, line):
         parse_dimacs(text)
     if line is not None:
         assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,message,line",
+    [
+        ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate header", 2),
+        ("c hi\np cnf 2\n", "malformed header 'p cnf 2'", 2),
+        ("p dnf 2 1\n", "malformed header 'p dnf 2 1'", 1),
+        ("p cnf x 1\n", "malformed header 'p cnf x 1'", 1),
+        ("p cnf -1 1\n", "negative counts in header", 1),
+        ("p cnf 2 -1\n", "negative counts in header", 1),
+        ("1 0\np cnf 2 1\n", "clause before header", 1),
+        ("p cnf 2 1\n1 y 0\n", "bad token 'y'", 2),
+        ("p cnf 2 1\n3 0\n", "variable 3 exceeds declared universe 2", 2),
+        ("p cnf 2 1\n1 2\n", "clause missing 0 terminator", 2),
+        ("c only a comment\n", "missing header", None),
+        ("", "missing header", None),
+        ("p cnf 2 2\n1 0\n", "header declares 2 clauses, found 1", None),
+    ],
+)
+def test_parse_errors_name_the_fault(text, message, line):
+    with pytest.raises(DimacsError) as info:
+        parse_dimacs(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else "line %d: %s" % (line, message))
 
 
 def test_cnf_rejects_bad_clauses():

@@ -14,18 +14,8 @@ from dpllc.compiler import compute_key
 
 from util import components, condition, random_cnf, unit_propagate
 
+# A test that takes `kernel` runs once per backend (see conftest.py).
 kernel_py = _kernel.load("py")
-try:
-    kernel_cy = _kernel.load("cy")
-    BACKENDS = [kernel_py, kernel_cy]
-except ImportError:
-    kernel_cy = None
-    BACKENDS = [kernel_py]
-
-needs_cy = pytest.mark.skipif(kernel_cy is None, reason="compiled kernel not built")
-per_backend = pytest.mark.parametrize(
-    "kernel", BACKENDS, ids=lambda k: k.__name__.rsplit("_", 1)[-1]
-)
 bounded = settings(max_examples=300, deadline=None)
 
 
@@ -43,7 +33,6 @@ def _cases(count=150, seed=23):
     return out
 
 
-@per_backend
 def test_kernel_matches_cnf_ops(kernel):
     for cnf, lit in _cases():
         res = compute_key(cnf)
@@ -63,8 +52,7 @@ def test_kernel_matches_cnf_ops(kernel):
         assert kernel.propagate_conflict(res) == conflict
 
 
-@needs_cy
-def test_backends_agree():
+def test_backends_agree(kernel_cy):
     for cnf, lit in _cases(count=200, seed=29):
         res = compute_key(cnf)
         assert kernel_py.has_empty(res) == kernel_cy.has_empty(res)
@@ -83,8 +71,7 @@ def test_backends_agree():
         assert kernel_py.min_rank_var(res, ranks) == kernel_cy.min_rank_var(res, ranks)
 
 
-@needs_cy
-def test_compilers_identical_across_backends(monkeypatch):
+def test_compilers_identical_across_backends(kernel_cy, monkeypatch):
     rng = random.Random(31)
     from dpllc.checks import isomorphic
     from dpllc.store import stats
@@ -107,12 +94,11 @@ def test_compilers_identical_across_backends(monkeypatch):
             assert isomorphic(a, b)
 
 
-def test_select_var_semantics():
+def test_select_var_semantics(kernel):
     cnf = compute_key(Cnf.from_clauses([[2, 3], [3]], 3))
-    for kernel in BACKENDS:
-        assert kernel.select_var(cnf, kernel.HEUR_MAX_OCCURRENCE) == 3
-        assert kernel.select_var(cnf, kernel.HEUR_MIN_INDEX) == 2
-        assert kernel.select_var(b"", kernel.HEUR_MAX_OCCURRENCE) == 0
+    assert kernel.select_var(cnf, kernel.HEUR_MAX_OCCURRENCE) == 3
+    assert kernel.select_var(cnf, kernel.HEUR_MIN_INDEX) == 2
+    assert kernel.select_var(b"", kernel.HEUR_MAX_OCCURRENCE) == 0
 
 
 # --- differential tests against the Cnf-level oracles ------------------------
@@ -140,7 +126,6 @@ def formulas(draw, max_vars=10, max_clauses=16):
     return Cnf.from_clauses(clauses, n)
 
 
-@per_backend
 @bounded
 @given(data=st.data())
 def test_condition_matches_oracle(kernel, data):
@@ -153,7 +138,6 @@ LEADING_EMPTY = Cnf.from_clauses([[], [1], [-1, 2]], 2)
 LONG_CASCADE = Cnf.from_clauses([[-v, v + 1] for v in range(1, 10)] + [[1]], 10)
 
 
-@per_backend
 @bounded
 @given(cnf=formulas())
 @example(cnf=LEADING_EMPTY)
@@ -165,7 +149,6 @@ def test_propagate_matches_unit_propagate(kernel, cnf):
     assert kernel.propagate_conflict(res) == conflict
 
 
-@per_backend
 @bounded
 @given(cnf=formulas())
 def test_split_matches_components(kernel, cnf):
@@ -177,7 +160,6 @@ def test_split_matches_components(kernel, cnf):
         assert kernel.split_components(res) == [compute_key(p) for p in components(cnf)]
 
 
-@per_backend
 @bounded
 @given(data=st.data())
 def test_selectors_match_definitions(kernel, data):

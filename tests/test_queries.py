@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dpllc.checks import isomorphic
-from dpllc.cnf import Cnf, brute_force_count
+from dpllc.cnf import Cnf
 from dpllc.compiler import CompileConfig, VarOrder, compile_decomposed, compile_free, compile_ordered
 from dpllc.queries import (
     EQ_PRIME,
@@ -24,6 +24,7 @@ from dpllc.store import FALSE, TRUE, Circuit, NodeStore
 
 from util import (
     assignments,
+    brute_force_count,
     condition_all,
     eval_circuit,
     eval_cnf,

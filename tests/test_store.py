@@ -195,10 +195,110 @@ def test_parse_errors():
         parse_nnf("nnf 3 2 2\nL 1\nL 2\nO 1 2 0 1\n")  # child lacks branch literal
 
 
+@pytest.mark.parametrize(
+    "text,message,line",
+    [
+        ("x 1 0 2\n", "expected header 'nnf V E N', got 'x 1 0 2'", 1),
+        ("nnf 1 0\n", "expected header 'nnf V E N', got 'nnf 1 0'", 1),
+        ("nnf a 0 2\n", "non-numeric header field", 1),
+        ("nnf 1 0 2\nL x\n", "non-numeric field in 'L x'", 2),
+        ("nnf 1 0 2\nL 1 2\n", "malformed literal line 'L 1 2'", 2),
+        ("nnf 1 0 2\nL 0\n", "malformed literal line 'L 0'", 2),
+        ("nnf 2 1 2\nL 1\nA 2 0\n", "child count mismatch in 'A 2 0'", 3),
+        ("nnf 2 1 2\nA 1 1\nL 1\n", "reference 1 not to an earlier line", 2),
+        ("nnf 2 0 2\nO 1 2 0\n", "malformed decision line 'O 1 2 0'", 2),
+        ("nnf 1 0 2\nO 0 2 0 0\n", "malformed decision line 'O 0 2 0 0'", 2),
+        ("nnf 3 0 2\nL 1\nL -1\nO 1 2 1 3\n", "reference 3 not to an earlier line", 4),
+        ("nnf 1 0 2\nZ 1\n", "unknown node kind 'Z'", 2),
+        ("c no header\nL 1\n", "expected header 'nnf V E N', got 'L 1'", 2),
+        ("", "missing header", None),
+        ("nnf 2 0 2\nL 1\n", "header declares 2 nodes, found 1", None),
+        ("nnf 1 0 -1\nA 0\n", "negative universe in header", None),
+        ("nnf 0 0 2\n", "empty node section", None),
+        ("nnf 3 2 2\nL 1\nL 2\nO 1 2 0 1\n", "decision child lacks branch literal", 4),
+        (
+            "nnf 5 4 3\nL -1\nL 2\nL 3\nA 2 1 2\nO 1 2 0 3\n",
+            "decision child lacks branch literal",
+            6,
+        ),
+        ("nnf 4 3 2\nO 0 0\nA 0\nL -1\nO 1 2 2 0\n", "decision child is not a conjunction", 5),
+        ("nnf 3 2 2\nO 0 0\nL 1\nA 2 0 1\n", "false sink under a conjunction", 4),
+    ],
+)
+def test_parse_errors_name_the_fault(text, message, line):
+    with pytest.raises(NnfFormatError) as info:
+        parse_nnf(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else "line %d: %s" % (line, message))
+
+
 def test_parse_header_edge_count_is_not_trusted():
     # Edge totals are informational; node structure is what gets validated.
     c = parse_nnf("nnf 3 99 2\nL 1\nL 2\nA 2 0 1\n")
     assert stats(c) == (3, 2)
+
+
+def _literals(s, *lits):
+    return [s.literal(l) for l in lits]
+
+
+def _dup(s):
+    s.nodes.append(s.nodes[_literals(s, 1)[0]])
+
+
+def _sink(s):
+    s.nodes[1] = ("L", 1)
+    s.nodes.append(("T",))
+
+
+def _conj(s, children):
+    _literals(s, 1, 2, 3)  # ids 2, 3, 4
+    s.nodes.append(("A", children))
+
+
+def _nested(s):
+    a, b, c = _literals(s, 1, 2, 3)
+    inner = s.get_and_node([a, b])
+    s.nodes.append(("A", (c, inner)))
+
+
+# Each case breaks exactly one invariant of a fresh store.
+AUDIT_BREAKS = {
+    "duplicate": (_dup, "nodes 2 and 3 are structurally identical"),
+    "sink": (_sink, "sink at non-reserved id 2"),
+    "zero-literal": (lambda s: s.nodes.append(("L", 0)), "zero literal at node 2"),
+    "equal-children": (
+        lambda s: s.nodes.append(("D", 1, 0, 0)),
+        "decision 2 has identical children",
+    ),
+    "later-low": (
+        lambda s: s.nodes.append(("D", 1, 2, 0)),
+        "decision 2 references a later node",
+    ),
+    "later-high": (
+        lambda s: s.nodes.append(("D", 1, 0, 3)),
+        "decision 2 references a later node",
+    ),
+    "one-child": (lambda s: _conj(s, (2,)), "conjunction 5 has fewer than two children"),
+    "unsorted": (lambda s: _conj(s, (3, 2)), "conjunction 5 children not sorted/unique"),
+    "repeated": (lambda s: _conj(s, (2, 2)), "conjunction 5 children not sorted/unique"),
+    "later-child": (lambda s: _conj(s, (2, 6)), "conjunction 5 references a later node"),
+    "false-child": (lambda s: _conj(s, (0, 2)), "conjunction 5 has a constant child"),
+    "true-child": (lambda s: _conj(s, (1, 2)), "conjunction 5 has a constant child"),
+    "nested": (_nested, "conjunction 6 has a nested conjunction"),
+    "unknown-kind": (lambda s: s.nodes.append(("X",)), "unknown node kind 'X'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_BREAKS))
+def test_audit_names_each_broken_invariant(case):
+    s = NodeStore()
+    s.audit()
+    brk, message = AUDIT_BREAKS[case]
+    brk(s)
+    with pytest.raises(StoreError) as info:
+        s.audit()
+    assert str(info.value) == message
 
 
 def test_audit_passes_on_compiled_stores():

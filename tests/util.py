@@ -5,6 +5,7 @@ import itertools
 import random
 from typing import Iterable, Iterator
 
+import dpllc.compiler as compiler
 from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision_dnnf
 from dpllc.cnf import Cnf, as_term
 from dpllc.queries import LanguageError, annotate, condition_circuit, is_consistent, model_count
@@ -49,6 +50,48 @@ def model_set(cnf: Cnf) -> set[int]:
         if eval_cnf(cnf, a):
             out.add(m)
     return out
+
+
+# Hard ceiling for the truth-table oracle; 2^24 assignment bits is ~2 MB per
+# table and anything beyond that defeats the purpose of a safety oracle.
+BRUTE_FORCE_VAR_LIMIT = 24
+
+
+def _var_table(v: int, n: int) -> int:
+    # Truth table of variable v over all 2^n assignments, one bit per
+    # assignment (bit i is the value of v in assignment i).
+    half = 1 << (v - 1)
+    block = ((1 << half) - 1) << half
+    width = half << 1
+    total = 1 << n
+    while width < total:
+        block |= block << width
+        width <<= 1
+    return block
+
+
+def brute_force_count(delta: Cnf) -> int:
+    """Exact model count over all num_vars variables by truth-table sweep.
+
+    Independent of the search-based compilers on purpose: this is the test
+    oracle for them.  Refuses universes beyond BRUTE_FORCE_VAR_LIMIT.
+    """
+    n = delta.num_vars
+    if n > BRUTE_FORCE_VAR_LIMIT:
+        raise ValueError(
+            "refusing brute-force count over %d > %d variables" % (n, BRUTE_FORCE_VAR_LIMIT)
+        )
+    full = (1 << (1 << n)) - 1
+    table = full
+    for _, lits in delta.clauses:
+        acc = 0
+        for lit in lits:
+            t = _var_table(abs(lit), n)
+            acc |= t if lit > 0 else full ^ t
+        table &= acc
+        if not table:
+            return 0
+    return table.bit_count()
 
 
 def eval_circuit(circuit, assignment: dict) -> bool:
@@ -186,6 +229,24 @@ def unit_propagate(delta: Cnf) -> tuple[Cnf, list[int], bool]:
             return cur, implied, False
         implied.append(unit)
         cur = condition(cur, unit)
+
+
+def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
+    """Branch variable of a formula under the named heuristic, through the
+    kernel the compiler currently uses.
+
+    max-occurrence picks the variable in the most surviving clauses,
+    min-index the smallest occurring index; ties break to the smaller
+    index.  A formula without variables raises ValueError.
+    """
+    if heuristic not in compiler.HEURISTICS:
+        raise ValueError("unknown heuristic %r" % heuristic)
+    K = compiler.KERNEL
+    code = K.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
+    var = K.select_var(compiler.compute_key(delta), code)
+    if var == 0:
+        raise ValueError("formula mentions no variables")
+    return var
 
 
 def components(delta: Cnf) -> list[Cnf]:
