@@ -89,7 +89,7 @@ def main():
 def format_table(results):
     """Seconds per mode for every backend, '-' for a backend that did not
     run; the speedup column needs both."""
-    lines = ["%-12s %10s %10s %8s" % ("mode", "python", "cython", "speedup")]
+    lines = ["%-12s %10s %10s %8s" % ("mode", "py", "cy", "speedup")]
     for mode in ("free", "ordered", "decomposed"):
         py, cy = (results.get(b, {}).get(mode) for b in BACKENDS)
         cells = ["%9.2fs" % t if t is not None else "-" for t in (py, cy)]

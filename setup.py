@@ -1,26 +1,3 @@
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-# The compiled kernel is optional: without it the package falls back to the
-# pure-Python implementation of the same operations (see dpllc/_kernel.py).
-# Set DPLLC_PURE=1 to skip the extension build entirely.
-ext_modules = []
-if os.environ.get("DPLLC_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "dpllc._kernel_cy",
-                    ["src/dpllc/_kernel_cy.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -7,8 +7,9 @@ surviving clause, in increasing original-clause-index order:
 
 Literals within a record are sorted by variable.  The encoding doubles as
 the formula-cache key: two residuals are the same formula exactly when
-their bytes are equal.  The compiled kernel (_kernel_cy) implements the
-same functions over the same layout; outputs must match byte for byte.
+their bytes are equal.  The compiled kernel, the hand-written C extension
+_kernel_cy built from _kernel_cy.c, implements the same functions over the
+same layout; outputs must match byte for byte.
 
 Each call decodes its residual once into a list and then works a clause
 at a time, relying on one invariant: a variable occurs at most once per

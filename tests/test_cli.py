@@ -103,6 +103,26 @@ ERROR_CASES = {
         ["eq", "{d}/a.nnf", "{d}/b.nnf"],
         "error: universe mismatch: 2 vs 3",
     ),
+    "non-integer-literal": (
+        ["query", "--entails", "1 x", "{d}/a.nnf"],
+        "error: literals must be signed integers, got '1 x'",
+    ),
+    "zero-literal": (
+        ["query", "--implicant", "0", "{d}/a.nnf"],
+        "error: 0 is not a literal",
+    ),
+    "universe-below-circuit": (
+        ["query", "--count", "--universe", "2", "{d}/b.nnf"],
+        "error: --universe below the circuit's own universe",
+    ),
+    "contradictory-condition": (
+        ["query", "--condition", "1 -1", "{d}/a.nnf"],
+        "error: term assigns variable 1 both ways",
+    ),
+    "bench-not-a-directory": (
+        ["bench", "{d}/run.cnf"],
+        "error: {d}/run.cnf is not a directory",
+    ),
 }
 
 

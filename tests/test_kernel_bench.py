@@ -28,7 +28,7 @@ def test_table_keeps_the_backends_that_ran():
     proc = bench(ROOT, str(SRC))
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.strip().splitlines()
-    assert rows[0].split() == ["mode", "python", "cython", "speedup"]
+    assert rows[0].split() == ["mode", "py", "cy", "speedup"]
     assert [row.split()[0] for row in rows[1:]] == ["free", "ordered", "decomposed"]
     for row in rows[1:]:
         mode, py, cy, speedup = row.split()

@@ -101,6 +101,12 @@ def test_select_var_semantics(kernel):
     assert kernel.select_var(b"", kernel.HEUR_MAX_OCCURRENCE) == 0
 
 
+def test_min_rank_var_rejects_a_variable_without_rank(kernel):
+    res = compute_key(Cnf.from_clauses([[5000, 4000]], 5000))
+    with pytest.raises(IndexError):
+        kernel.min_rank_var(res, compiler.VarOrder.identity(3).rank_bytes)
+
+
 # --- differential tests against the Cnf-level oracles ------------------------
 
 
