@@ -195,8 +195,12 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
             "obdd",
             witness="variables %s appear in conflicting orders" % (cyc,),
         )
+    # A conditioned circuit's universe is a count that its surviving
+    # decision variables may exceed; complete over both so that the
+    # result is a permutation VarOrder accepts.
     placed = set(recovered)
-    full = recovered + [v for v in range(1, circuit.universe + 1) if v not in placed]
+    top = max(circuit.universe, max(vars_seen, default=0))
+    full = recovered + [v for v in range(1, top + 1) if v not in placed]
     return MembershipReport(True, "obdd", order=tuple(full))
 
 

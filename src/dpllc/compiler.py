@@ -142,10 +142,9 @@ class CompileConfig:
 
     What unit_propagation does depends on the mode:
 
-      free        branch on a variable forced by a unit clause first; this
-                  keeps the trace in decision form, since the violating
-                  branch conditions to an empty clause and comes back as
-                  the false sink.
+      free        propagate to fixpoint before branching; each implied
+                  literal becomes a forced decision whose violating branch
+                  is the false sink, which keeps the trace an FBDD.
       ordered     only a contradiction lookahead: branching out of order
                   on an implied variable would break the ordering
                   property, but cutting an unsatisfiable subtree early
@@ -191,18 +190,25 @@ _EVAL, _DEC, _AND = 0, 1, 2
 
 
 def _search(
-    res0: bytes, store: NodeStore, cache: Cache | None, pick, decompose: bool, propagate: bool
+    res0: bytes,
+    store: NodeStore,
+    cache: Cache | None,
+    pick,
+    decompose: bool,
+    propagate: bool,
+    lookahead: bool,
 ) -> int:
     """Exhaustive search from res0; returns the root id of its trace.
 
-    With decompose, a residual is first unit-propagated (if `propagate`)
-    and split into components, and the implied literals and component
-    traces are conjoined.  Otherwise `propagate` turns on the conflict
-    lookahead.  A residual that is one component and no cache hit gets a
-    decision node on pick(residual).
+    With `propagate`, a residual is first unit-propagated to fixpoint.
+    With decompose, it is then split into components, and the implied
+    literals (as literal leaves) and component traces are conjoined;
+    without, the implied literals become a chain of forced decisions above
+    the rest's trace.  `lookahead` cuts a residual whose unit propagation
+    conflicts before branching.  A residual that is one component, implies
+    nothing and is no cache hit gets a decision node on pick(residual).
     """
     K = KERNEL
-    lookahead = propagate and not decompose
     work: list[tuple] = [(_EVAL, res0)]
     vals: list[int] = []
     while work:
@@ -216,19 +222,18 @@ def _search(
             if not res:
                 vals.append(TRUE)
                 continue
-            if decompose:
-                implied: tuple[int, ...] = ()
-                if propagate:
-                    res, implied, conflict = K.propagate(res)
-                    if conflict:
-                        vals.append(FALSE)
-                        continue
-                comps = K.split_components(res) if res else []
-                if implied or len(comps) > 1:
-                    work.append((_AND, implied, len(comps)))
-                    for comp in reversed(comps):
-                        work.append((_EVAL, comp))
+            implied: tuple[int, ...] = ()
+            if propagate:
+                res, implied, conflict = K.propagate(res)
+                if conflict:
+                    vals.append(FALSE)
                     continue
+            comps = (K.split_components(res) if decompose else [res]) if res else []
+            if implied or len(comps) > 1:
+                work.append((_AND, implied, len(comps)))
+                for comp in reversed(comps):
+                    work.append((_EVAL, comp))
+                continue
             if cache is not None:
                 hit = cache.probe(res)
                 if hit is not None:
@@ -260,8 +265,15 @@ def _search(
             del vals[cut:]
             if FALSE in parts:
                 vals.append(FALSE)
-            else:
+            elif decompose:
                 vals.append(store.get_and_node([store.literal(lit) for lit in implied] + parts))
+            else:
+                # Free mode: a chain of forced decisions, the first derived on top.
+                node = parts[0] if parts else TRUE
+                for lit in reversed(implied):
+                    low, high = (FALSE, node) if lit > 0 else (node, FALSE)
+                    node = store.get_node(abs(lit), low, high)
+                vals.append(node)
     return vals[0]
 
 
@@ -306,8 +318,6 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
             raise ValueError("order covers %d of %d variables" % (cfg.order.n, delta.num_vars))
         ranks = cfg.order.rank_bytes
         pick = lambda res: K.min_rank_var(res, ranks)
-    elif cfg.mode == "free" and cfg.unit_propagation:
-        pick = lambda res: K.first_unit_var(res) or K.select_var(res, code)
     else:
         pick = lambda res: K.select_var(res, code)
     store = NodeStore()
@@ -318,7 +328,8 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
         cache,
         pick,
         decompose=cfg.mode == "decomposed",
-        propagate=cfg.unit_propagation and cfg.mode != "free",
+        propagate=cfg.unit_propagation and cfg.mode != "ordered",
+        lookahead=cfg.unit_propagation and cfg.mode == "ordered",
     )
     store.freeze()
     return Circuit(store, root, delta.num_vars)

@@ -23,7 +23,7 @@ from dpllc.compiler import (
     compile_free,
     compile_ordered,
 )
-from dpllc.queries import LanguageError, model_count
+from dpllc.queries import LanguageError, condition_circuit, model_count
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable, stats
 
 from util import (
@@ -145,6 +145,18 @@ def test_obdd_recovers_an_order():
     assert report.verdict
     rank = {v: i for i, v in enumerate(report.order)}
     assert rank[3] < rank[1] < rank[2]
+    assert check_obdd(circuit, VarOrder(report.order)).verdict
+
+
+def test_obdd_recovered_order_of_a_conditioned_circuit_reads_back():
+    # Conditioning shrinks the universe to a count (here 2) while the
+    # surviving decisions keep their variables (4 and 5), so the order
+    # must be completed past the universe to stay a permutation.
+    cnf = Cnf.from_clauses([[1, 2], [3, 4], [4, 5], [-1, 5]], 5)
+    circuit = condition_circuit(compile_ordered(cnf, VarOrder.identity(5)), [1, 2, -3])
+    report = check_obdd(circuit)
+    assert report.verdict
+    assert report.order == (4, 5, 1, 2, 3)
     assert check_obdd(circuit, VarOrder(report.order)).verdict
 
 

@@ -1,7 +1,10 @@
 import random
+import sys
+import time
 
 import pytest
 
+import dpllc.compiler as compiler
 from dpllc.checks import check_decision_dnnf, check_fbdd, check_obdd, isomorphic
 from dpllc.cnf import Cnf
 from dpllc.compiler import (
@@ -257,15 +260,29 @@ def test_circuit_evaluation_agrees_with_clauses():
                 assert eval_circuit(circuit, a) == want
 
 
-def test_deep_instances_do_not_overflow_the_stack():
-    # One forced decision per variable: trace depth equals the variable
-    # count, far past any recursion limit.
-    n = 5000
+DEEP_BUDGET_S = 5.0
+
+
+def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
+    # One forced decision (free) or one conjunct (decomposed) per
+    # variable: the free trace is as deep as the variable count, far past
+    # the default recursion limit.  Each compile must also finish within a
+    # fixed wall-clock budget on either backend, which a search that
+    # conditions the whole residual per forced literal does not.
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
+    n = 10_000
+    assert sys.getrecursionlimit() < n
     cnf = Cnf.from_clauses([[v] for v in range(1, n + 1)], n)
-    free = compile_free(cnf)
-    assert model_count(free) == 1
-    dec = compile_decomposed(cnf, CompileConfig("decomposed", unit_propagation=False))
-    assert model_count(dec) == 1
+    for cfg in (
+        CompileConfig("free"),
+        CompileConfig("decomposed"),
+        CompileConfig("decomposed", unit_propagation=False),
+    ):
+        start = time.perf_counter()
+        circuit = compile_cnf(cnf, cfg)
+        elapsed = time.perf_counter() - start
+        assert elapsed < DEEP_BUDGET_S, "%s took %.2f s" % (cfg, elapsed)
+        assert model_count(circuit) == 1
 
 
 def test_stores_come_back_frozen():

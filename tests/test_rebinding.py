@@ -13,7 +13,9 @@ import pytest
 
 import dpllc.compiler as compiler
 from dpllc import checks, queries, store
+from dpllc.cnf import Cnf
 from dpllc.compiler import bandwidth_order, compile_decomposed, compile_free, compile_ordered
+from dpllc.queries import model_count
 
 from util import random_3cnf
 
@@ -38,7 +40,7 @@ COMPILERS = {
 
 # Kernel operations each discipline cannot do without.
 MODE_OPS = {
-    "free": {"has_empty", "condition", "first_unit_var", "select_var"},
+    "free": {"has_empty", "condition", "propagate", "select_var"},
     "ordered": {"has_empty", "condition", "propagate_conflict", "min_rank_var"},
     "decomposed": {"has_empty", "condition", "propagate", "split_components", "select_var"},
 }
@@ -94,6 +96,19 @@ def test_compile_goes_through_rebound_names(rebound, mode):
     assert isinstance(circuit.store, counting_store)
     assert MODE_OPS[mode] <= {op for op in KERNEL_OPS if calls[op]}
     assert calls["cache.probe"] and calls["cache.insert"] and calls["store.get_node"]
+
+
+def test_free_compile_propagates_a_unit_chain_once(rebound):
+    # x1 and x_i -> x_i+1: propagation derives every literal in one call,
+    # and the forced decisions need no conditioning.
+    calls, _ = rebound
+    n = 200
+    cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
+    circuit = compile_free(cnf)
+    assert calls["propagate"] == 1
+    assert calls["condition"] == 0
+    assert calls["store.get_node"] == n
+    assert model_count(circuit) == 1
 
 
 def test_rebinding_is_undone():
