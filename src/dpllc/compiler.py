@@ -207,33 +207,39 @@ def _search(
     the rest's trace.  `lookahead` cuts a residual whose unit propagation
     conflicts before branching.  A residual that is one component, implies
     nothing and is no cache hit gets a decision node on pick(residual).
+
+    An `_EVAL` frame's third field is true for a residual pushed after
+    that step (the fixpoint, or one of its components): it has no empty
+    clause, is at fixpoint and is one component, so it goes straight to
+    the cache probe.
     """
     K = KERNEL
-    work: list[tuple] = [(_EVAL, res0)]
+    work: list[tuple] = [(_EVAL, res0, False)]
     vals: list[int] = []
     while work:
         frame = work.pop()
         tag = frame[0]
         if tag == _EVAL:
-            res = frame[1]
-            if K.has_empty(res):
-                vals.append(FALSE)
-                continue
-            if not res:
-                vals.append(TRUE)
-                continue
-            implied: tuple[int, ...] = ()
-            if propagate:
-                res, implied, conflict = K.propagate(res)
-                if conflict:
+            res, settled = frame[1], frame[2]
+            if not settled:
+                if K.has_empty(res):
                     vals.append(FALSE)
                     continue
-            comps = (K.split_components(res) if decompose else [res]) if res else []
-            if implied or len(comps) > 1:
-                work.append((_AND, implied, len(comps)))
-                for comp in reversed(comps):
-                    work.append((_EVAL, comp))
-                continue
+                if not res:
+                    vals.append(TRUE)
+                    continue
+                implied: tuple[int, ...] = ()
+                if propagate:
+                    res, implied, conflict = K.propagate(res)
+                    if conflict:
+                        vals.append(FALSE)
+                        continue
+                comps = (K.split_components(res) if decompose else [res]) if res else []
+                if implied or len(comps) > 1:
+                    work.append((_AND, implied, len(comps)))
+                    for comp in reversed(comps):
+                        work.append((_EVAL, comp, True))
+                    continue
             if cache is not None:
                 hit = cache.probe(res)
                 if hit is not None:
@@ -248,8 +254,8 @@ def _search(
                 continue
             x = pick(res)
             work.append((_DEC, x, res))
-            work.append((_EVAL, K.condition(res, x)))
-            work.append((_EVAL, K.condition(res, -x)))
+            work.append((_EVAL, K.condition(res, x), False))
+            work.append((_EVAL, K.condition(res, -x), False))
         elif tag == _DEC:
             x, res = frame[1], frame[2]
             high = vals.pop()

@@ -17,6 +17,7 @@ free and at least binary.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 FALSE = 0
@@ -229,108 +230,148 @@ def serialize(circuit: Circuit) -> str:
     the conjunction of the negative branch literal with the low child,
     child b the positive literal with the high child.  Shared structure is
     emitted once, so a line may serve several parents.
+
+    One iterative pass over the reachable nodes; a line's text is built
+    only when it is first emitted, so time and memory are linear in the
+    text.
     """
     store = circuit.store
+    nodes = store.nodes
     lines: list[str] = []
-    memo: dict[tuple, int] = {}
+    # Line of each literal (int key) and conjunction (sorted tuple key).
+    memo: dict = {}
+    decisions: dict[tuple[int, int, int], int] = {}
+    line_of = [0] * len(nodes)
+    edges = 0
 
-    def emit(key: tuple, text: str) -> int:
-        got = memo.get(key)
-        if got is not None:
-            return got
-        memo[key] = len(lines)
+    def emit(table: dict, key, text: str, degree: int) -> int:
+        nonlocal edges
+        got = table[key] = len(lines)
         lines.append(text)
-        return memo[key]
+        edges += degree
+        return got
 
-    def emit_and(parts: tuple[int, ...]) -> int:
-        parts = tuple(sorted(parts))
-        return emit(("A", parts), "A %d %s" % (len(parts), " ".join(map(str, parts))))
-
-    line_of: dict[int, int] = {}
     for nid in reachable(store, circuit.root):
-        node = store.nodes[nid]
+        node = nodes[nid]
         kind = node[0]
-        if kind == "F":
-            line_of[nid] = emit(("F",), "O 0 0")
-        elif kind == "T":
-            line_of[nid] = emit(("T",), "A 0")
-        elif kind == "L":
-            line_of[nid] = emit(("L", node[1]), "L %d" % node[1])
-        elif kind == "A":
-            line_of[nid] = emit_and(tuple(line_of[c] for c in node[1]))
-        else:
+        if kind == "D":
             _, var, low, high = node
-            neg = emit(("L", -var), "L %d" % -var)
-            pos = emit(("L", var), "L %d" % var)
-            a = emit_and((neg, line_of[low]))
-            b = emit_and((pos, line_of[high]))
-            line_of[nid] = emit(("O", var, a, b), "O %d 2 %d %d" % (var, a, b))
+            neg = memo.get(-var)
+            if neg is None:
+                neg = emit(memo, -var, "L %d" % -var, 0)
+            pos = memo.get(var)
+            if pos is None:
+                pos = emit(memo, var, "L %d" % var, 0)
+            lo = line_of[low]
+            part = (neg, lo) if neg < lo else (lo, neg)
+            a = memo.get(part)
+            if a is None:
+                a = emit(memo, part, "A 2 %d %d" % part, 2)
+            hi = line_of[high]
+            part = (pos, hi) if pos < hi else (hi, pos)
+            b = memo.get(part)
+            if b is None:
+                b = emit(memo, part, "A 2 %d %d" % part, 2)
+            key = (var, a, b)
+            got = decisions.get(key)
+            if got is None:
+                got = emit(decisions, key, "O %d 2 %d %d" % key, 2)
+        elif kind == "A":
+            parts = tuple(sorted([line_of[c] for c in node[1]]))
+            got = memo.get(parts)
+            if got is None:
+                text = "A %d %s" % (len(parts), " ".join(map(str, parts)))
+                got = emit(memo, parts, text, len(parts))
+        elif kind == "L":
+            got = memo.get(node[1])
+            if got is None:
+                got = emit(memo, node[1], "L %d" % node[1], 0)
+        else:
+            # A sink; reachable lists each id once.
+            got = len(lines)
+            lines.append("O 0 0" if kind == "F" else "A 0")
+        line_of[nid] = got
+    return "nnf %d %d %d\n%s\n" % (len(lines), edges, circuit.universe, "\n".join(lines))
 
-    # Each memo key is one emitted line; its edges are its children.
-    edges = sum(len(key[1]) if key[0] == "A" else 2 if key[0] == "O" else 0 for key in memo)
-    out = ["nnf %d %d %d" % (len(lines), edges, circuit.universe)]
-    out.extend(lines)
-    return "\n".join(out) + "\n"
+
+# Kinds of parsed node lines, walk states, and a decision branch's
+# dependencies when it has not exactly one.
+_L, _A, _O, _F = range(4)
+_DONE, _DONE_FALSE = 1, 2
+_NO_DEPS, _MANY_DEPS = -1, -2
 
 
-def _parse_records(text: str) -> tuple[int, int, int, list[tuple]]:
+def _parse_records(text: str) -> tuple[int, bytearray, list, array]:
+    """Validate every line of an nnf text.
+
+    Returns (universe, kinds, data, linenos): for node line i, kinds[i] is
+    _L, _A, _O or _F; data[i] its literal, its tuple of child lines, its
+    (var, a, b), or None; linenos[i] its 1-based line in the text.
+    """
     header = None
-    records: list[tuple] = []
+    kinds = bytearray()
+    data: list = []
+    linenos = array("i")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         if header is None:
             if fields[0] != "nnf" or len(fields) != 4:
-                raise NnfFormatError("expected header 'nnf V E N', got %r" % line, lineno)
+                raise NnfFormatError("expected header 'nnf V E N', got %r" % raw.strip(), lineno)
             try:
                 header = tuple(int(f) for f in fields[1:])
             except ValueError:
                 raise NnfFormatError("non-numeric header field", lineno) from None
             continue
         try:
-            args = [int(f) for f in fields[1:]]
+            args = tuple(map(int, fields[1:]))
         except ValueError:
-            raise NnfFormatError("non-numeric field in %r" % line, lineno) from None
-        idx = len(records)
-        if fields[0] == "L":
+            raise NnfFormatError("non-numeric field in %r" % raw.strip(), lineno) from None
+        idx = len(data)
+        kind = fields[0]
+        if kind == "A":
+            refs = args[1:]
+            if not args or args[0] != len(refs):
+                raise NnfFormatError("child count mismatch in %r" % raw.strip(), lineno)
+            if refs and (min(refs) < 0 or max(refs) >= idx):
+                _bad_reference(refs, idx, lineno)
+            kinds.append(_A)
+            data.append(refs)
+        elif kind == "L":
             if len(args) != 1 or args[0] == 0:
-                raise NnfFormatError("malformed literal line %r" % line, lineno)
-            records.append(("L", args[0], lineno))
-        elif fields[0] == "A":
-            if not args or args[0] != len(args) - 1:
-                raise NnfFormatError("child count mismatch in %r" % line, lineno)
-            for ref in args[1:]:
-                if not 0 <= ref < idx:
-                    raise NnfFormatError(
-                        "reference %d not to an earlier line" % ref, lineno
-                    )
-            records.append(("A", tuple(args[1:]), lineno))
-        elif fields[0] == "O":
-            if len(args) == 2 and args == [0, 0]:
-                records.append(("F", lineno))
-                continue
-            if len(args) != 4 or args[1] != 2 or args[0] <= 0:
-                raise NnfFormatError("malformed decision line %r" % line, lineno)
-            for ref in args[2:]:
-                if not 0 <= ref < idx:
-                    raise NnfFormatError(
-                        "reference %d not to an earlier line" % ref, lineno
-                    )
-            records.append(("O", args[0], args[2], args[3], lineno))
+                raise NnfFormatError("malformed literal line %r" % raw.strip(), lineno)
+            kinds.append(_L)
+            data.append(args[0])
+        elif kind == "O":
+            if args == (0, 0):
+                kinds.append(_F)
+                data.append(None)
+            else:
+                if len(args) != 4 or args[1] != 2 or args[0] <= 0:
+                    raise NnfFormatError("malformed decision line %r" % raw.strip(), lineno)
+                _, _, a, b = args
+                if not (0 <= a < idx and 0 <= b < idx):
+                    _bad_reference((a, b), idx, lineno)
+                kinds.append(_O)
+                data.append((args[0], a, b))
         else:
-            raise NnfFormatError("unknown node kind %r" % fields[0], lineno)
+            raise NnfFormatError("unknown node kind %r" % kind, lineno)
+        linenos.append(lineno)
     if header is None:
         raise NnfFormatError("missing header")
-    declared_v, declared_e, universe = header
-    if len(records) != declared_v:
-        raise NnfFormatError(
-            "header declares %d nodes, found %d" % (declared_v, len(records))
-        )
+    declared_v, _, universe = header
+    if len(data) != declared_v:
+        raise NnfFormatError("header declares %d nodes, found %d" % (declared_v, len(data)))
     if universe < 0:
         raise NnfFormatError("negative universe in header")
-    return declared_v, declared_e, universe, records
+    return universe, kinds, data, linenos
+
+
+def _bad_reference(refs, idx: int, lineno: int) -> None:
+    for ref in refs:
+        if not 0 <= ref < idx:
+            raise NnfFormatError("reference %d not to an earlier line" % ref, lineno)
 
 
 def parse_nnf(text: str) -> Circuit:
@@ -340,79 +381,107 @@ def parse_nnf(text: str) -> Circuit:
     inside their children for the branch literal; everything else is
     rebuilt through the store constructors, so reduction re-fires and the
     result is reduced no matter who produced the file.
+
+    Three iterative passes, each linear in the text: validate every line;
+    walk once from the root (the last line), children first, checking
+    each reached decision's branches and each conjunction's children;
+    then build the reached lines in that order.
     """
-    _, _, universe, records = _parse_records(text)
-    if not records:
+    universe, kinds, data, linenos = _parse_records(text)
+    n = len(kinds)
+    if not n:
         raise NnfFormatError("empty node section")
-    store = NodeStore()
     # No bound check of variables against the universe: circuits produced by
     # conditioning keep their variable indices while the universe shrinks to
     # a count of unassigned variables.
 
-    def branch_deps(rec, want_lit: int, lineno: int) -> list[int]:
-        # Lines a decision child needs built: everything except the branch
-        # literal itself.  Accepts a bare literal line (branch to true).
-        if rec[0] == "L":
-            if rec[1] != want_lit:
-                raise NnfFormatError("decision child lacks branch literal", lineno)
-            return []
-        if rec[0] == "A":
-            refs = list(rec[1])
-            for i, r in enumerate(refs):
-                sub = records[r]
-                if sub[0] == "L" and sub[1] == want_lit:
-                    del refs[i]
-                    return refs
-            raise NnfFormatError("decision child lacks branch literal", lineno)
-        raise NnfFormatError("decision child is not a conjunction", lineno)
-
-    def fold_branch(deps: list[int], built: dict[int, int]) -> int:
-        ids = [built[r] for r in deps]
-        if FALSE in ids:
-            return FALSE
-        return store.get_and_node(ids)
-
-    built: dict[int, int] = {}
-    root_line = len(records) - 1
-    work = [root_line]
-    while work:
-        i = work[-1]
-        if i in built:
-            work.pop()
-            continue
-        rec = records[i]
-        kind = rec[0]
-        if kind == "L":
-            built[i] = store.literal(rec[1])
-            work.pop()
-        elif kind == "F":
-            built[i] = FALSE
-            work.pop()
-        elif kind == "A":
-            refs = rec[1]
-            if not refs:
-                built[i] = TRUE
-                work.pop()
-                continue
-            missing = [r for r in refs if r not in built]
-            if missing:
-                work.extend(missing)
-                continue
-            ids = [built[r] for r in refs]
-            if FALSE in ids:
-                raise NnfFormatError("false sink under a conjunction", rec[2])
-            built[i] = store.get_and_node(ids)
-            work.pop()
+    def branch(line: int, want: int, at: int) -> tuple[int, ...]:
+        # Lines a decision child needs built: all but the branch literal.
+        # A bare literal line is a branch to true.
+        kind = kinds[line]
+        if kind == _L:
+            if data[line] == want:
+                return ()
+        elif kind == _A:
+            refs = data[line]
+            for k, r in enumerate(refs):
+                if kinds[r] == _L and data[r] == want:
+                    return refs[:k] + refs[k + 1 :]
         else:
-            _, var, a, b, lineno = rec
-            lo_deps = branch_deps(records[a], -var, lineno)
-            hi_deps = branch_deps(records[b], var, lineno)
-            missing = [r for r in lo_deps + hi_deps if r not in built]
-            if missing:
-                work.extend(missing)
-                continue
-            built[i] = store.get_node(var, fold_branch(lo_deps, built), fold_branch(hi_deps, built))
-            work.pop()
+            raise NnfFormatError("decision child is not a conjunction", linenos[at])
+        raise NnfFormatError("decision child lacks branch literal", linenos[at])
 
+    # Walk: state[i] is 0 until line i is checked, then _DONE, or _DONE_FALSE
+    # when it builds to the false sink.  A decision's exit frame ~i sits on
+    # top of its two dependency tuples.  `picks` holds, per reached decision,
+    # each branch's single dependency line, or _NO_DEPS, or _MANY_DEPS.
+    state = bytearray(n)
+    order = array("i")
+    picks = array("i")
+    stack: list = [n - 1]
+    while stack:
+        i = stack.pop()
+        if i >= 0:
+            if state[i]:
+                continue
+            kind = kinds[i]
+            if kind == _A:
+                stack.append(~i)
+                stack.extend(data[i])
+            elif kind == _O:
+                var, a, b = data[i]
+                lo = branch(a, -var, i)
+                hi = branch(b, var, i)
+                stack += (lo, hi, ~i)
+                stack.extend(lo)
+                stack.extend(hi)
+            else:
+                state[i] = _DONE_FALSE if kind == _F else _DONE
+                order.append(i)
+            continue
+        i = ~i
+        if kinds[i] == _A:
+            for r in data[i]:
+                if state[r] == _DONE_FALSE:
+                    raise NnfFormatError("false sink under a conjunction", linenos[i])
+            state[i] = _DONE
+        else:
+            hi = stack.pop()
+            lo = stack.pop()
+            false = 0
+            for deps in (lo, hi):
+                if len(deps) == 1:
+                    r = deps[0]
+                    picks.append(r)
+                    false += state[r] == _DONE_FALSE
+                else:
+                    picks.append(_MANY_DEPS if deps else _NO_DEPS)
+                    false += _DONE_FALSE in [state[r] for r in deps]
+            state[i] = _DONE_FALSE if false == 2 else _DONE
+        order.append(i)
+
+    store = NodeStore()
+    built = [FALSE] * n
+
+    def fold(pick: int, line: int, want: int, at: int) -> int:
+        if pick >= 0:
+            return built[pick]
+        if pick == _NO_DEPS:
+            return TRUE
+        ids = [built[r] for r in branch(line, want, at)]
+        return FALSE if FALSE in ids else store.get_and_node(ids)
+
+    pick = iter(picks)
+    for i in order:
+        kind = kinds[i]
+        if kind == _O:
+            var, a, b = data[i]
+            lo = fold(next(pick), a, -var, i)
+            built[i] = store.get_node(var, lo, fold(next(pick), b, var, i))
+        elif kind == _A:
+            refs = data[i]
+            built[i] = store.get_and_node([built[r] for r in refs]) if refs else TRUE
+        elif kind == _L:
+            built[i] = store.literal(data[i])
     store.freeze()
-    return Circuit(store, built[root_line], universe)
+    return Circuit(store, built[n - 1], universe)

@@ -1,0 +1,92 @@
+"""scripts/bench_record.py: reading perfbench's output lines and the
+per-metric summary, on canned run lines (no benchmark is launched)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+PROVENANCE = {
+    "workload": "query-mix",
+    "seed": 101,
+    "kernel_backend": "py",
+    "python": "3.11.7",
+    "commit": "abc123",
+    "src_sha256": "f00d",
+    "rounds": 9,
+}
+
+
+def _stdout(seed, post_compile_s, correct=True, failed=0):
+    result = {
+        "correct": correct,
+        "attempted": 42,
+        "failed": failed,
+        "metrics": {
+            "post_compile_s": {"value": post_compile_s, "unit": "s"},
+            "circuit_nodes": {"value": 24663, "unit": "count"},
+        },
+    }
+    return "\n".join(
+        ["building...", json.dumps({"provenance": dict(PROVENANCE, seed=seed)}), json.dumps(result)]
+    ) + "\n"
+
+
+def _run(seed, value, exit_code=0, **kw):
+    return bench_record.parse_run("query-mix", seed, 0, exit_code, _stdout(seed, value, **kw), "")
+
+
+def test_a_run_keeps_its_outcome_provenance_and_metrics():
+    run = _run(101, 0.38)
+    assert run["correct"] and run["exit_code"] == 0
+    assert (run["attempted"], run["failed"]) == (42, 0)
+    assert run["provenance"] == {
+        "kernel_backend": "py",
+        "python": "3.11.7",
+        "commit": "abc123",
+        "src_sha256": "f00d",
+    }
+    assert run["metrics"]["post_compile_s"] == {"value": 0.38, "unit": "s"}
+
+
+@pytest.mark.parametrize(
+    "exit_code, stdout, stderr",
+    [
+        (2, "", "perfbench: run from the root of a dpllc checkout"),
+        (None, "", "timed out after 400 s"),
+        (1, _stdout(101, 0.4, correct=False, failed=1), "wrong count"),
+    ],
+    ids=["refused", "timeout", "wrong-output"],
+)
+def test_a_failed_run_is_recorded(exit_code, stdout, stderr):
+    run = bench_record.parse_run("query-mix", 101, 0, exit_code, stdout, stderr)
+    assert not run["correct"]
+    assert run["exit_code"] == exit_code
+    assert run["stderr"] == stderr
+    groups = bench_record.aggregate([run])
+    assert groups["query-mix/trace0"]["runs"] == [run]
+    assert groups["query-mix/trace0"]["failed_runs"] == 1
+
+
+def test_summary_is_median_and_quartiles_over_every_run():
+    runs = [_run(101 + i, v) for i, v in enumerate([0.40, 0.36, 0.39, 0.37])]
+    runs.append(_run(105, 0.38, exit_code=1, correct=False, failed=1))
+    runs.append(bench_record.parse_run("query-mix", 106, 0, 2, "", "refused"))
+    runs.append(bench_record.parse_run("query-mix", 101, 1, 0, _stdout(101, 9.0), ""))
+    groups = bench_record.aggregate(runs)
+    assert sorted(groups) == ["query-mix/trace0", "query-mix/trace1"]
+    plain = groups["query-mix/trace0"]
+    assert len(plain["runs"]) == 6 and plain["failed_runs"] == 2
+    post = plain["metrics"]["post_compile_s"]
+    assert post["unit"] == "s"
+    assert post["values"] == {"101": 0.40, "102": 0.36, "103": 0.39, "104": 0.37, "105": 0.38}
+    assert post["median"] == pytest.approx(0.38)
+    assert (post["q1"], post["q3"]) == (pytest.approx(0.37), pytest.approx(0.39))
+    traced = groups["query-mix/trace1"]["metrics"]["post_compile_s"]
+    assert traced["median"] == traced["q1"] == traced["q3"] == 9.0

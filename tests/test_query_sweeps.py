@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpllc import queries
-from dpllc.compiler import VarOrder, compile_decomposed, compile_free, compile_ordered
+from dpllc.compiler import compile_decomposed, compile_free
 from dpllc.queries import (
     LanguageError,
     annotate,
@@ -27,11 +27,11 @@ from dpllc.queries import (
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 from util import (
+    compiled_family,
     oracle_entails_clause,
     oracle_enumerate_models,
     oracle_is_implicant,
     random_3cnf,
-    random_cnf,
     running_cnf,
 )
 
@@ -41,24 +41,6 @@ def _outcome(fn, *args):
         return ("ok", fn(*args))
     except Exception as exc:
         return (type(exc), str(exc))
-
-
-def _compiled(rng):
-    """Free, ordered and decomposed compiles of one random formula, plus
-    copies conditioned on a random term, whose variable indices exceed
-    their shrunken universe."""
-    if rng.random() < 0.8:
-        cnf = random_3cnf(rng, rng.randint(3, 10), rng.uniform(0.5, 4.0))
-    else:
-        cnf = random_cnf(rng, max_vars=8, max_clauses=14)
-    n = cnf.num_vars
-    order = VarOrder(tuple(rng.sample(range(1, n + 1), n)))
-    out = [compile_free(cnf), compile_ordered(cnf, order), compile_decomposed(cnf)]
-    for circuit in list(out):
-        k = rng.randint(1, n)
-        term = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
-        out.append(condition_circuit(circuit, term))
-    return out
 
 
 def _wide(rng, width):
@@ -107,7 +89,7 @@ def _assert_term_queries_match(rng, circuit, rounds=6):
 @given(st.integers(0, 1 << 32))
 def test_term_queries_match_condition_then_query(seed):
     rng = random.Random(seed)
-    for circuit in _compiled(rng):
+    for circuit in compiled_family(rng):
         _assert_term_queries_match(rng, circuit)
 
 
@@ -115,7 +97,7 @@ def test_term_queries_match_condition_then_query(seed):
 @given(st.integers(0, 1 << 32))
 def test_enumeration_matches_the_recursive_definition(seed):
     rng = random.Random(seed)
-    for circuit in _compiled(rng):
+    for circuit in compiled_family(rng):
         assert list(enumerate_models(circuit)) == list(oracle_enumerate_models(circuit))
 
 

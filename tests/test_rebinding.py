@@ -111,6 +111,40 @@ def test_free_compile_propagates_a_unit_chain_once(rebound):
     assert model_count(circuit) == 1
 
 
+@pytest.mark.parametrize("mode", ["free", "decomposed"])
+def test_settled_residuals_go_straight_to_the_cache(rebound, mode):
+    # Only the input and the conditioned residuals are propagated and
+    # split; a fixpoint or component pushed after that step is not.
+    calls, _ = rebound
+    COMPILERS[mode](random_3cnf(random.Random(7), 40, 3.0))
+    assert calls["propagate"] <= calls["condition"] + 1
+    assert calls["split_components"] <= calls["propagate"]
+
+
+def test_parse_nnf_builds_through_the_rebound_node_store(monkeypatch):
+    calls = Counter()
+    base = store.NodeStore
+
+    class CountingStore(base):
+        def literal(self, lit):
+            calls["literal"] += 1
+            return base.literal(self, lit)
+
+        def get_node(self, var, low, high):
+            calls["get_node"] += 1
+            return base.get_node(self, var, low, high)
+
+        def get_and_node(self, children):
+            calls["get_and_node"] += 1
+            return base.get_and_node(self, children)
+
+    circuit = compile_decomposed(random_3cnf(random.Random(5), 16, 2.5))
+    monkeypatch.setattr(store, "NodeStore", CountingStore)
+    parsed = store.parse_nnf(store.serialize(circuit))
+    assert isinstance(parsed.store, CountingStore)
+    assert calls["literal"] and calls["get_node"] and calls["get_and_node"]
+
+
 def test_rebinding_is_undone():
     assert (compiler.KERNEL, compiler.Cache, compiler.NodeStore) == ORIGINAL
 

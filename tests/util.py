@@ -9,7 +9,7 @@ import dpllc.compiler as compiler
 from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision_dnnf
 from dpllc.cnf import Cnf, as_term
 from dpllc.queries import LanguageError, annotate, condition_circuit, is_consistent, model_count
-from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable
+from dpllc.store import FALSE, TRUE, Circuit, NnfFormatError, NodeStore, reachable
 
 RUNNING_DIMACS = "p cnf 3 3\n1 2 0\n1 -2 -3 0\n-1 2 -3 0\n"
 RUNNING_CLAUSES = [[1, 2], [1, -2, -3], [-1, 2, -3]]
@@ -157,6 +157,28 @@ def random_3cnf(rng: random.Random, n: int, ratio: float) -> Cnf:
         vs = rng.sample(range(1, n + 1), 3)
         clauses.append([-v if rng.random() < 0.5 else v for v in vs])
     return Cnf.from_clauses(clauses, n)
+
+
+def compiled_family(rng: random.Random) -> list[Circuit]:
+    """Free, ordered and decomposed compiles of one random formula, plus
+    copies conditioned on a random term, whose variable indices exceed
+    their shrunken universe."""
+    if rng.random() < 0.8:
+        cnf = random_3cnf(rng, rng.randint(3, 10), rng.uniform(0.5, 4.0))
+    else:
+        cnf = random_cnf(rng, max_vars=8, max_clauses=14)
+    n = cnf.num_vars
+    order = compiler.VarOrder(tuple(rng.sample(range(1, n + 1), n)))
+    out = [
+        compiler.compile_free(cnf),
+        compiler.compile_ordered(cnf, order),
+        compiler.compile_decomposed(cnf),
+    ]
+    for circuit in list(out):
+        k = rng.randint(1, n)
+        term = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+        out.append(condition_circuit(circuit, term))
+    return out
 
 
 def flat_colouring_cnf(rng: random.Random, vertices: int, edges: int) -> Cnf:
@@ -465,3 +487,210 @@ def oracle_enumerate_models(circuit) -> Iterator[frozenset[int]]:
                 yield frozenset().union(*combo)
 
     return walk(circuit.root)
+
+
+# --- reference versions of the nnf reader and writer ---------------------------
+#
+# The definitions that store.serialize and store.parse_nnf must agree with
+# exactly: the same text, the same parsed store, and the same error (type,
+# message and line) on every malformed text.  This writer keys its memo on
+# nested tuples and counts edges in a second pass; this reader re-visits a
+# line on its work stack until its children are built.
+
+
+def oracle_serialize(circuit: Circuit) -> str:
+    """Render a circuit in the plain-text nnf format.
+
+    Header `nnf V E N`, then one node line per row, children before
+    parents: `L lit`, `A k c1 .. ck`, `O var 2 a b`; the false and true
+    sinks are `O 0 0` and `A 0`.  Decision nodes are expanded: child a is
+    the conjunction of the negative branch literal with the low child,
+    child b the positive literal with the high child.  Shared structure is
+    emitted once, so a line may serve several parents.
+    """
+    store = circuit.store
+    lines: list[str] = []
+    memo: dict[tuple, int] = {}
+
+    def emit(key: tuple, text: str) -> int:
+        got = memo.get(key)
+        if got is not None:
+            return got
+        memo[key] = len(lines)
+        lines.append(text)
+        return memo[key]
+
+    def emit_and(parts: tuple[int, ...]) -> int:
+        parts = tuple(sorted(parts))
+        return emit(("A", parts), "A %d %s" % (len(parts), " ".join(map(str, parts))))
+
+    line_of: dict[int, int] = {}
+    for nid in reachable(store, circuit.root):
+        node = store.nodes[nid]
+        kind = node[0]
+        if kind == "F":
+            line_of[nid] = emit(("F",), "O 0 0")
+        elif kind == "T":
+            line_of[nid] = emit(("T",), "A 0")
+        elif kind == "L":
+            line_of[nid] = emit(("L", node[1]), "L %d" % node[1])
+        elif kind == "A":
+            line_of[nid] = emit_and(tuple(line_of[c] for c in node[1]))
+        else:
+            _, var, low, high = node
+            neg = emit(("L", -var), "L %d" % -var)
+            pos = emit(("L", var), "L %d" % var)
+            a = emit_and((neg, line_of[low]))
+            b = emit_and((pos, line_of[high]))
+            line_of[nid] = emit(("O", var, a, b), "O %d 2 %d %d" % (var, a, b))
+
+    # Each memo key is one emitted line; its edges are its children.
+    edges = sum(len(key[1]) if key[0] == "A" else 2 if key[0] == "O" else 0 for key in memo)
+    out = ["nnf %d %d %d" % (len(lines), edges, circuit.universe)]
+    out.extend(lines)
+    return "\n".join(out) + "\n"
+
+
+def _oracle_parse_records(text: str) -> tuple[int, int, int, list[tuple]]:
+    header = None
+    records: list[tuple] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if header is None:
+            if fields[0] != "nnf" or len(fields) != 4:
+                raise NnfFormatError("expected header 'nnf V E N', got %r" % line, lineno)
+            try:
+                header = tuple(int(f) for f in fields[1:])
+            except ValueError:
+                raise NnfFormatError("non-numeric header field", lineno) from None
+            continue
+        try:
+            args = [int(f) for f in fields[1:]]
+        except ValueError:
+            raise NnfFormatError("non-numeric field in %r" % line, lineno) from None
+        idx = len(records)
+        if fields[0] == "L":
+            if len(args) != 1 or args[0] == 0:
+                raise NnfFormatError("malformed literal line %r" % line, lineno)
+            records.append(("L", args[0], lineno))
+        elif fields[0] == "A":
+            if not args or args[0] != len(args) - 1:
+                raise NnfFormatError("child count mismatch in %r" % line, lineno)
+            for ref in args[1:]:
+                if not 0 <= ref < idx:
+                    raise NnfFormatError(
+                        "reference %d not to an earlier line" % ref, lineno
+                    )
+            records.append(("A", tuple(args[1:]), lineno))
+        elif fields[0] == "O":
+            if len(args) == 2 and args == [0, 0]:
+                records.append(("F", lineno))
+                continue
+            if len(args) != 4 or args[1] != 2 or args[0] <= 0:
+                raise NnfFormatError("malformed decision line %r" % line, lineno)
+            for ref in args[2:]:
+                if not 0 <= ref < idx:
+                    raise NnfFormatError(
+                        "reference %d not to an earlier line" % ref, lineno
+                    )
+            records.append(("O", args[0], args[2], args[3], lineno))
+        else:
+            raise NnfFormatError("unknown node kind %r" % fields[0], lineno)
+    if header is None:
+        raise NnfFormatError("missing header")
+    declared_v, declared_e, universe = header
+    if len(records) != declared_v:
+        raise NnfFormatError(
+            "header declares %d nodes, found %d" % (declared_v, len(records))
+        )
+    if universe < 0:
+        raise NnfFormatError("negative universe in header")
+    return declared_v, declared_e, universe, records
+
+
+def oracle_parse_nnf(text: str) -> Circuit:
+    """Parse the nnf format back into a circuit (fresh store, frozen).
+
+    `O var 2 a b` lines are folded back into decision nodes by looking
+    inside their children for the branch literal; everything else is
+    rebuilt through the store constructors, so reduction re-fires and the
+    result is reduced no matter who produced the file.
+    """
+    _, _, universe, records = _oracle_parse_records(text)
+    if not records:
+        raise NnfFormatError("empty node section")
+    store = NodeStore()
+    # No bound check of variables against the universe: circuits produced by
+    # conditioning keep their variable indices while the universe shrinks to
+    # a count of unassigned variables.
+
+    def branch_deps(rec, want_lit: int, lineno: int) -> list[int]:
+        # Lines a decision child needs built: everything except the branch
+        # literal itself.  Accepts a bare literal line (branch to true).
+        if rec[0] == "L":
+            if rec[1] != want_lit:
+                raise NnfFormatError("decision child lacks branch literal", lineno)
+            return []
+        if rec[0] == "A":
+            refs = list(rec[1])
+            for i, r in enumerate(refs):
+                sub = records[r]
+                if sub[0] == "L" and sub[1] == want_lit:
+                    del refs[i]
+                    return refs
+            raise NnfFormatError("decision child lacks branch literal", lineno)
+        raise NnfFormatError("decision child is not a conjunction", lineno)
+
+    def fold_branch(deps: list[int], built: dict[int, int]) -> int:
+        ids = [built[r] for r in deps]
+        if FALSE in ids:
+            return FALSE
+        return store.get_and_node(ids)
+
+    built: dict[int, int] = {}
+    root_line = len(records) - 1
+    work = [root_line]
+    while work:
+        i = work[-1]
+        if i in built:
+            work.pop()
+            continue
+        rec = records[i]
+        kind = rec[0]
+        if kind == "L":
+            built[i] = store.literal(rec[1])
+            work.pop()
+        elif kind == "F":
+            built[i] = FALSE
+            work.pop()
+        elif kind == "A":
+            refs = rec[1]
+            if not refs:
+                built[i] = TRUE
+                work.pop()
+                continue
+            missing = [r for r in refs if r not in built]
+            if missing:
+                work.extend(missing)
+                continue
+            ids = [built[r] for r in refs]
+            if FALSE in ids:
+                raise NnfFormatError("false sink under a conjunction", rec[2])
+            built[i] = store.get_and_node(ids)
+            work.pop()
+        else:
+            _, var, a, b, lineno = rec
+            lo_deps = branch_deps(records[a], -var, lineno)
+            hi_deps = branch_deps(records[b], var, lineno)
+            missing = [r for r in lo_deps + hi_deps if r not in built]
+            if missing:
+                work.extend(missing)
+                continue
+            built[i] = store.get_node(var, fold_branch(lo_deps, built), fold_branch(hi_deps, built))
+            work.pop()
+
+    store.freeze()
+    return Circuit(store, built[root_line], universe)
