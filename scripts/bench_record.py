@@ -9,7 +9,7 @@ every run's outcome and provenance (kernel backend, Python, commit, sha256
 of src/).  A run that exits non-zero, times out or prints no result is
 recorded with what it did print; it is never dropped.
 
-    python3 scripts/bench_record.py --label pr9
+    python3 scripts/bench_record.py --label baseline   # writes BENCH_baseline.json
 """
 
 from __future__ import annotations
