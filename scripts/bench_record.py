@@ -15,6 +15,7 @@ recorded with what it did print; it is never dropped.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -22,7 +23,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("ddnnf-pipeline", "obdd-order", "query-mix")
+# The workload list is perfbench's own, so a workload added there is recorded too.
+_spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+_perfbench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_perfbench)
+WORKLOADS = _perfbench.WORKLOADS
 SEEDS = {0: tuple(range(101, 111)), 1: tuple(range(101, 104))}
 PROVENANCE = ("kernel_backend", "python", "commit", "src_sha256")
 RUN_TIMEOUT_S = 400  # perfbench ends a run itself after 170 s
@@ -54,9 +59,9 @@ def parse_run(workload: str, seed: int, trace: int, exit_code: int | None, stdou
     }
 
 
-def run_once(workload: str, seed: int, trace: int, seconds: float) -> dict:
+def run_once(workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     try:
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired as exc:
@@ -97,18 +102,17 @@ def aggregate(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    ap.add_argument("--seconds", type=float, default=20, help="run length passed to perfbench")
     args = ap.parse_args(argv)
     runs = []
     for trace, seeds in SEEDS.items():
         for workload in WORKLOADS:
             for seed in seeds:
-                run = run_once(workload, seed, trace, args.seconds)
+                run = run_once(workload, seed, trace)
                 print("%s seed %d trace %d: exit %s" % (workload, seed, trace, run["exit_code"]), file=sys.stderr)
                 runs.append(run)
     record = {
         "label": args.label,
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace T" % args.seconds,
+        "command": "python3 perfbench/run.py --workload W --seed S --trace T",
         "groups": aggregate(runs),
     }
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)

@@ -210,8 +210,8 @@ def _search(
 
     An `_EVAL` frame's third field is true for a residual pushed after
     that step (the fixpoint, or one of its components): it has no empty
-    clause, is at fixpoint and is one component, so it goes straight to
-    the cache probe.
+    clause and is at fixpoint, and with decompose it is also one
+    component, so it goes straight to the cache probe.
     """
     K = KERNEL
     work: list[tuple] = [(_EVAL, res0, False)]

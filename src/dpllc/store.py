@@ -238,15 +238,16 @@ def serialize(circuit: Circuit) -> str:
     store = circuit.store
     nodes = store.nodes
     lines: list[str] = []
-    # Line of each literal (int key) and conjunction (sorted tuple key).
+    # Line of each literal (int key) and conjunction (sorted tuple key);
+    # decisions and sinks need no memo, since reachable lists each id once
+    # and the store is hash-consed.
     memo: dict = {}
-    decisions: dict[tuple[int, int, int], int] = {}
     line_of = [0] * len(nodes)
     edges = 0
 
-    def emit(table: dict, key, text: str, degree: int) -> int:
+    def emit(key, text: str, degree: int) -> int:
         nonlocal edges
-        got = table[key] = len(lines)
+        got = memo[key] = len(lines)
         lines.append(text)
         edges += degree
         return got
@@ -258,47 +259,42 @@ def serialize(circuit: Circuit) -> str:
             _, var, low, high = node
             neg = memo.get(-var)
             if neg is None:
-                neg = emit(memo, -var, "L %d" % -var, 0)
+                neg = emit(-var, "L %d" % -var, 0)
             pos = memo.get(var)
             if pos is None:
-                pos = emit(memo, var, "L %d" % var, 0)
+                pos = emit(var, "L %d" % var, 0)
             lo = line_of[low]
             part = (neg, lo) if neg < lo else (lo, neg)
             a = memo.get(part)
             if a is None:
-                a = emit(memo, part, "A 2 %d %d" % part, 2)
+                a = emit(part, "A 2 %d %d" % part, 2)
             hi = line_of[high]
             part = (pos, hi) if pos < hi else (hi, pos)
             b = memo.get(part)
             if b is None:
-                b = emit(memo, part, "A 2 %d %d" % part, 2)
-            key = (var, a, b)
-            got = decisions.get(key)
-            if got is None:
-                got = emit(decisions, key, "O %d 2 %d %d" % key, 2)
+                b = emit(part, "A 2 %d %d" % part, 2)
+            got = len(lines)
+            lines.append("O %d 2 %d %d" % (var, a, b))
+            edges += 2
         elif kind == "A":
             parts = tuple(sorted([line_of[c] for c in node[1]]))
             got = memo.get(parts)
             if got is None:
                 text = "A %d %s" % (len(parts), " ".join(map(str, parts)))
-                got = emit(memo, parts, text, len(parts))
+                got = emit(parts, text, len(parts))
         elif kind == "L":
             got = memo.get(node[1])
             if got is None:
-                got = emit(memo, node[1], "L %d" % node[1], 0)
+                got = emit(node[1], "L %d" % node[1], 0)
         else:
-            # A sink; reachable lists each id once.
             got = len(lines)
             lines.append("O 0 0" if kind == "F" else "A 0")
         line_of[nid] = got
     return "nnf %d %d %d\n%s\n" % (len(lines), edges, circuit.universe, "\n".join(lines))
 
 
-# Kinds of parsed node lines, walk states, and a decision branch's
-# dependencies when it has not exactly one.
+# Kinds of parsed node lines.
 _L, _A, _O, _F = range(4)
-_DONE, _DONE_FALSE = 1, 2
-_NO_DEPS, _MANY_DEPS = -1, -2
 
 
 def _parse_records(text: str) -> tuple[int, bytearray, list, array]:
@@ -382,10 +378,10 @@ def parse_nnf(text: str) -> Circuit:
     rebuilt through the store constructors, so reduction re-fires and the
     result is reduced no matter who produced the file.
 
-    Three iterative passes, each linear in the text: validate every line;
-    walk once from the root (the last line), children first, checking
-    each reached decision's branches and each conjunction's children;
-    then build the reached lines in that order.
+    Two iterative passes, each linear in the text: validate every line;
+    then walk once from the root (the last line), children first, checking
+    each reached decision's branches and each conjunction's children and
+    building each reached line as the walk leaves it.
     """
     universe, kinds, data, linenos = _parse_records(text)
     n = len(kinds)
@@ -411,18 +407,24 @@ def parse_nnf(text: str) -> Circuit:
             raise NnfFormatError("decision child is not a conjunction", linenos[at])
         raise NnfFormatError("decision child lacks branch literal", linenos[at])
 
-    # Walk: state[i] is 0 until line i is checked, then _DONE, or _DONE_FALSE
-    # when it builds to the false sink.  A decision's exit frame ~i sits on
-    # top of its two dependency tuples.  `picks` holds, per reached decision,
-    # each branch's single dependency line, or _NO_DEPS, or _MANY_DEPS.
-    state = bytearray(n)
-    order = array("i")
-    picks = array("i")
+    def fold(deps: tuple[int, ...]) -> int:
+        # One decision branch: the conjunction of its dependencies' nodes.
+        if len(deps) == 1:
+            return built[deps[0]]
+        ids = [built[r] for r in deps]
+        return FALSE if FALSE in ids else store.get_and_node(ids)
+
+    # built[i] is line i's node id once the walk has left it, else -1.
+    # Leaves are built on entry; a conjunction at its exit frame ~i, and a
+    # decision at its exit frame, which sits on top of its two dependency
+    # tuples.
+    store = NodeStore()
+    built = [-1] * n
     stack: list = [n - 1]
     while stack:
         i = stack.pop()
         if i >= 0:
-            if state[i]:
+            if built[i] >= 0:
                 continue
             kind = kinds[i]
             if kind == _A:
@@ -436,52 +438,18 @@ def parse_nnf(text: str) -> Circuit:
                 stack.extend(lo)
                 stack.extend(hi)
             else:
-                state[i] = _DONE_FALSE if kind == _F else _DONE
-                order.append(i)
+                built[i] = FALSE if kind == _F else store.literal(data[i])
             continue
         i = ~i
         if kinds[i] == _A:
-            for r in data[i]:
-                if state[r] == _DONE_FALSE:
-                    raise NnfFormatError("false sink under a conjunction", linenos[i])
-            state[i] = _DONE
+            refs = data[i]
+            ids = [built[r] for r in refs]
+            if FALSE in ids:
+                raise NnfFormatError("false sink under a conjunction", linenos[i])
+            built[i] = store.get_and_node(ids)
         else:
             hi = stack.pop()
-            lo = stack.pop()
-            false = 0
-            for deps in (lo, hi):
-                if len(deps) == 1:
-                    r = deps[0]
-                    picks.append(r)
-                    false += state[r] == _DONE_FALSE
-                else:
-                    picks.append(_MANY_DEPS if deps else _NO_DEPS)
-                    false += _DONE_FALSE in [state[r] for r in deps]
-            state[i] = _DONE_FALSE if false == 2 else _DONE
-        order.append(i)
-
-    store = NodeStore()
-    built = [FALSE] * n
-
-    def fold(pick: int, line: int, want: int, at: int) -> int:
-        if pick >= 0:
-            return built[pick]
-        if pick == _NO_DEPS:
-            return TRUE
-        ids = [built[r] for r in branch(line, want, at)]
-        return FALSE if FALSE in ids else store.get_and_node(ids)
-
-    pick = iter(picks)
-    for i in order:
-        kind = kinds[i]
-        if kind == _O:
-            var, a, b = data[i]
-            lo = fold(next(pick), a, -var, i)
-            built[i] = store.get_node(var, lo, fold(next(pick), b, var, i))
-        elif kind == _A:
-            refs = data[i]
-            built[i] = store.get_and_node([built[r] for r in refs]) if refs else TRUE
-        elif kind == _L:
-            built[i] = store.literal(data[i])
+            lo = fold(stack.pop())
+            built[i] = store.get_node(data[i][0], lo, fold(hi))
     store.freeze()
     return Circuit(store, built[n - 1], universe)
