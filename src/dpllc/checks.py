@@ -11,9 +11,10 @@ compile_guided replays the decomposed compiler with its nondeterministic
 choices resolved by that script, reproducing the original circuit up to
 isomorphism.
 
-Costs: circuit_to_cnf and compile_guided take time linear in the circuit
-plus the clause text, and isomorphic linear in both circuits (up to
-sorting conjunction children).  Every function here walks with explicit
+Costs: the checks read a circuit's kept order and masks instead of walking
+it again.  circuit_to_cnf and compile_guided take time linear in the
+circuit plus the clause text, and isomorphic linear in both circuits (up
+to sorting conjunction children).  Every function here walks with explicit
 stacks, so none depends on the recursion limit.
 """
 
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 from .cnf import Cnf
 from .compiler import VarOrder
-from .queries import LanguageError, annotate, variable_masks
+from .queries import LanguageError, annotate
+# `reachable` stays importable here because the benchmark's tracer rebinds it.
 from .store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 
@@ -105,30 +107,28 @@ def _render_path(store: NodeStore, path: list[int]) -> str:
     return "->".join(parts)
 
 
-def _fbdd_witness(circuit: Circuit) -> tuple[str | None, list[int]]:
-    """check_fbdd's witness (None inside FBDD) and the reachable ids in
-    topological order, which check_obdd walks next."""
+def _fbdd_witness(circuit: Circuit) -> str | None:
+    """check_fbdd's witness, or None inside FBDD."""
     store = circuit.store
     store.audit()
-    order = reachable(store, circuit.root)
-    for nid in order:
+    for nid in circuit.order:
         kind = store.nodes[nid][0]
         if kind not in ("F", "T", "D"):
-            return "non-decision node %s@%d" % (kind, nid), order
-    masks, bad = variable_masks(store, order)
+            return "non-decision node %s@%d" % (kind, nid)
+    masks, bad = circuit.masks
     if bad is not None:
         nid, var = bad
         _, _, low, high = store.nodes[nid]
         child = low if masks[low] & (1 << (var - 1)) else high
         path = _path_to(store, circuit.root, nid)
         path += _descend_to_var(store, masks, child, var)
-        return "variable %d repeats on path %s" % (var, _render_path(store, path)), order
-    return None, order
+        return "variable %d repeats on path %s" % (var, _render_path(store, path))
+    return None
 
 
 def check_fbdd(circuit: Circuit) -> MembershipReport:
     """Decision-form circuit in which no path tests a variable twice."""
-    witness, _ = _fbdd_witness(circuit)
+    witness = _fbdd_witness(circuit)
     return MembershipReport(witness is None, "fbdd", witness=witness)
 
 
@@ -139,7 +139,7 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
     without one, a consistent total order is recovered from the observed
     edges (smallest-index-first among the unconstrained) and reported.
     """
-    witness, topo = _fbdd_witness(circuit)
+    witness = _fbdd_witness(circuit)
     if witness is not None:
         return MembershipReport(False, "obdd", witness=witness)
     nodes = circuit.store.nodes
@@ -147,7 +147,7 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
     # parent-above-child variable pairs of decision edges.
     vars_seen: dict[int, None] = {}
     edges: set[tuple[int, int]] = set()
-    for nid in topo:
+    for nid in circuit.order:
         node = nodes[nid]
         if node[0] != "D":
             continue
@@ -250,14 +250,14 @@ def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
     shared root-to-leaf path, so the cost is linear in the circuit plus
     the clause text and independent of the recursion limit.
     """
-    report = check_decision_dnnf(circuit)
-    if not report.verdict:
-        raise LanguageError("not decision-DNNF: %s" % report.witness)
-    store = circuit.store
-    nodes = store.nodes
+    try:
+        order, _ = annotate(circuit)
+    except LanguageError as err:
+        raise LanguageError("not decision-DNNF: %s" % err) from None
+    nodes = circuit.store.nodes
     first_color: dict[int, int] = {}
     fresh = 1
-    for nid in reachable(store, circuit.root):
+    for nid in order:
         node = nodes[nid]
         if node[0] == "A":
             first_color[nid] = fresh
@@ -398,10 +398,9 @@ def isomorphic(a: Circuit, b: Circuit) -> bool:
     ids: dict[tuple, int] = {("F",): FALSE, ("T",): TRUE}
     roots = []
     for circuit in (a, b):
-        store = circuit.store
         canon = {FALSE: FALSE, TRUE: TRUE}
-        for nid in reachable(store, circuit.root):
-            node = _iso_view(store, nid)
+        for nid in circuit.order:
+            node = _iso_view(circuit.store, nid)
             kind = node[0]
             if kind == "D":
                 key = ("D", node[1], canon[node[2]], canon[node[3]])

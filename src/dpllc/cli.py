@@ -317,6 +317,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compile" and args.lang == "obdd" and not args.order:
         parser.error("--lang obdd requires --order (order choice dominates size)")
+    if args.command == "query" and args.limit is not None and args.limit < 0:
+        parser.exit(2, "error: --limit must not be negative, got %d\n" % args.limit)
+    if args.command == "eq" and args.rounds < 1:
+        parser.exit(2, "error: --rounds must be at least 1, got %d\n" % args.rounds)
     try:
         return args.func(args)
     except LanguageError as exc:

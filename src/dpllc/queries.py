@@ -9,9 +9,8 @@ scales by 2^(universe - |vars(root)|).
 
 Costs, for a circuit of |C| reachable nodes and edges over n variables:
 
-- The first query on a circuit pays O(|C|) to annotate it (`annotate`:
-  topological order plus variable masks).  The annotation is cached on the
-  `Circuit`, so later queries on it skip that pass.
+- A circuit computes its topological order and variable masks once, on
+  first use (O(|C|)), and every pass reads them.
 - `model_count`, `is_consistent` and `is_valid` take one bottom-up sweep;
   counting does big-integer arithmetic of up to n bits per node.
 - `entails_clause` and `is_implicant` take one sweep under the clause's
@@ -32,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .cnf import as_term
+# `reachable` stays importable here because the benchmark's tracer rebinds it.
 from .store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 # 2^61 - 1, a Mersenne prime; field for the polynomial identity test.
@@ -43,67 +43,22 @@ class LanguageError(ValueError):
     """The circuit is outside the language class the query needs."""
 
 
-def variable_masks(
-    store: NodeStore, order: list[int]
-) -> tuple[list[int], tuple[int, int] | None]:
-    """Per-node bitmasks of the variables at or below each node of a
-    topological order (a list indexed by node id), plus its first
-    violation of the properties the queries rely on, or None.
-
-    A violation is (node id, variable): a decision whose branch variable
-    occurs in a child, or a conjunction whose conjuncts share the variable.
-    The pass stops there, so masks then cover only the nodes before it,
-    which include everything below it.
-    """
-    nodes = store.nodes
-    masks = [0] * len(nodes)
-    for nid in order:
-        node = nodes[nid]
-        kind = node[0]
-        if kind == "L":
-            masks[nid] = 1 << (abs(node[1]) - 1)
-        elif kind == "D":
-            _, var, low, high = node
-            below = masks[low] | masks[high]
-            bit = 1 << (var - 1)
-            if below & bit:
-                return masks, (nid, var)
-            masks[nid] = below | bit
-        elif kind == "A":
-            acc = 0
-            for c in node[1]:
-                mask = masks[c]
-                if acc & mask:
-                    return masks, (nid, (acc & mask).bit_length())
-                acc |= mask
-            masks[nid] = acc
-    return masks, None
-
-
 def annotate(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """Reachable ids in topological order plus per-node variable bitmasks
-    (indexed by node id).  Callers must not modify either list.
+    """The circuit's topological order and per-node variable bitmasks
+    (indexed by node id), once it is known to be decision-DNNF.  Callers
+    must not modify either list.
 
-    The first success is cached on the circuit and returned by every later
-    call; a failure is not cached.  Raises LanguageError unless conjuncts
-    share no variables and no decision's branch variable occurs in a
-    child.  (Disjunctions are decision nodes by construction, so they are
-    always deterministic.)
+    Raises LanguageError unless conjuncts share no variables and no
+    decision's branch variable occurs in a child.  (Disjunctions are
+    decision nodes by construction, so they are always deterministic.)
     """
-    if circuit.annotation is not None:
-        return circuit.annotation
-    store = circuit.store
-    order = reachable(store, circuit.root)
-    masks, bad = variable_masks(store, order)
+    masks, bad = circuit.masks
     if bad is not None:
         nid, var = bad
-        if store.nodes[nid][0] == "D":
-            raise LanguageError(
-                "branch variable %d reappears below decision node %d" % (var, nid)
-            )
+        if circuit.store.nodes[nid][0] == "D":
+            raise LanguageError("branch variable %d reappears below decision node %d" % (var, nid))
         raise LanguageError("conjuncts of node %d share variable %d" % (nid, var))
-    object.__setattr__(circuit, "annotation", (order, masks))
-    return circuit.annotation
+    return circuit.order, masks
 
 
 def _check_universe(universe: int, mentioned: int) -> None:
@@ -202,19 +157,15 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
     The rewrite goes through a fresh store's constructors, so the result
     is reduced and stays in the source's language class (an ordered input
     keeps its order).  The universe shrinks by one per assigned variable,
-    whether or not it occurs in the circuit.  Reuses the source's cached
-    order when it has one; it does not annotate the source itself.
+    whether or not it occurs in the circuit.  It reads the source's order
+    but not its masks, so it accepts circuits outside decision-DNNF.
     """
     t = as_term(term)
     assigned = _assignment(t, circuit.universe)
     src = circuit.store
-    if circuit.annotation is not None:
-        order = circuit.annotation[0]
-    else:
-        order = reachable(src, circuit.root)
     out = NodeStore()
     remap = [FALSE] * len(src.nodes)
-    for nid in order:
+    for nid in circuit.order:
         node = src.nodes[nid]
         kind = node[0]
         if kind == "T":
@@ -253,8 +204,6 @@ def entails_clause(circuit: Circuit, clause: Iterable[int]) -> bool:
     lits = list(clause)
     if any(-l in lits for l in lits):
         return True
-    if not lits:
-        return not is_consistent(circuit)
     assigned = _assignment(as_term([-l for l in lits]), circuit.universe)
     order, _ = annotate(circuit)
     return not _decide_under(circuit, order, assigned, validity=False)
@@ -391,6 +340,8 @@ def prob_equiv(
     inequivalence, while agreement in every round bounds the error by
     (universe / prime)^rounds.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1, got %d" % rounds)
     if a.universe != b.universe:
         raise ValueError("universe mismatch: %d vs %d" % (a.universe, b.universe))
     order_a, masks_a = annotate(a)

@@ -18,7 +18,8 @@ free and at least binary.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 FALSE = 0
 TRUE = 1
@@ -161,22 +162,29 @@ class Circuit:
     is <= universe; conditioning shrinks the universe to a plain count of
     unassigned variables, so treat universe as a count, not an index bound.
 
-    `annotation` caches `queries.annotate`'s (order, masks) once it has
-    succeeded.  The ids reachable from a root never change in the
-    append-only arena, so the cache cannot go stale.
+    `order` and `masks` are computed on first use and kept, since the ids
+    reachable from a root never change in the append-only arena.  Callers
+    must not modify them.
     """
 
     store: NodeStore
     root: int
     universe: int
-    annotation: tuple[list[int], list[int]] | None = field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self):
         self.store._check_id(self.root)
         if self.universe < 0:
             raise ValueError("negative universe")
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Reachable ids in topological order (children first)."""
+        return reachable(self.store, self.root)
+
+    @cached_property
+    def masks(self) -> tuple[list[int], tuple[int, int] | None]:
+        """`variable_masks` over `order`."""
+        return variable_masks(self.store, self.order)
 
 
 def reachable(store: NodeStore, root: int) -> list[int]:
@@ -207,18 +215,53 @@ def reachable(store: NodeStore, root: int) -> list[int]:
     return order
 
 
+def variable_masks(
+    store: NodeStore, order: list[int]
+) -> tuple[list[int], tuple[int, int] | None]:
+    """Per-node bitmasks of the variables at or below each node of a
+    topological order (a list indexed by node id), plus its first
+    violation of the properties the queries rely on, or None.
+
+    A violation is (node id, variable): a decision whose branch variable
+    occurs in a child, or a conjunction whose conjuncts share the variable.
+    The pass stops there, so masks then cover only the nodes before it,
+    which include everything below it.
+    """
+    nodes = store.nodes
+    masks = [0] * len(nodes)
+    for nid in order:
+        node = nodes[nid]
+        kind = node[0]
+        if kind == "L":
+            masks[nid] = 1 << (abs(node[1]) - 1)
+        elif kind == "D":
+            _, var, low, high = node
+            below = masks[low] | masks[high]
+            bit = 1 << (var - 1)
+            if below & bit:
+                return masks, (nid, var)
+            masks[nid] = below | bit
+        elif kind == "A":
+            acc = 0
+            for c in node[1]:
+                mask = masks[c]
+                if acc & mask:
+                    return masks, (nid, (acc & mask).bit_length())
+                acc |= mask
+            masks[nid] = acc
+    return masks, None
+
+
 def stats(circuit: Circuit) -> tuple[int, int]:
     """(node count, edge count) of the subgraph reachable from the root."""
-    nodes = 0
     edges = 0
-    for nid in reachable(circuit.store, circuit.root):
-        nodes += 1
+    for nid in circuit.order:
         node = circuit.store.nodes[nid]
         if node[0] == "D":
             edges += 2
         elif node[0] == "A":
             edges += len(node[1])
-    return nodes, edges
+    return len(circuit.order), edges
 
 
 def serialize(circuit: Circuit) -> str:
@@ -235,8 +278,7 @@ def serialize(circuit: Circuit) -> str:
     only when it is first emitted, so time and memory are linear in the
     text.
     """
-    store = circuit.store
-    nodes = store.nodes
+    nodes = circuit.store.nodes
     lines: list[str] = []
     # Line of each literal (int key) and conjunction (sorted tuple key);
     # decisions and sinks need no memo, since reachable lists each id once
@@ -252,7 +294,7 @@ def serialize(circuit: Circuit) -> str:
         edges += degree
         return got
 
-    for nid in reachable(store, circuit.root):
+    for nid in circuit.order:
         node = nodes[nid]
         kind = node[0]
         if kind == "D":
@@ -290,7 +332,9 @@ def serialize(circuit: Circuit) -> str:
             got = len(lines)
             lines.append("O 0 0" if kind == "F" else "A 0")
         line_of[nid] = got
-    return "nnf %d %d %d\n%s\n" % (len(lines), edges, circuit.universe, "\n".join(lines))
+    lines.insert(0, "nnf %d %d %d" % (len(lines), edges, circuit.universe))
+    lines.append("")
+    return "\n".join(lines)
 
 
 # Kinds of parsed node lines.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dpllc.checks as checks
+import dpllc.store as store
 from dpllc.checks import (
     GuidedCnf,
     GuidedScriptError,
@@ -134,7 +134,7 @@ def test_obdd_walks_the_circuit_once(monkeypatch):
         calls.append(root)
         return reachable(store, root)
 
-    monkeypatch.setattr(checks, "reachable", counting)
+    monkeypatch.setattr(store, "reachable", counting)
     assert check_obdd(circuit).verdict
     assert calls == [circuit.root]
 

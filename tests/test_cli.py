@@ -204,6 +204,26 @@ def test_query_rejects_non_dnnf_circuit(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", "--enumerate", "--limit", "-1"], "error: --limit must not be negative, got -1"),
+        (["eq", "{a}", "--rounds", "0"], "error: --rounds must be at least 1, got 0"),
+        (["eq", "{a}", "--rounds", "-1"], "error: --rounds must be at least 1, got -1"),
+    ],
+    ids=["limit-negative", "rounds-zero", "rounds-negative"],
+)
+def test_degenerate_counts_are_usage_errors(workdir, capsys, argv, message):
+    a = workdir / "a.nnf"
+    a.write_text("nnf 1 0 0\nA 0\n")
+    with pytest.raises(SystemExit) as e:
+        run(*(arg.format(a=a) for arg in argv), a)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def test_eq_command(workdir, capsys):
     a, b = workdir / "a.nnf", workdir / "b.nnf"
     run("compile", "--lang", "fbdd", workdir / "run.cnf", "-o", a)

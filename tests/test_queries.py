@@ -287,6 +287,16 @@ def test_eq_universe_mismatch():
         prob_equiv(Circuit(s, TRUE, 2), Circuit(s, TRUE, 3))
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+@pytest.mark.parametrize("universe", [0, 2])
+def test_eq_needs_at_least_one_round(rounds, universe):
+    # Zero rounds would report a vacuous bound of 1; negative rounds a bound
+    # above 1, or a ZeroDivisionError on a universe of 0.
+    circuit = Circuit(NodeStore(), TRUE, universe)
+    with pytest.raises(ValueError, match="rounds must be at least 1, got %d" % rounds):
+        prob_equiv(circuit, circuit, rounds=rounds)
+
+
 def test_eq_zero_one_points_match_boolean_evaluation():
     rng = random.Random(89)
     for _ in range(10):

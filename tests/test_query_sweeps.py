@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllc import queries
+from dpllc import store
 from dpllc.compiler import compile_decomposed, compile_free
 from dpllc.queries import (
     LanguageError,
@@ -168,7 +168,7 @@ def _counting_reachable(monkeypatch):
         seen.append(root)
         return reachable(store, root)
 
-    monkeypatch.setattr(queries, "reachable", counting)
+    monkeypatch.setattr(store, "reachable", counting)
     return seen
 
 
@@ -177,7 +177,7 @@ def test_repeated_queries_reuse_the_annotation(monkeypatch):
     circuit = compile_decomposed(random_3cnf(random.Random(3), 10, 2.0))
     assert circuit.root > TRUE
     first = annotate(circuit)
-    assert annotate(circuit) is first
+    assert annotate(circuit)[1] is first[1]
     answers = [model_count(circuit), is_consistent(circuit), is_valid(circuit)]
     assert [model_count(circuit), is_consistent(circuit), is_valid(circuit)] == answers
     assert list(enumerate_models(circuit)) == list(enumerate_models(circuit))
@@ -212,7 +212,6 @@ def test_a_failed_annotation_is_not_cached():
         with pytest.raises(LanguageError) as err:
             model_count(bad)
         texts.append(str(err.value))
-        assert bad.annotation is None
     assert texts == ["branch variable 1 reappears below decision node 3"] * 3
     # Conditioning does not annotate, so it still accepts the circuit.
     assert condition_circuit(bad, [1]).root == TRUE
@@ -232,10 +231,10 @@ def test_condition_reuses_the_cached_order(monkeypatch):
     seen = _counting_reachable(monkeypatch)
     circuit = compile_decomposed(running_cnf())
     before = condition_circuit(circuit, [2])
-    assert seen == [circuit.root] and circuit.annotation is None
+    assert seen == [circuit.root]
     annotate(circuit)
     after = condition_circuit(circuit, [2])
-    assert len(seen) == 2
+    assert seen == [circuit.root]
     assert after.store.nodes == before.store.nodes and after.root == before.root
 
 

@@ -1,13 +1,15 @@
 """The layers reach each other through module-level names, so a tracer can
 rebind them from outside without touching the package: the compiler looks
-up KERNEL, Cache and NodeStore in its own globals on every compile, and
-store, queries and checks look up `reachable` and `NodeStore` in theirs.
-A refactor that captures one of these names early breaks such tracing
-silently; these tests catch it."""
+up KERNEL, Cache and NodeStore in its own globals on every compile, store
+looks up `reachable` and `NodeStore` in its own, and every walk of a
+circuit goes through `store.reachable`.  A refactor that captures one of
+these names early breaks such tracing silently; these tests catch it."""
 
+import importlib.util
 import random
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from dpllc import checks, queries, store
 from dpllc.cnf import Cnf
 from dpllc.compiler import bandwidth_order, compile_decomposed, compile_free, compile_ordered
 from dpllc.queries import model_count
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 from util import random_3cnf
 
@@ -156,17 +160,17 @@ def test_post_compile_layers_name_reachable_and_node_store(module):
 
 
 @pytest.mark.parametrize(
-    "module, run",
+    "run",
     [
-        (store, store.serialize),
-        (queries, queries.model_count),
-        (checks, checks.check_fbdd),
-        (checks, checks.circuit_to_cnf),
-        (checks, lambda circuit: checks.isomorphic(circuit, circuit)),
+        store.serialize,
+        queries.model_count,
+        checks.check_fbdd,
+        checks.circuit_to_cnf,
+        lambda circuit: checks.isomorphic(circuit, circuit),
     ],
     ids=["store", "queries", "checks", "checks-circuit_to_cnf", "checks-isomorphic"],
 )
-def test_post_compile_layers_look_up_reachable_at_call_time(monkeypatch, module, run):
+def test_post_compile_layers_look_up_reachable_at_call_time(monkeypatch, run):
     seen = []
     reachable = store.reachable
 
@@ -174,7 +178,7 @@ def test_post_compile_layers_look_up_reachable_at_call_time(monkeypatch, module,
         seen.append(root)
         return reachable(st, root)
 
-    monkeypatch.setattr(module, "reachable", counting_reachable)
+    monkeypatch.setattr(store, "reachable", counting_reachable)
     circuit = compile_free(random_3cnf(random.Random(6), 10, 2.0))
     run(circuit)
     assert circuit.root in seen
@@ -188,8 +192,70 @@ def test_prob_equiv_walks_each_circuit_once(monkeypatch):
         seen.append(root)
         return reachable(st, root)
 
-    monkeypatch.setattr(queries, "reachable", counting_reachable)
+    monkeypatch.setattr(store, "reachable", counting_reachable)
     a = compile_free(random_3cnf(random.Random(6), 10, 2.0))
     b = compile_decomposed(random_3cnf(random.Random(6), 10, 2.0))
     assert queries.prob_equiv(a, b).equivalent
     assert sorted(seen) == sorted([a.root, b.root])
+
+
+def _ddnnf_pipeline(cnf):
+    """The benchmark's ddnnf-pipeline calls on one instance."""
+    circuit = compile_decomposed(cnf)
+    count = model_count(circuit)
+    parsed = store.parse_nnf(store.serialize(circuit))
+    assert model_count(parsed) == count
+    assert checks.check_decision_dnnf(circuit).verdict
+    assert queries.prob_equiv(circuit, parsed).equivalent
+    replay = checks.compile_guided(checks.circuit_to_cnf(circuit))
+    assert checks.isomorphic(circuit, replay)
+
+
+def test_ddnnf_pipeline_walks_each_circuit_once_and_audits_once(monkeypatch):
+    # Three circuits (compiled, parsed, replayed), one walk each; only
+    # check_decision_dnnf audits the store.
+    calls = Counter()
+    reachable, audit = store.reachable, store.NodeStore.audit
+
+    def counting_reachable(st, root):
+        calls["reachable"] += 1
+        return reachable(st, root)
+
+    def counting_audit(st):
+        calls["audit"] += 1
+        audit(st)
+
+    monkeypatch.setattr(store, "reachable", counting_reachable)
+    monkeypatch.setattr(store.NodeStore, "audit", counting_audit)
+    _ddnnf_pipeline(random_3cnf(random.Random(5), 16, 2.5))
+    assert calls == {"reachable": 3, "audit": 1}
+
+    calls.clear()
+    cnf = random_3cnf(random.Random(5), 16, 2.5)
+    order = bandwidth_order(cnf)
+    circuit = compile_ordered(cnf, order)
+    model_count(circuit)
+    assert checks.check_obdd(circuit, order).verdict
+    assert calls == {"reachable": 1, "audit": 1}
+
+
+def test_benchmark_tracer_times_every_walk():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = ("KERNEL", "Cache", "NodeStore", "reachable")
+    modules = (compiler, store, queries, checks)
+
+    def bindings():
+        return {(m.__name__, n): getattr(m, n) for m in modules for n in names if hasattr(m, n)}
+
+    before = bindings()
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        _ddnnf_pipeline(random_3cnf(random.Random(5), 16, 2.5))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["store.reachable"] == 3
+    assert all(tracer.calls["store." + op] for op in layers.STORE_OPS)
+    assert bindings() == before
