@@ -145,11 +145,17 @@ class CompileConfig:
       free        propagate to fixpoint before branching; each implied
                   literal becomes a forced decision whose violating branch
                   is the false sink, which keeps the trace an FBDD.
-      ordered     only a contradiction lookahead: branching out of order
-                  on an implied variable would break the ordering
-                  property, but cutting an unsatisfiable subtree early
-                  changes nothing (its trace reduces to the false sink
-                  either way).
+      ordered     a lookahead that never replaces the residual, since
+                  branching out of order on an implied variable would
+                  break the ordering property.  A residual that misses
+                  the cache is propagated once: a conflict makes it the
+                  false sink, and otherwise its implied literals decide
+                  each later branch on one of their variables, down the
+                  branch that keeps them, whose other child is the false
+                  sink without conditioning or a lookahead of its own.
+                  Neither cut changes the canonical trace; an
+                  unsatisfiable subtree reduces to the false sink either
+                  way.
       decomposed  propagate to fixpoint before splitting; implied
                   literals become literal leaves conjoined with the
                   residual's sub-trace.
@@ -204,24 +210,34 @@ def _search(
     With decompose, it is then split into components, and the implied
     literals (as literal leaves) and component traces are conjoined;
     without, the implied literals become a chain of forced decisions above
-    the rest's trace.  `lookahead` cuts a residual whose unit propagation
-    conflicts before branching.  A residual that is one component, implies
-    nothing and is no cache hit gets a decision node on pick(residual).
+    the rest's trace.  A residual that is one component, implies nothing
+    and is no cache hit gets a decision node on pick(residual).
 
-    An `_EVAL` frame's third field is true for a residual pushed after
-    that step (the fixpoint, or one of its components): it has no empty
-    clause and is at fixpoint, and with decompose it is also one
-    component, so it goes straight to the cache probe.
+    `lookahead` (ordered mode) unit-propagates a residual that missed the
+    cache without replacing it: a conflict makes it the false sink, and
+    otherwise the set of implied literals, its closure, rides along.  When
+    the closure holds the branch literal x (or -x), the other child is
+    unsatisfiable, so it is the false sink without being conditioned or
+    probed, and the surviving child inherits the closure: unit resolution
+    is monotone and x was already derived, so the child's closure is the
+    same set less x, and it needs no lookahead of its own.  x no longer
+    occurs in the child, so the set is passed on unchanged.
+
+    An `_EVAL` frame's third field is the residual's closure when it is
+    known and None otherwise.  A known closure means no empty clause and
+    no conflict; a residual pushed after propagation (the fixpoint, or
+    one of its components) has the empty closure, and with decompose it
+    is also one component, so it goes straight to the cache probe.
     """
     K = KERNEL
-    work: list[tuple] = [(_EVAL, res0, False)]
+    work: list[tuple] = [(_EVAL, res0, None)]
     vals: list[int] = []
     while work:
         frame = work.pop()
         tag = frame[0]
         if tag == _EVAL:
-            res, settled = frame[1], frame[2]
-            if not settled:
+            res, closure = frame[1], frame[2]
+            if closure is None:
                 if K.has_empty(res):
                     vals.append(FALSE)
                     continue
@@ -238,29 +254,45 @@ def _search(
                 if implied or len(comps) > 1:
                     work.append((_AND, implied, len(comps)))
                     for comp in reversed(comps):
-                        work.append((_EVAL, comp, True))
+                        work.append((_EVAL, comp, ()))
                     continue
+            elif not res:
+                vals.append(TRUE)
+                continue
             if cache is not None:
                 hit = cache.probe(res)
                 if hit is not None:
                     vals.append(hit)
                     continue
-            if lookahead and K.propagate_conflict(res):
-                # Unit resolution found a contradiction; the residual is
-                # unsatisfiable, whose canonical trace is the false sink.
-                if cache is not None:
-                    cache.insert(res, FALSE)
-                vals.append(FALSE)
-                continue
+            if lookahead and closure is None:
+                _, implied, conflict = K.propagate(res)
+                if conflict:
+                    # Unit resolution found a contradiction; the residual is
+                    # unsatisfiable, whose canonical trace is the false sink.
+                    if cache is not None:
+                        cache.insert(res, FALSE)
+                    vals.append(FALSE)
+                    continue
+                closure = set(implied)
             x = pick(res)
-            work.append((_DEC, x, res))
-            work.append((_EVAL, K.condition(res, x), False))
-            work.append((_EVAL, K.condition(res, -x), False))
+            if closure and (x in closure or -x in closure):
+                lit = x if x in closure else -x
+                work.append((_DEC, lit, res, True))
+                work.append((_EVAL, K.condition(res, lit), closure))
+            else:
+                work.append((_DEC, x, res, False))
+                work.append((_EVAL, K.condition(res, x), None))
+                work.append((_EVAL, K.condition(res, -x), None))
         elif tag == _DEC:
-            x, res = frame[1], frame[2]
-            high = vals.pop()
-            low = vals.pop()
-            node = store.get_node(x, low, high)
+            lit, res, forced = frame[1], frame[2], frame[3]
+            node = vals.pop()
+            if not forced:
+                low, high = vals.pop(), node
+            elif lit > 0:
+                low, high = FALSE, node
+            else:
+                low, high = node, FALSE
+            node = store.get_node(abs(lit), low, high)
             if cache is not None:
                 cache.insert(res, node)
             vals.append(node)

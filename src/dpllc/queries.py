@@ -335,10 +335,13 @@ def prob_equiv(
 ) -> EqVerdict:
     """Polynomial identity test for circuit equivalence.
 
-    Per round, draws one field element per universe variable and compares
-    the two network polynomials at that point; any disagreement proves
-    inequivalence, while agreement in every round bounds the error by
-    (universe / prime)^rounds.
+    Per round, draws one field element per variable that occurs in either
+    circuit, in increasing variable order, and compares the two network
+    polynomials at that point; any disagreement proves inequivalence,
+    while agreement in every round bounds the error by
+    (universe / prime)^rounds.  A variable that occurs in neither circuit
+    cannot tell them apart, so a declared universe far above the
+    variables used costs nothing.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1, got %d" % rounds)
@@ -346,17 +349,17 @@ def prob_equiv(
         raise ValueError("universe mismatch: %d vs %d" % (a.universe, b.universe))
     order_a, masks_a = annotate(a)
     order_b, masks_b = annotate(b)
-    # Conditioned circuits can mention indices above their count-universe;
-    # size the random point by whatever actually occurs.
-    width = max(
-        a.universe,
-        masks_a[a.root].bit_length(),
-        masks_b[b.root].bit_length(),
-    )
+    # Conditioned circuits can mention indices above their count-universe,
+    # so the point is indexed up to the largest variable that occurs.
+    occurring = masks_a[a.root] | masks_b[b.root]
+    variables = [v for v, bit in enumerate(bin(occurring)[:1:-1], 1) if bit == "1"]
+    width = occurring.bit_length() + 1
     p = EQ_PRIME
     rng = random.Random(seed)
     for done in range(1, rounds + 1):
-        point = [0] + [rng.randrange(p) for _ in range(width)]
+        point = [0] * width
+        for v in variables:
+            point[v] = rng.randrange(p)
         if _poly_eval(a, order_a, point, p) != _poly_eval(b, order_b, point, p):
             return EqVerdict("not-equivalent", done, p, Fraction(0))
     return EqVerdict(

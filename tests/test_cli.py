@@ -1,9 +1,10 @@
 import csv
 import sys
+import time
 
 import pytest
 
-from dpllc.cli import main
+from dpllc.cli import _count_text, main
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, parse_nnf, serialize
 
 from util import RUNNING_DIMACS
@@ -233,6 +234,59 @@ def test_eq_command(workdir, capsys):
     assert "equivalent-probably" in capsys.readouterr().out
     assert run("eq", a, b, "--seed", "7") == 0
     assert "equivalent-probably" in capsys.readouterr().out
+
+
+def _str_unlimited(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_text_matches_str_at_every_size():
+    for bits in (0, 1, 4095, 4096, 4097, 8191, 8192, 8193, 14301, 50001):
+        for n in (1 << bits, (1 << bits) - 1, 3 << bits):
+            assert _count_text(n) == _str_unlimited(n)
+
+
+def test_counts_above_the_str_digit_limit_print(workdir, tmp_path, capsys):
+    # One clause over 15,000 variables: 3 * 2^14998 models, 4,515 digits,
+    # past the 4,300 digits str(int) converts by default.
+    n = 15_000
+    expected = _str_unlimited(3 << (n - 2))
+    assert len(expected) > sys.get_int_max_str_digits()
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    cnf = bench / "wide.cnf"
+    cnf.write_text("p cnf %d 1\n1 2 0\n" % n)
+    out = workdir / "wide.nnf"
+    assert run("compile", "--lang", "ddnnf", cnf, "-o", out) == 0
+    capsys.readouterr()
+    assert run("query", "--count", out) == 0
+    assert capsys.readouterr().out.strip() == expected
+    report = tmp_path / "report.csv"
+    assert run("bench", bench, "-o", report) == 0
+    (row,) = csv.DictReader(report.open())
+    assert row["status"] == "ok"
+    assert row["models"] == expected
+
+
+def test_eq_on_a_huge_declared_universe_draws_only_what_occurs(workdir, capsys):
+    # The header declares 2*10^9 variables, two of which occur; a point
+    # over the whole universe would take minutes and gigabytes.
+    a = workdir / "a.nnf"
+    run("compile", "--lang", "fbdd", workdir / "run.cnf", "-o", a)
+    lines = a.read_text().splitlines()
+    nodes, edges, _ = lines[0].split()[1:]
+    huge = workdir / "huge.nnf"
+    huge.write_text("\n".join(["nnf %s %s 2000000000" % (nodes, edges)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("eq", huge, huge) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.startswith("equivalent-probably rounds=5 ")
 
 
 def test_eq_universe_mismatch(workdir, capsys):

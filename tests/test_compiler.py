@@ -264,20 +264,26 @@ DEEP_BUDGET_S = 5.0
 
 
 def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
-    # One forced decision (free) or one conjunct (decomposed) per
-    # variable: the free trace is as deep as the variable count, far past
-    # the default recursion limit.  Each compile must also finish within a
-    # fixed wall-clock budget on either backend, which a search that
-    # conditions the whole residual per forced literal does not.
+    # One forced decision (free, ordered) or one conjunct (decomposed) per
+    # variable: the free and ordered traces are as deep as the variable
+    # count, far past the default recursion limit.  Each compile must also
+    # finish within a fixed wall-clock budget, which a search that
+    # conditions the whole residual per forced literal does not.  Ordered
+    # mode still conditions once per level (one lookahead, then each level
+    # inherits the closure), which the compiled kernel does within the
+    # budget and the Python one does not, so it runs on `cy` only.
     monkeypatch.setattr(compiler, "KERNEL", kernel)
     n = 10_000
     assert sys.getrecursionlimit() < n
     cnf = Cnf.from_clauses([[v] for v in range(1, n + 1)], n)
-    for cfg in (
+    configs = [
         CompileConfig("free"),
         CompileConfig("decomposed"),
         CompileConfig("decomposed", unit_propagation=False),
-    ):
+    ]
+    if kernel.__name__.endswith("_kernel_cy"):
+        configs.append(CompileConfig("ordered", order=VarOrder.identity(n)))
+    for cfg in configs:
         start = time.perf_counter()
         circuit = compile_cnf(cnf, cfg)
         elapsed = time.perf_counter() - start

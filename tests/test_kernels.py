@@ -156,6 +156,26 @@ def test_propagate_matches_unit_propagate(kernel, cnf):
 
 
 @bounded
+@given(rng=st.randoms(use_true_random=False))
+def test_closure_decides_the_branches_it_holds(kernel, rng):
+    # What the ordered search relies on when it branches on a literal x of
+    # a residual's unit-propagation closure I: conditioning on -x gives an
+    # empty clause or a propagation conflict, and conditioning on x gives
+    # a residual without conflict whose closure is I less x.
+    res = compute_key(random_cnf(rng, max_vars=10, max_clauses=16))
+    _, implied, conflict = kernel.propagate(res)
+    if conflict:
+        return
+    closure = set(implied)
+    for x in implied:
+        other = kernel.condition(res, -x)
+        assert kernel.has_empty(other) or kernel.propagate(other)[2]
+        _, child_implied, child_conflict = kernel.propagate(kernel.condition(res, x))
+        assert not child_conflict
+        assert set(child_implied) == closure - {x}
+
+
+@bounded
 @given(cnf=formulas())
 def test_split_matches_components(kernel, cnf):
     res = compute_key(cnf)

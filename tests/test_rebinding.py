@@ -45,7 +45,7 @@ COMPILERS = {
 # Kernel operations each discipline cannot do without.
 MODE_OPS = {
     "free": {"has_empty", "condition", "propagate", "select_var"},
-    "ordered": {"has_empty", "condition", "propagate_conflict", "min_rank_var"},
+    "ordered": {"has_empty", "condition", "propagate", "min_rank_var"},
     "decomposed": {"has_empty", "condition", "propagate", "split_components", "select_var"},
 }
 
@@ -111,6 +111,24 @@ def test_free_compile_propagates_a_unit_chain_once(rebound):
     circuit = compile_free(cnf)
     assert calls["propagate"] == 1
     assert calls["condition"] == 0
+    assert calls["store.get_node"] == n
+    assert model_count(circuit) == 1
+
+
+def test_ordered_compile_reuses_the_closure_down_a_unit_chain(rebound):
+    # One lookahead at the root implies the whole chain; every branch
+    # variable is then in the inherited closure, so each level conditions
+    # once, on the implied literal, and the other child is the false sink
+    # without being conditioned, probed or propagated.
+    calls, _ = rebound
+    n = 1000
+    cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
+    circuit = compile_ordered(cnf, compiler.VarOrder.identity(n))
+    assert calls["propagate"] == 1
+    assert calls["propagate_conflict"] == 0
+    assert calls["condition"] == n
+    assert calls["has_empty"] == 1
+    assert calls["cache.probe"] == n
     assert calls["store.get_node"] == n
     assert model_count(circuit) == 1
 
