@@ -227,7 +227,9 @@ def _search(
     known and None otherwise.  A known closure means no empty clause and
     no conflict; a residual pushed after propagation (the fixpoint, or
     one of its components) has the empty closure, and with decompose it
-    is also one component, so it goes straight to the cache probe.
+    is also one component, so it goes straight to the cache probe.  A
+    `_DEC` frame's fourth field is true when only the child on its literal
+    was pushed, the other being the false sink.
     """
     K = KERNEL
     work: list[tuple] = [(_EVAL, res0, None)]
