@@ -4,9 +4,11 @@
    _kernel_py, whose docstring is the format reference.  This is the hot
    inner loop of the compilers: conditioning, unit propagation,
    branch-variable selection and component splitting over residual clause
-   sets.  Residuals come from compiler.compute_key or from this kernel, so
-   record lengths are trusted; only the rank table of min_rank_var, which
-   belongs to the caller's order, is bounds-checked.
+   sets, and `branch`, which conditions, propagates and splits both
+   children of a decision in one call.  Residuals come from
+   compiler.compute_key or from this kernel, so record lengths are
+   trusted; only the rank table of min_rank_var, which belongs to the
+   caller's order, is bounds-checked.
 
    Build in place (the package falls back to _kernel_py without it):
 
@@ -326,13 +328,13 @@ find(int *parent, int x)
     return root;
 }
 
+/* Finest variable-disjoint partition of v[0..n) as a list of bytes, parts
+   ordered by first record; `whole`, when not NULL, is v as a bytes object
+   and is the single part when there is one. */
 static PyObject *
-split_components(PyObject *self, PyObject *arg)
+split_parts(const int *v, Py_ssize_t n, PyObject *whole)
 {
-    const int *v;
-    Py_ssize_t i = 0, j, n;
-    if (residual(arg, &v, &n) < 0)
-        return NULL;
+    Py_ssize_t i = 0, j;
     if (n == 0)
         return PyList_New(0);
     int maxv = max_var(v, n), var, ngroups = 0;
@@ -369,11 +371,11 @@ split_components(PyObject *self, PyObject *arg)
             group[root] = ngroups++;
         size[group[root]] += 2 + v[i + 1];
     }
-    if (ngroups == 1) {
+    if (ngroups == 1 && whole != NULL) {
         parts = PyList_New(1);
         if (parts != NULL) {
-            Py_INCREF(arg);
-            PyList_SET_ITEM(parts, 0, arg);
+            Py_INCREF(whole);
+            PyList_SET_ITEM(parts, 0, whole);
         }
         goto done;
     }
@@ -401,6 +403,88 @@ done:
     return parts;
 }
 
+static PyObject *
+split_components(PyObject *self, PyObject *arg)
+{
+    const int *v;
+    Py_ssize_t n;
+    if (residual(arg, &v, &n) < 0)
+        return NULL;
+    return split_parts(v, n, arg);
+}
+
+/* One child of branch: (parts, implied, conflict) of v conditioned on lit.
+   buf has room for 4n + 1 ints. */
+static PyObject *
+branch_child(const int *v, Py_ssize_t n, int lit, int split, int prop, int *buf)
+{
+    int *c = buf, *implied = buf + 3 * n;
+    const int *rest = c;
+    Py_ssize_t m = condition_into(v, n, lit, c), nrest = m, ni = 0, i;
+    int conflict = 0;
+    if (prop)
+        conflict = unit_fixpoint(c, m, buf + n, buf + 2 * n, implied, &ni, &rest, &nrest);
+    else
+        for (i = 0; i < m && !conflict; i += 2 + c[i + 1])
+            conflict = c[i + 1] == 0;
+    if (conflict)
+        return Py_BuildValue("([]()O)", Py_True);
+    PyObject *parts = NULL, *lits = NULL, *result = NULL;
+    if (split)
+        parts = split_parts(rest, nrest, NULL);
+    else if (nrest == 0)
+        parts = PyList_New(0);
+    else {
+        PyObject *bytes = PyBytes_FromStringAndSize((const char *)rest, nrest * 4);
+        if (bytes != NULL) {
+            parts = PyList_New(1);
+            if (parts == NULL)
+                Py_DECREF(bytes);
+            else
+                PyList_SET_ITEM(parts, 0, bytes);
+        }
+    }
+    if (parts == NULL || (lits = PyTuple_New(ni)) == NULL)
+        goto done;
+    for (i = 0; i < ni; i++) {
+        PyObject *x = PyLong_FromLong(implied[i]);
+        if (x == NULL)
+            goto done;
+        PyTuple_SET_ITEM(lits, i, x);
+    }
+    result = PyTuple_Pack(3, parts, lits, Py_False);
+done:
+    Py_XDECREF(parts);
+    Py_XDECREF(lits);
+    return result;
+}
+
+static PyObject *
+branch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const int *v;
+    Py_ssize_t n;
+    int x, split, prop;
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "branch() takes exactly 4 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    if (residual(args[0], &v, &n) < 0 || as_int(args[1], &x) < 0
+        || (split = PyObject_IsTrue(args[2])) < 0 || (prop = PyObject_IsTrue(args[3])) < 0)
+        return NULL;
+    int *buf = malloc((4 * n + 1) * sizeof(int));
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    PyObject *low = branch_child(v, n, -x, split, prop, buf), *high = NULL, *result = NULL;
+    if (low != NULL && (high = branch_child(v, n, x, split, prop, buf)) != NULL)
+        result = PyTuple_Pack(2, low, high);
+    free(buf);
+    Py_XDECREF(low);
+    Py_XDECREF(high);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"has_empty", has_empty, METH_O, "True iff res holds an empty clause."},
     {"condition", (PyCFunction)(void (*)(void))condition, METH_FASTCALL,
@@ -422,6 +506,11 @@ static PyMethodDef methods[] = {
     {"min_rank_var", (PyCFunction)(void (*)(void))min_rank_var, METH_FASTCALL,
      "min_rank_var(res, ranks): variable of minimum rank occurring in res; ranks "
      "is int32, indexed by var."},
+    {"branch", (PyCFunction)(void (*)(void))branch, METH_FASTCALL,
+     "branch(res, x, split, propagate): both children of a decision on x, "
+     "(low, high).\n\nEach child is (parts, implied, conflict), what condition, "
+     "has_empty, propagate (with `propagate`) and split_components (with "
+     "`split`) give in turn; see _kernel_py.branch."},
     {"split_components", split_components, METH_O,
      "Finest variable-disjoint partition of the clauses.\n\nParts come out "
      "ordered by smallest original clause index (clauses are scanned in index "

@@ -30,10 +30,18 @@ rescanning loop would see, and the implied literals come out in the same
 order.  A count reaching zero is the empty clause that loop would find
 after conditioning on the same literal, so on a conflict the residual
 returned is the same as well.
+
+`branch` is one decision of free or decomposed search in one call: it
+decodes the parent and builds its counts and occurrence lists once, and
+derives both children from them, each assigned, propagated by the same
+pass, rebuilt and (optionally) split.  So below the root those searches
+never call `condition`, `has_empty`, `propagate` or `split_components`;
+the root still goes through them, and so does ordered mode with its
+lookahead, whose cache keys are the conditioned, unpropagated children.
 """
 
 from array import array
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
@@ -75,28 +83,26 @@ def condition(res: bytes, lit: int) -> bytes:
     return array("i", out).tobytes()
 
 
-def _unit_pass(v: list[int]):
-    """Unit propagation over the decoded residual `v`: (conflict, found).
-
-    `found` is None when `v` holds an empty clause or no unit record, and
-    otherwise (starts, counts, true, implied): the record offsets, each
-    record's count of literals not yet false (-1 once it is satisfied),
-    the set of literals made true, and those literals in derivation order.
-    The pass stops at the first implied literal that empties a record.
-    """
+def _scan(v: list[int]):
+    """(starts, units) of the decoded residual `v`: the record offsets and
+    the positions of its unit records; None when a record is empty."""
     starts: list[int] = []
-    heap: list[int] = []
+    units: list[int] = []
     i, n = 0, len(v)
     while i < n:
         k = v[i + 1]
         if k == 0:
-            return True, None
+            return None
         if k == 1:
-            heap.append(len(starts))
+            units.append(len(starts))
         starts.append(i)
         i += 2 + k
-    if not heap:
-        return False, None
+    return starts, units
+
+
+def _occurrences(v: list[int], starts: list[int]):
+    """(counts, occ): each record's literal count, and for each literal the
+    positions of the records holding it, in increasing order."""
     counts: list[int] = []
     occ: dict[int, list[int]] = {}
     for c, s in enumerate(starts):
@@ -108,10 +114,17 @@ def _unit_pass(v: list[int]):
                 occ[lit] = [c]
             else:
                 clauses.append(c)
-    true: set[int] = set()
-    implied: list[int] = []
-    conflict = False
-    # `heap` starts as the unit records in position order, which is a heap.
+    return counts, occ
+
+
+def _fixpoint(v, starts, counts, occ, heap, true, implied) -> bool:
+    """Unit propagation from the unit records in `heap`; True on a conflict.
+
+    `counts` holds each record's count of literals not yet false, -1 once
+    it is satisfied, and `true` the literals made true so far; both are
+    updated, and each implied literal is appended to `implied`.  The pass
+    stops at the first implied literal that empties a record.
+    """
     while heap:
         c = heappop(heap)
         if counts[c] < 0:
@@ -124,6 +137,7 @@ def _unit_pass(v: list[int]):
         true.add(unit)
         for d in occ.get(unit, ()):
             counts[d] = -1
+        conflict = False
         for d in occ.get(-unit, ()):
             k = counts[d]
             if k > 0:
@@ -134,7 +148,44 @@ def _unit_pass(v: list[int]):
                 elif k == 0:
                     conflict = True
         if conflict:
-            break
+            return True
+    return False
+
+
+def _rebuild(v, starts, counts, true) -> list[int]:
+    """The records of `v` not yet satisfied, without their false literals."""
+    out: list[int] = []
+    for c, s in enumerate(starts):
+        left = counts[c]
+        if left < 0:
+            continue
+        k = v[s + 1]
+        if left == k:
+            out += v[s : s + 2 + k]
+        else:
+            out.append(v[s])
+            out.append(left)
+            out += [lit for lit in v[s + 2 : s + 2 + k] if -lit not in true]
+    return out
+
+
+def _unit_pass(v: list[int]):
+    """Unit propagation over the decoded residual `v`: (conflict, found).
+
+    `found` is None when `v` holds an empty clause or no unit record, and
+    otherwise (starts, counts, true, implied) as `_fixpoint` leaves them.
+    """
+    scan = _scan(v)
+    if scan is None:
+        return True, None
+    starts, units = scan
+    if not units:
+        return False, None
+    counts, occ = _occurrences(v, starts)
+    true: set[int] = set()
+    implied: list[int] = []
+    # `units` lists the unit records in position order, which is a heap.
+    conflict = _fixpoint(v, starts, counts, occ, units, true, implied)
     return conflict, (starts, counts, true, implied)
 
 
@@ -149,19 +200,61 @@ def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
     if found is None:
         return res, (), conflict
     starts, counts, true, implied = found
-    out: list[int] = []
-    for c, s in enumerate(starts):
-        left = counts[c]
-        if left < 0:
-            continue
-        k = v[s + 1]
-        if left == k:
-            out += v[s : s + 2 + k]
-        else:
-            out.append(v[s])
-            out.append(left)
-            out += [lit for lit in v[s + 2 : s + 2 + k] if -lit not in true]
-    return array("i", out).tobytes(), tuple(implied), conflict
+    return array("i", _rebuild(v, starts, counts, true)).tobytes(), tuple(implied), conflict
+
+
+def branch(res: bytes, x: int, split: bool, propagate: bool):
+    """Both children of a decision on `x`: (low, high), on -x and on x.
+
+    Each child is (parts, implied, conflict), exactly what conditioning
+    `res` on the literal, then has_empty, then (with `propagate`)
+    propagate, then (with `split`) split_components would give: conflict
+    when the child has an empty clause or a propagation conflict, and then
+    parts == [] and implied == (); otherwise `implied` in derivation order
+    and `parts` the rest's components, or the rest alone, or [] when
+    nothing is left.  The residual is decoded and indexed once for both
+    children, and a child's propagation touches only the records its
+    literals occur in.
+    """
+    v = _decode(res)
+    scan = _scan(v)
+    if scan is None:
+        return ([], (), True), ([], (), True)
+    starts, units = scan
+    counts, occ = _occurrences(v, starts)
+    low = _child(v, starts, units, counts, occ, -x, split, propagate)
+    high = _child(v, starts, units, counts, occ, x, split, propagate)
+    return low, high
+
+
+def _child(v, starts, units, counts, occ, lit, split, propagate):
+    """One child of `branch` from the parent's shared index."""
+    counts = counts[:]
+    for c in occ.get(lit, ()):
+        counts[c] = -1
+    heap: list[int] = []
+    for c in occ.get(-lit, ()):
+        k = counts[c] - 1
+        if k == 0:
+            return [], (), True
+        counts[c] = k
+        if k == 1:
+            heap.append(c)
+    true = {lit}
+    implied: list[int] = []
+    if propagate:
+        # The parent's own unit records join those `lit` made; the heap
+        # then yields them in position order, as propagate would.
+        if units:
+            heap += [c for c in units if counts[c] == 1]
+            heapify(heap)
+        if _fixpoint(v, starts, counts, occ, heap, true, implied):
+            return [], (), True
+    out = _rebuild(v, starts, counts, true)
+    if not out:
+        return [], tuple(implied), False
+    rest = array("i", out).tobytes()
+    return (_split(out, rest) if split else [rest]), tuple(implied), False
 
 
 def propagate_conflict(res: bytes) -> bool:
@@ -239,7 +332,11 @@ def split_components(res: bytes) -> list[bytes]:
     Parts come out ordered by smallest original clause index (clauses are
     scanned in index order) and must not contain empty clauses.
     """
-    v = _decode(res)
+    return _split(_decode(res), res)
+
+
+def _split(v: list[int], res: bytes) -> list[bytes]:
+    """split_components of `res`, whose decoded records are `v`."""
     n = len(v)
     if n == 0:
         return []

@@ -192,7 +192,21 @@ class Cache:
         return len(self.table)
 
 
-_EVAL, _DEC, _AND = 0, 1, 2
+_EVAL, _KID, _DEC, _AND = 0, 1, 2, 3
+
+
+def _settle(K, res: bytes, decompose: bool, propagate: bool):
+    """The root's (parts, implied, conflict), in the form K.branch gives
+    each child: an empty clause or a propagation conflict, else the
+    implied literals and the rest's components (or the rest alone)."""
+    if K.has_empty(res):
+        return [], (), True
+    implied: tuple[int, ...] = ()
+    if propagate:
+        res, implied, conflict = K.propagate(res)
+        if conflict:
+            return [], (), True
+    return (K.split_components(res) if decompose else [res]) if res else [], implied, False
 
 
 def _search(
@@ -213,80 +227,64 @@ def _search(
     the rest's trace.  A residual that is one component, implies nothing
     and is no cache hit gets a decision node on pick(residual).
 
-    `lookahead` (ordered mode) unit-propagates a residual that missed the
-    cache without replacing it: a conflict makes it the false sink, and
-    otherwise the set of implied literals, its closure, rides along.  When
-    the closure holds the branch literal x (or -x), the other child is
-    unsatisfiable, so it is the false sink without being conditioned or
-    probed, and the surviving child inherits the closure: unit resolution
-    is monotone and x was already derived, so the child's closure is the
-    same set less x, and it needs no lookahead of its own.  x no longer
-    occurs in the child, so the set is passed on unchanged.
+    The root is settled by `_settle`, and without `lookahead` both
+    children of every decision come settled from one K.branch call, as
+    `_KID` frames holding (parts, implied, conflict); so below the root,
+    free and decomposed search condition, propagate and split only
+    inside that call.
+
+    `lookahead` (ordered mode) keeps the residuals as conditioned, since
+    they are its cache keys: each child is conditioned by K.condition and
+    checked by K.has_empty.  A residual that missed the cache is
+    unit-propagated without being replaced: a conflict makes it the false
+    sink, and otherwise the set of implied literals, its closure, rides
+    along.  When the closure holds the branch literal x (or -x), the other
+    child is unsatisfiable, so it is the false sink without being
+    conditioned or probed, and the surviving child inherits the closure:
+    unit resolution is monotone and x was already derived, so the child's
+    closure is the same set less x, and it needs no lookahead of its own.
+    x no longer occurs in the child, so the set is passed on unchanged.
 
     An `_EVAL` frame's third field is the residual's closure when it is
     known and None otherwise.  A known closure means no empty clause and
-    no conflict; a residual pushed after propagation (the fixpoint, or
-    one of its components) has the empty closure, and with decompose it
-    is also one component, so it goes straight to the cache probe.  A
-    `_DEC` frame's fourth field is true when only the child on its literal
-    was pushed, the other being the false sink.
+    no conflict.  A component pushed from a `_KID` frame carries `()`: it
+    is settled, so it goes straight to the cache probe.  A `_DEC` frame
+    holds the residual to cache (None without a cache), and its fourth
+    field is true when only the child on its literal was pushed, the
+    other being the false sink.
     """
     K = KERNEL
-    work: list[tuple] = [(_EVAL, res0, None)]
+    work: list[tuple] = [(_KID, _settle(K, res0, decompose, propagate))]
     vals: list[int] = []
     while work:
         frame = work.pop()
         tag = frame[0]
-        if tag == _EVAL:
-            res, closure = frame[1], frame[2]
-            if closure is None:
-                if K.has_empty(res):
-                    vals.append(FALSE)
-                    continue
-                if not res:
-                    vals.append(TRUE)
-                    continue
-                implied: tuple[int, ...] = ()
-                if propagate:
-                    res, implied, conflict = K.propagate(res)
-                    if conflict:
-                        vals.append(FALSE)
-                        continue
-                comps = (K.split_components(res) if decompose else [res]) if res else []
-                if implied or len(comps) > 1:
-                    work.append((_AND, implied, len(comps)))
-                    for comp in reversed(comps):
+        if tag == _KID:
+            parts, implied, conflict = frame[1]
+            if conflict:
+                vals.append(FALSE)
+                continue
+            if implied or len(parts) != 1:
+                if implied or parts:
+                    work.append((_AND, implied, len(parts)))
+                    for comp in reversed(parts):
                         work.append((_EVAL, comp, ()))
-                    continue
-            elif not res:
+                else:
+                    vals.append(TRUE)
+                continue
+            # Only a propagated residual has a known (empty) closure; the
+            # unpropagated root of ordered mode still needs its lookahead.
+            res, closure = parts[0], (() if propagate else None)
+        elif tag == _EVAL:
+            res, closure = frame[1], frame[2]
+            if closure is None and K.has_empty(res):
+                vals.append(FALSE)
+                continue
+            if not res:
                 vals.append(TRUE)
                 continue
-            if cache is not None:
-                hit = cache.probe(res)
-                if hit is not None:
-                    vals.append(hit)
-                    continue
-            if lookahead and closure is None:
-                _, implied, conflict = K.propagate(res)
-                if conflict:
-                    # Unit resolution found a contradiction; the residual is
-                    # unsatisfiable, whose canonical trace is the false sink.
-                    if cache is not None:
-                        cache.insert(res, FALSE)
-                    vals.append(FALSE)
-                    continue
-                closure = set(implied)
-            x = pick(res)
-            if closure and (x in closure or -x in closure):
-                lit = x if x in closure else -x
-                work.append((_DEC, lit, res, True))
-                work.append((_EVAL, K.condition(res, lit), closure))
-            else:
-                work.append((_DEC, x, res, False))
-                work.append((_EVAL, K.condition(res, x), None))
-                work.append((_EVAL, K.condition(res, -x), None))
         elif tag == _DEC:
-            lit, res, forced = frame[1], frame[2], frame[3]
+            lit, key, forced = frame[1], frame[2], frame[3]
             node = vals.pop()
             if not forced:
                 low, high = vals.pop(), node
@@ -296,8 +294,9 @@ def _search(
                 low, high = node, FALSE
             node = store.get_node(abs(lit), low, high)
             if cache is not None:
-                cache.insert(res, node)
+                cache.insert(key, node)
             vals.append(node)
+            continue
         else:
             implied, k = frame[1], frame[2]
             cut = len(vals) - k
@@ -314,6 +313,38 @@ def _search(
                     low, high = (FALSE, node) if lit > 0 else (node, FALSE)
                     node = store.get_node(abs(lit), low, high)
                 vals.append(node)
+            continue
+        key = None
+        if cache is not None:
+            hit = cache.probe(res)
+            if hit is not None:
+                vals.append(hit)
+                continue
+            key = res
+        if lookahead and closure is None:
+            _, implied, conflict = K.propagate(res)
+            if conflict:
+                # Unit resolution found a contradiction; the residual is
+                # unsatisfiable, whose canonical trace is the false sink.
+                if cache is not None:
+                    cache.insert(res, FALSE)
+                vals.append(FALSE)
+                continue
+            closure = set(implied)
+        x = pick(res)
+        if not lookahead:
+            low, high = K.branch(res, x, decompose, propagate)
+            work.append((_DEC, x, key, False))
+            work.append((_KID, high))
+            work.append((_KID, low))
+        elif closure and (x in closure or -x in closure):
+            lit = x if x in closure else -x
+            work.append((_DEC, lit, key, True))
+            work.append((_EVAL, K.condition(res, lit), closure))
+        else:
+            work.append((_DEC, x, key, False))
+            work.append((_EVAL, K.condition(res, x), None))
+            work.append((_EVAL, K.condition(res, -x), None))
     return vals[0]
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -289,6 +290,23 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
         elapsed = time.perf_counter() - start
         assert elapsed < DEEP_BUDGET_S, "%s took %.2f s" % (cfg, elapsed)
         assert model_count(circuit) == 1
+
+
+def test_uncached_search_holds_no_residual_per_level():
+    # Without a cache nothing needs a decision's residual after its
+    # children are made, so a deep ordered compile must not keep one per
+    # level of the chain (about n^2/2 * 16 bytes, 1.3 MB at n = 400).
+    n = 400
+    cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
+    cfg = CompileConfig("ordered", caching=False, order=VarOrder.identity(n))
+    tracemalloc.start()
+    try:
+        circuit = compile_cnf(cnf, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model_count(circuit) == 1
+    assert peak < 500_000, "peak %d bytes" % peak
 
 
 def test_stores_come_back_frozen():

@@ -2,6 +2,7 @@
 both must agree with the plain Cnf-level operations."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,6 +63,13 @@ def test_backends_agree(kernel_cy):
         if lit:
             assert kernel_py.condition(res, lit) == kernel_cy.condition(res, lit)
         assert kernel_py.propagate(res) == kernel_cy.propagate(res)
+        if not cnf.has_empty_clause():
+            for x in range(1, cnf.num_vars + 1):
+                for split in (False, True):
+                    for prop in (False, True):
+                        assert kernel_py.branch(res, x, split, prop) == kernel_cy.branch(
+                            res, x, split, prop
+                        )
         assert kernel_py.propagate_conflict(res) == kernel_cy.propagate_conflict(res)
         if not cnf.has_empty_clause():
             assert kernel_py.split_components(res) == kernel_cy.split_components(res)
@@ -184,6 +192,74 @@ def test_split_matches_components(kernel, cnf):
             kernel.split_components(res)
     else:
         assert kernel.split_components(res) == [compute_key(p) for p in components(cnf)]
+
+
+def _composed(kernel, res, lit, split, prop):
+    """One child of `branch`, by the single-step kernel operations."""
+    child = kernel.condition(res, lit)
+    if kernel.has_empty(child):
+        return [], (), True
+    implied = ()
+    if prop:
+        child, implied, conflict = kernel.propagate(child)
+        if conflict:
+            return [], (), True
+    if not child:
+        return [], implied, False
+    return (kernel.split_components(child) if split else [child]), implied, False
+
+
+def _records(*records):
+    """Residual bytes of (clause index, literals) records."""
+    return array("i", [x for idx, lits in records for x in (idx, len(lits), *lits)]).tobytes()
+
+
+# (clauses, low child, high child) of branching on x = 1 with split and
+# propagation; between them the cases cover every kind of child.
+BRANCH_CASES = [
+    # -x itself empties a clause; x leaves the rest as it is.
+    ([[1], [2, 3]], ([], (), True), ([_records((1, [2, 3]))], (), False)),
+    # -x implies 2, whose propagation empties (1 -2); x satisfies every
+    # clause, and nothing is implied.
+    ([[1, 2], [1, -2]], ([], (), True), ([], (), False)),
+    # -x leaves nothing but an implied literal.
+    ([[1, 2]], ([], (2,), False), ([], (), False)),
+    # Implied literals and two components on one side, two components on
+    # the other.
+    (
+        [[1, 2], [-2, 3, 4], [5, 6], [1, 5, 7]],
+        ([_records((1, [3, 4])), _records((2, [5, 6]), (3, [5, 7]))], (2,), False),
+        ([_records((1, [-2, 3, 4])), _records((2, [5, 6]))], (), False),
+    ),
+]
+
+
+@pytest.mark.parametrize("clauses, low, high", BRANCH_CASES)
+def test_branch_child_kinds(kernel, clauses, low, high):
+    res = compute_key(Cnf.from_clauses(clauses, 7))
+    assert kernel.branch(res, 1, True, True) == (low, high)
+
+
+@bounded
+@given(rng=st.randoms(use_true_random=False))
+def test_branch_matches_composition(kernel, rng):
+    # Both children of every variable, with and without splitting and
+    # propagation, on a residual as the search holds it (settled by
+    # propagate) and, when that differs, on the unsettled residual, which
+    # free and decomposed search without propagation branch on.
+    cnf = random_cnf(rng, max_vars=10, max_clauses=16)
+    raw = compute_key(cnf)
+    if kernel.has_empty(raw):
+        return
+    settled, _, conflict = kernel.propagate(raw)
+    for res in {raw} if conflict else {raw, settled}:
+        for x in range(1, cnf.num_vars + 1):
+            for split in (False, True):
+                for prop in (False, True):
+                    assert kernel.branch(res, x, split, prop) == (
+                        _composed(kernel, res, -x, split, prop),
+                        _composed(kernel, res, x, split, prop),
+                    )
 
 
 @bounded

@@ -26,6 +26,7 @@ from util import random_3cnf
 ORIGINAL = (compiler.KERNEL, compiler.Cache, compiler.NodeStore)
 
 KERNEL_OPS = (
+    "branch",
     "condition",
     "propagate",
     "propagate_conflict",
@@ -42,11 +43,13 @@ COMPILERS = {
     "decomposed": compile_decomposed,
 }
 
-# Kernel operations each discipline cannot do without.
+# Kernel operations each discipline cannot do without.  Free and
+# decomposed search settle the root with has_empty and propagate, and
+# every decision below it with one branch call.
 MODE_OPS = {
-    "free": {"has_empty", "condition", "propagate", "select_var"},
+    "free": {"has_empty", "propagate", "branch", "select_var"},
     "ordered": {"has_empty", "condition", "propagate", "min_rank_var"},
-    "decomposed": {"has_empty", "condition", "propagate", "split_components", "select_var"},
+    "decomposed": {"has_empty", "propagate", "branch", "select_var"},
 }
 
 
@@ -141,6 +144,18 @@ def test_settled_residuals_go_straight_to_the_cache(rebound, mode):
     COMPILERS[mode](random_3cnf(random.Random(7), 40, 3.0))
     assert calls["propagate"] <= calls["condition"] + 1
     assert calls["split_components"] <= calls["propagate"]
+
+
+def test_decomposed_compile_branches_once_per_decision(rebound):
+    # Every decision node comes from one expanded residual, which picks
+    # its variable and settles both children in one branch call; only the
+    # root is settled by the single-step operations.
+    calls, _ = rebound
+    compile_decomposed(random_3cnf(random.Random(7), 40, 3.0))
+    assert calls["branch"] > 100
+    assert calls["branch"] == calls["select_var"] == calls["store.get_node"]
+    assert calls["condition"] == 0
+    assert calls["has_empty"] == calls["propagate"] == calls["split_components"] == 1
 
 
 def test_parse_nnf_builds_through_the_rebound_node_store(monkeypatch):
