@@ -55,12 +55,12 @@ as_int(PyObject *obj, int *out)
 }
 
 static int
-two_args(const char *name, Py_ssize_t nargs)
+expect_args(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
-    if (nargs == 2)
+    if (nargs == want)
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes exactly 2 arguments (%zd given)",
-                 name, nargs);
+    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
+                 name, want, nargs);
     return -1;
 }
 
@@ -169,7 +169,7 @@ condition(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     const int *v;
     Py_ssize_t n, m;
     int lit;
-    if (two_args("condition", nargs) < 0 || residual(args[0], &v, &n) < 0
+    if (expect_args("condition", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
         || as_int(args[1], &lit) < 0)
         return NULL;
     PyObject *out = PyBytes_FromStringAndSize(NULL, n * 4);
@@ -252,7 +252,7 @@ select_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     const int *v;
     Py_ssize_t i = 0, j, n;
     int heuristic, var, best = 0, best_count = -1;
-    if (two_args("select_var", nargs) < 0 || residual(args[0], &v, &n) < 0
+    if (expect_args("select_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
         || as_int(args[1], &heuristic) < 0)
         return NULL;
     if (heuristic == HEUR_MIN_INDEX) {
@@ -292,7 +292,7 @@ min_rank_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     const int *v, *r;
     Py_ssize_t i = 0, j, n, nr;
     int best = 0, best_rank = 0;
-    if (two_args("min_rank_var", nargs) < 0 || residual(args[0], &v, &n) < 0
+    if (expect_args("min_rank_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
         || residual(args[1], &r, &nr) < 0)
         return NULL;
     while (i < n) {
@@ -465,13 +465,9 @@ branch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     const int *v;
     Py_ssize_t n;
     int x, split, prop;
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "branch() takes exactly 4 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    if (residual(args[0], &v, &n) < 0 || as_int(args[1], &x) < 0
-        || (split = PyObject_IsTrue(args[2])) < 0 || (prop = PyObject_IsTrue(args[3])) < 0)
+    if (expect_args("branch", nargs, 4) < 0 || residual(args[0], &v, &n) < 0
+        || as_int(args[1], &x) < 0 || (split = PyObject_IsTrue(args[2])) < 0
+        || (prop = PyObject_IsTrue(args[3])) < 0)
         return NULL;
     int *buf = malloc((4 * n + 1) * sizeof(int));
     if (buf == NULL)
