@@ -5,7 +5,9 @@
    inner loop of the compilers: conditioning, unit propagation,
    branch-variable selection and component splitting over residual clause
    sets, and `branch`, which conditions, propagates and splits both
-   children of a decision in one call.  Residuals come from
+   children of a decision in one call.  Below the root every mode calls
+   only its picker and `branch`; `condition` has no caller in the
+   package.  Residuals come from
    compiler.compute_key or from this kernel, so record lengths are
    trusted; only the rank table of min_rank_var, which belongs to the
    caller's order, is bounds-checked.

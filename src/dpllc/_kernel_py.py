@@ -31,13 +31,12 @@ order.  A count reaching zero is the empty clause that loop would find
 after conditioning on the same literal, so on a conflict the residual
 returned is the same as well.
 
-`branch` is one decision of free or decomposed search in one call: it
-decodes the parent and builds its counts and occurrence lists once, and
-derives both children from them, each assigned, propagated by the same
-pass, rebuilt and (optionally) split.  So below the root those searches
-never call `condition`, `has_empty`, `propagate` or `split_components`;
-the root still goes through them, and so does ordered mode with its
-lookahead, whose cache keys are the conditioned, unpropagated children.
+`branch` is one decision of the search in one call: it decodes the
+parent and builds its counts and occurrence lists once, and derives both
+children from them, each assigned, propagated by the same pass, rebuilt
+and (optionally) split.  So below the root no mode calls `condition`,
+`has_empty`, `propagate` or `split_components`; the root is settled by
+the last three, and `condition` has no caller in the package.
 """
 
 from array import array

@@ -12,16 +12,19 @@ under:
   decomposed  also split variable-disjoint components and conjoin their
               sub-traces; the trace is a reduced decision-DNNF.
 
-So a discipline is a branch picker plus whether components are split;
-`compile_cnf` derives both from a CompileConfig.  Formula caching
-memoizes the compilation of residual formulas keyed by their
-surviving-clause fingerprint.  The search runs on an explicit work stack,
-so formulas with very many variables cannot overflow the call stack.
+So a discipline is a branch picker, whether components are split and
+where implied literals go; `compile_cnf` derives all three from a
+CompileConfig.  Formula caching memoizes the compilation of residual
+formulas keyed by their surviving-clause fingerprint (in ordered mode
+with the implied literals still waiting for their turn).  The search runs
+on an explicit work stack, so formulas with very many variables cannot
+overflow the call stack.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -145,17 +148,14 @@ class CompileConfig:
       free        propagate to fixpoint before branching; each implied
                   literal becomes a forced decision whose violating branch
                   is the false sink, which keeps the trace an FBDD.
-      ordered     a lookahead that never replaces the residual, since
-                  branching out of order on an implied variable would
-                  break the ordering property.  A residual that misses
-                  the cache is propagated once: a conflict makes it the
-                  false sink, and otherwise its implied literals decide
-                  each later branch on one of their variables, down the
-                  branch that keeps them, whose other child is the false
-                  sink without conditioning or a lookahead of its own.
-                  Neither cut changes the canonical trace; an
-                  unsatisfiable subtree reduces to the false sink either
-                  way.
+      ordered     propagate to fixpoint before branching, but branching
+                  out of order on an implied variable would break the
+                  ordering property, so the implied literals wait until
+                  the order reaches them and then become forced decisions
+                  whose violating branch is the false sink.  A conflict
+                  makes the residual the false sink at once.  Neither
+                  changes the canonical trace; an unsatisfiable subtree
+                  reduces to the false sink either way.
       decomposed  propagate to fixpoint before splitting; implied
                   literals become literal leaves conjoined with the
                   residual's sub-trace.
@@ -192,7 +192,7 @@ class Cache:
         return len(self.table)
 
 
-_EVAL, _KID, _DEC, _AND = 0, 1, 2, 3
+_KID, _DEC, _AND = 0, 1, 2
 
 
 def _settle(K, res: bytes, decompose: bool, propagate: bool):
@@ -209,6 +209,14 @@ def _settle(K, res: bytes, decompose: bool, propagate: bool):
     return (K.split_components(res) if decompose else [res]) if res else [], implied, False
 
 
+def _chain(store: NodeStore, lits, node: int) -> int:
+    """Forced decisions on `lits` above `node`, the first on top; each
+    one's violating branch is the false sink."""
+    for lit in reversed(lits):
+        node = store.get_node(lit, FALSE, node) if lit > 0 else store.get_node(-lit, node, FALSE)
+    return node
+
+
 def _search(
     res0: bytes,
     store: NodeStore,
@@ -216,84 +224,68 @@ def _search(
     pick,
     decompose: bool,
     propagate: bool,
-    lookahead: bool,
+    rank,
 ) -> int:
     """Exhaustive search from res0; returns the root id of its trace.
 
-    With `propagate`, a residual is first unit-propagated to fixpoint.
-    With decompose, it is then split into components, and the implied
-    literals (as literal leaves) and component traces are conjoined;
-    without, the implied literals become a chain of forced decisions above
-    the rest's trace.  A residual that is one component, implies nothing
-    and is no cache hit gets a decision node on pick(residual).
+    The root is settled by `_settle`, and both children of every decision
+    come settled from one K.branch call, as `_KID` frames holding
+    (parts, implied, conflict) and the literals still waiting: with
+    `propagate` each residual is unit-propagated to fixpoint, and with
+    `decompose` the rest is split into components.  Only the placement of
+    the implied literals differs between the modes:
 
-    The root is settled by `_settle`, and without `lookahead` both
-    children of every decision come settled from one K.branch call, as
-    `_KID` frames holding (parts, implied, conflict); so below the root,
-    free and decomposed search condition, propagate and split only
-    inside that call.
+      decomposed  literal leaves conjoined with the component traces;
+      free        a chain of forced decisions above the rest's trace;
+      ordered     (`rank` is the order's rank table) they wait, sorted by
+                  rank, until the order reaches them: the waiting
+                  literals ranked before a decision's variable become
+                  forced decisions above it, and the others go down to
+                  both children.
 
-    `lookahead` (ordered mode) keeps the residuals as conditioned, since
-    they are its cache keys: each child is conditioned by K.condition and
-    checked by K.has_empty.  A residual that missed the cache is
-    unit-propagated without being replaced: a conflict makes it the false
-    sink, and otherwise the set of implied literals, its closure, rides
-    along.  When the closure holds the branch literal x (or -x), the other
-    child is unsatisfiable, so it is the false sink without being
-    conditioned or probed, and the surviving child inherits the closure:
-    unit resolution is monotone and x was already derived, so the child's
-    closure is the same set less x, and it needs no lookahead of its own.
-    x no longer occurs in the child, so the set is passed on unchanged.
-
-    An `_EVAL` frame's third field is the residual's closure when it is
-    known and None otherwise.  A known closure means no empty clause and
-    no conflict.  A component pushed from a `_KID` frame carries `()`: it
-    is settled, so it goes straight to the cache probe.  A `_DEC` frame
-    holds the residual to cache (None without a cache), and its fourth
-    field is true when only the child on its literal was pushed, the
-    other being the false sink.
+    A propagated rest shares no variable with its implied literals, so
+    the rest and the waiting literals together are the conditioned
+    residual's function; they are its cache key, the waiting ones as a
+    trailer record (-1, k, lit_1, ..., lit_k) that no clause index can
+    imitate.  A `_DEC` frame holds the key to cache the node under (None
+    without a cache) and the forced prefix to chain above the node.
     """
     K = KERNEL
-    work: list[tuple] = [(_KID, _settle(K, res0, decompose, propagate))]
+    byrank = None if rank is None else (lambda lit: rank[lit if lit > 0 else -lit])
+    work: list[tuple] = [(_KID, _settle(K, res0, decompose, propagate), ())]
     vals: list[int] = []
     while work:
         frame = work.pop()
         tag = frame[0]
         if tag == _KID:
-            parts, implied, conflict = frame[1]
+            (parts, implied, conflict), waiting = frame[1], frame[2]
             if conflict:
                 vals.append(FALSE)
                 continue
-            if implied or len(parts) != 1:
+            if rank is not None:
+                if implied:
+                    waiting = tuple(sorted(waiting + implied, key=byrank))
+                res = parts[0] if parts else b""
+                if not (res or waiting):
+                    vals.append(TRUE)
+                    continue
+            elif implied or len(parts) != 1:
                 if implied or parts:
                     work.append((_AND, implied, len(parts)))
                     for comp in reversed(parts):
-                        work.append((_EVAL, comp, ()))
+                        work.append((_KID, ([comp], (), False), ()))
                 else:
                     vals.append(TRUE)
                 continue
-            # Only a propagated residual has a known (empty) closure; the
-            # unpropagated root of ordered mode still needs its lookahead.
-            res, closure = parts[0], (() if propagate else None)
-        elif tag == _EVAL:
-            res, closure = frame[1], frame[2]
-            if closure is None and K.has_empty(res):
-                vals.append(FALSE)
-                continue
-            if not res:
-                vals.append(TRUE)
-                continue
-        elif tag == _DEC:
-            lit, key, forced = frame[1], frame[2], frame[3]
-            node = vals.pop()
-            if not forced:
-                low, high = vals.pop(), node
-            elif lit > 0:
-                low, high = FALSE, node
             else:
-                low, high = node, FALSE
-            node = store.get_node(abs(lit), low, high)
-            if cache is not None:
+                res = parts[0]
+        elif tag == _DEC:
+            x, key, forced = frame[1], frame[2], frame[3]
+            high = vals.pop()
+            node = store.get_node(x, vals.pop(), high)
+            if forced:
+                node = _chain(store, forced, node)
+            if key is not None:
                 cache.insert(key, node)
             vals.append(node)
             continue
@@ -307,44 +299,30 @@ def _search(
             elif decompose:
                 vals.append(store.get_and_node([store.literal(lit) for lit in implied] + parts))
             else:
-                # Free mode: a chain of forced decisions, the first derived on top.
-                node = parts[0] if parts else TRUE
-                for lit in reversed(implied):
-                    low, high = (FALSE, node) if lit > 0 else (node, FALSE)
-                    node = store.get_node(abs(lit), low, high)
-                vals.append(node)
+                vals.append(_chain(store, implied, parts[0] if parts else TRUE))
             continue
         key = None
         if cache is not None:
-            hit = cache.probe(res)
+            key = res + array("i", (-1, len(waiting), *waiting)).tobytes() if waiting else res
+            hit = cache.probe(key)
             if hit is not None:
                 vals.append(hit)
                 continue
-            key = res
-        if lookahead and closure is None:
-            _, implied, conflict = K.propagate(res)
-            if conflict:
-                # Unit resolution found a contradiction; the residual is
-                # unsatisfiable, whose canonical trace is the false sink.
-                if cache is not None:
-                    cache.insert(res, FALSE)
-                vals.append(FALSE)
-                continue
-            closure = set(implied)
+        if not res:
+            node = _chain(store, waiting, TRUE)
+            if key is not None:
+                cache.insert(key, node)
+            vals.append(node)
+            continue
         x = pick(res)
-        if not lookahead:
-            low, high = K.branch(res, x, decompose, propagate)
-            work.append((_DEC, x, key, False))
-            work.append((_KID, high))
-            work.append((_KID, low))
-        elif closure and (x in closure or -x in closure):
-            lit = x if x in closure else -x
-            work.append((_DEC, lit, key, True))
-            work.append((_EVAL, K.condition(res, lit), closure))
-        else:
-            work.append((_DEC, x, key, False))
-            work.append((_EVAL, K.condition(res, x), None))
-            work.append((_EVAL, K.condition(res, -x), None))
+        forced = ()
+        if waiting:
+            cut = bisect_left(waiting, rank[x], key=byrank)
+            forced, waiting = waiting[:cut], waiting[cut:]
+        low, high = K.branch(res, x, decompose, propagate)
+        work.append((_DEC, x, key, forced))
+        work.append((_KID, high, waiting))
+        work.append((_KID, low, waiting))
     return vals[0]
 
 
@@ -384,10 +362,12 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     cfg.validate()
     K = KERNEL
     code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
+    rank = None
     if cfg.mode == "ordered":
         if cfg.order.n < delta.num_vars:
             raise ValueError("order covers %d of %d variables" % (cfg.order.n, delta.num_vars))
         ranks = cfg.order.rank_bytes
+        rank = memoryview(ranks).cast("i")
         pick = lambda res: K.min_rank_var(res, ranks)
     else:
         pick = lambda res: K.select_var(res, code)
@@ -399,8 +379,8 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
         cache,
         pick,
         decompose=cfg.mode == "decomposed",
-        propagate=cfg.unit_propagation and cfg.mode != "ordered",
-        lookahead=cfg.unit_propagation and cfg.mode == "ordered",
+        propagate=cfg.unit_propagation,
+        rank=rank,
     )
     store.freeze()
     return Circuit(store, root, delta.num_vars)

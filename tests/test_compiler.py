@@ -20,7 +20,7 @@ from dpllc.compiler import (
     compute_key,
 )
 from dpllc.queries import model_count
-from dpllc.store import FALSE, TRUE, stats
+from dpllc.store import FALSE, TRUE, serialize, stats
 
 from util import brute_force_count, condition, random_cnf, running_cnf, select_variable
 
@@ -159,19 +159,44 @@ def test_ordered_tautology_is_true_sink():
         assert compile_ordered(Cnf.from_clauses([], 4), order).root == TRUE
 
 
-def test_ordered_is_canonical_across_settings():
+def _ordered_settings(cnf, order):
+    return [
+        compile_ordered(cnf, order, CompileConfig(mode="ordered", order=order, caching=c, unit_propagation=u))
+        for c in (True, False)
+        for u in (True, False)
+    ]
+
+
+def test_ordered_is_canonical_across_settings(kernel, monkeypatch):
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
     rng = random.Random(59)
     for _ in range(15):
         cnf = random_cnf(rng, max_vars=8, max_clauses=14)
         order = VarOrder(tuple(rng.sample(range(1, cnf.num_vars + 1), cnf.num_vars)))
-        circuits = [
-            compile_ordered(cnf, order, CompileConfig(mode="ordered", order=order, caching=c, unit_propagation=u))
-            for c in (True, False)
-            for u in (True, False)
-        ]
+        circuits = _ordered_settings(cnf, order)
         for other in circuits[1:]:
+            assert serialize(other) == serialize(circuits[0])
+            assert len(other.store) == len(circuits[0].store)
             assert stats(other) == stats(circuits[0])
             assert isomorphic(other, circuits[0])
+
+
+def test_ordered_places_an_implied_last_variable_below_every_path(kernel, monkeypatch):
+    # Propagating the root implies x4, last in the order, while x1, x2 and
+    # x3 still branch: x4 waits, and its forced decision ends every path
+    # to the true sink.
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
+    cnf = Cnf.from_clauses([[4], [1, 2], [-1, 3]], 4)
+    order = VarOrder.identity(4)
+    circuits = _ordered_settings(cnf, order)
+    for circuit in circuits:
+        assert serialize(circuit) == serialize(circuits[0])
+        assert len(circuit.store) == len(circuits[0].store)
+        assert check_obdd(circuit, order).verdict
+        assert model_count(circuit) == brute_force_count(cnf) == 4
+        nodes = [circuit.store.node(n) for n in range(len(circuit.store))]
+        assert [n for n in nodes if n[0] == "D" and TRUE in n[2:]] == [("D", 4, FALSE, TRUE)]
+        assert sorted(n[1] for n in nodes if n[0] == "D") == [1, 2, 3, 4]
 
 
 def test_ordered_requires_covering_order():
@@ -269,21 +294,17 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
     # variable: the free and ordered traces are as deep as the variable
     # count, far past the default recursion limit.  Each compile must also
     # finish within a fixed wall-clock budget, which a search that
-    # conditions the whole residual per forced literal does not.  Ordered
-    # mode still conditions once per level (one lookahead, then each level
-    # inherits the closure), which the compiled kernel does within the
-    # budget and the Python one does not, so it runs on `cy` only.
+    # conditions the whole residual per forced literal does not.
     monkeypatch.setattr(compiler, "KERNEL", kernel)
     n = 10_000
     assert sys.getrecursionlimit() < n
     cnf = Cnf.from_clauses([[v] for v in range(1, n + 1)], n)
     configs = [
         CompileConfig("free"),
+        CompileConfig("ordered", order=VarOrder.identity(n)),
         CompileConfig("decomposed"),
         CompileConfig("decomposed", unit_propagation=False),
     ]
-    if kernel.__name__.endswith("_kernel_cy"):
-        configs.append(CompileConfig("ordered", order=VarOrder.identity(n)))
     for cfg in configs:
         start = time.perf_counter()
         circuit = compile_cnf(cnf, cfg)
@@ -307,6 +328,23 @@ def test_uncached_search_holds_no_residual_per_level():
         tracemalloc.stop()
     assert model_count(circuit) == 1
     assert peak < 500_000, "peak %d bytes" % peak
+
+
+def test_cached_ordered_chain_holds_no_residual_per_level():
+    # Propagating the root implies the whole implication chain, so a
+    # cached ordered compile keeps no conditioned residual per level
+    # either (about n^2/2 * 16 bytes, 8 MB at n = 1,000).
+    n = 1000
+    cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
+    cfg = CompileConfig("ordered", order=VarOrder.identity(n))
+    tracemalloc.start()
+    try:
+        circuit = compile_cnf(cnf, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model_count(circuit) == 1
+    assert peak < 2_000_000, "peak %d bytes" % peak
 
 
 def test_stores_come_back_frozen():

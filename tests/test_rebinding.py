@@ -43,12 +43,12 @@ COMPILERS = {
     "decomposed": compile_decomposed,
 }
 
-# Kernel operations each discipline cannot do without.  Free and
-# decomposed search settle the root with has_empty and propagate, and
-# every decision below it with one branch call.
+# Kernel operations each discipline cannot do without.  Every mode
+# settles the root with has_empty and propagate, and every decision below
+# it with its picker and one branch call.
 MODE_OPS = {
     "free": {"has_empty", "propagate", "branch", "select_var"},
-    "ordered": {"has_empty", "condition", "propagate", "min_rank_var"},
+    "ordered": {"has_empty", "propagate", "branch", "min_rank_var"},
     "decomposed": {"has_empty", "propagate", "branch", "select_var"},
 }
 
@@ -118,20 +118,20 @@ def test_free_compile_propagates_a_unit_chain_once(rebound):
     assert model_count(circuit) == 1
 
 
-def test_ordered_compile_reuses_the_closure_down_a_unit_chain(rebound):
-    # One lookahead at the root implies the whole chain; every branch
-    # variable is then in the inherited closure, so each level conditions
-    # once, on the implied literal, and the other child is the false sink
-    # without being conditioned, probed or propagated.
+def test_ordered_compile_places_a_unit_chain_from_one_propagation(rebound):
+    # Propagating the root implies the whole chain and leaves nothing to
+    # branch on; the implied literals wait in rank order and become one
+    # chain of forced decisions, under one cache probe.
     calls, _ = rebound
     n = 1000
     cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
     circuit = compile_ordered(cnf, compiler.VarOrder.identity(n))
     assert calls["propagate"] == 1
     assert calls["propagate_conflict"] == 0
-    assert calls["condition"] == n
+    assert calls["condition"] == 0
     assert calls["has_empty"] == 1
-    assert calls["cache.probe"] == n
+    assert calls["branch"] == 0
+    assert calls["cache.probe"] == 1
     assert calls["store.get_node"] == n
     assert model_count(circuit) == 1
 
@@ -156,6 +156,19 @@ def test_decomposed_compile_branches_once_per_decision(rebound):
     assert calls["branch"] == calls["select_var"] == calls["store.get_node"]
     assert calls["condition"] == 0
     assert calls["has_empty"] == calls["propagate"] == calls["split_components"] == 1
+
+
+def test_ordered_compile_branches_once_per_decision(rebound):
+    # Ordered search expands a residual like the other modes: one picker
+    # call and one branch call per decision, and only the root is settled
+    # by the single-step operations.
+    calls, _ = rebound
+    cnf = random_3cnf(random.Random(7), 40, 3.0)
+    compile_ordered(cnf, bandwidth_order(cnf))
+    assert calls["branch"] > 100
+    assert calls["branch"] == calls["min_rank_var"]
+    assert calls["condition"] == calls["split_components"] == 0
+    assert calls["has_empty"] == calls["propagate"] == 1
 
 
 def test_parse_nnf_builds_through_the_rebound_node_store(monkeypatch):
