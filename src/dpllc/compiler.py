@@ -224,7 +224,7 @@ def _search(
     pick,
     decompose: bool,
     propagate: bool,
-    rank,
+    rank: memoryview | None,
 ) -> int:
     """Exhaustive search from res0; returns the root id of its trace.
 

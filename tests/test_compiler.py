@@ -317,9 +317,11 @@ def test_uncached_search_holds_no_residual_per_level():
     # Without a cache nothing needs a decision's residual after its
     # children are made, so a deep ordered compile must not keep one per
     # level of the chain (about n^2/2 * 16 bytes, 1.3 MB at n = 400).
+    # Propagation is off, so the chain takes one decision per level; with
+    # it the root implies the whole chain and nothing branches.
     n = 400
     cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
-    cfg = CompileConfig("ordered", caching=False, order=VarOrder.identity(n))
+    cfg = CompileConfig("ordered", caching=False, unit_propagation=False, order=VarOrder.identity(n))
     tracemalloc.start()
     try:
         circuit = compile_cnf(cnf, cfg)

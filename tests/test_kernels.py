@@ -166,10 +166,10 @@ def test_propagate_matches_unit_propagate(kernel, cnf):
 @bounded
 @given(rng=st.randoms(use_true_random=False))
 def test_closure_decides_the_branches_it_holds(kernel, rng):
-    # What the ordered search relies on when it branches on a literal x of
-    # a residual's unit-propagation closure I: conditioning on -x gives an
-    # empty clause or a propagation conflict, and conditioning on x gives
-    # a residual without conflict whose closure is I less x.
+    # Unit resolution is monotone: for a literal x of a residual's
+    # unit-propagation closure I, conditioning on -x gives an empty clause
+    # or a propagation conflict, and conditioning on x gives a residual
+    # without conflict whose closure is I less x.
     res = compute_key(random_cnf(rng, max_vars=10, max_clauses=16))
     _, implied, conflict = kernel.propagate(res)
     if conflict:
@@ -181,6 +181,28 @@ def test_closure_decides_the_branches_it_holds(kernel, rng):
         _, child_implied, child_conflict = kernel.propagate(kernel.condition(res, x))
         assert not child_conflict
         assert set(child_implied) == closure - {x}
+
+
+@bounded
+@given(rng=st.randoms(use_true_random=False))
+def test_branch_children_share_no_variable_with_their_implied_literals(kernel, rng):
+    # What ordered search relies on when it keys a child by its rest and
+    # the literals still waiting: neither the branch variable nor an
+    # implied literal's variable occurs in the rest.
+    res = compute_key(random_cnf(rng, max_vars=10, max_clauses=16))
+    for x in sorted({abs(lit) for lit in _literals(res)}):
+        for parts, implied, _ in kernel.branch(res, x, False, True):
+            rest = {abs(lit) for part in parts for lit in _literals(part)}
+            assert len({abs(lit) for lit in implied}) == len(implied)
+            assert not rest & ({abs(lit) for lit in implied} | {x})
+
+
+def _literals(res):
+    v = memoryview(res).cast("i")
+    i = 0
+    while i < len(v):
+        yield from v[i + 2 : i + 2 + v[i + 1]]
+        i += 2 + v[i + 1]
 
 
 @bounded
