@@ -4,13 +4,14 @@
    _kernel_py, whose docstring is the format reference.  This is the hot
    inner loop of the compilers: conditioning, unit propagation,
    branch-variable selection and component splitting over residual clause
-   sets, and `branch`, which conditions, propagates and splits both
-   children of a decision in one call.  Below the root every mode calls
-   only its picker and `branch`; `condition` has no caller in the
-   package.  Residuals come from
+   sets, and `branch`, which picks a decision's variable and conditions,
+   propagates and splits both its children in one call.  Below the root
+   every mode calls only `branch`.  Its pick and select_var's and
+   min_rank_var's are one helper, pick_var, over the decoded parent;
+   `condition` has no caller in the package.  Residuals come from
    compiler.compute_key or from this kernel, so record lengths are
-   trusted; only the rank table of min_rank_var, which belongs to the
-   caller's order, is bounds-checked.
+   trusted; only a rank table, which belongs to the caller's order, is
+   bounds-checked.
 
    Build in place (the package falls back to _kernel_py without it):
 
@@ -248,15 +249,36 @@ first_unit_var(PyObject *self, PyObject *res)
     return PyLong_FromLong(0);
 }
 
-static PyObject *
-select_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* The decision variable of v[0..n): with a rank table r of nr entries the
+   occurring variable of least rank, else by heuristic the smallest
+   occurring variable or the one in the most records, ties to the
+   smaller; 0 when v has no variable, and -1 with an exception set when a
+   variable has no rank or memory runs out. */
+static int
+pick_var(const int *v, Py_ssize_t n, int heuristic, const int *r, Py_ssize_t nr)
 {
-    const int *v;
-    Py_ssize_t i = 0, j, n;
-    int heuristic, var, best = 0, best_count = -1;
-    if (expect_args("select_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
-        || as_int(args[1], &heuristic) < 0)
-        return NULL;
+    Py_ssize_t i = 0, j;
+    int var, best = 0, best_count = -1;
+    if (r != NULL) {
+        int best_rank = 0;
+        while (i < n) {
+            int k = v[i + 1];
+            for (j = i + 2; j < i + 2 + k; j++) {
+                var = VAR(v[j]);
+                if (var >= nr) {
+                    PyErr_Format(PyExc_IndexError, "variable %d has no rank (%zd ranks)",
+                                 var, nr);
+                    return -1;
+                }
+                if (best == 0 || r[var] < best_rank) {
+                    best = var;
+                    best_rank = r[var];
+                }
+            }
+            i += 2 + k;
+        }
+        return best;
+    }
     if (heuristic == HEUR_MIN_INDEX) {
         while (i < n) {
             int k = v[i + 1];
@@ -265,14 +287,16 @@ select_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                     best = VAR(v[j]);
             i += 2 + k;
         }
-        return PyLong_FromLong(best);
+        return best;
     }
     int maxv = max_var(v, n);
     if (maxv == 0)
-        return PyLong_FromLong(0);
+        return 0;
     int *counts = calloc(maxv + 1, sizeof(int));
-    if (counts == NULL)
-        return PyErr_NoMemory();
+    if (counts == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
     while (i < n) {
         int k = v[i + 1];
         for (j = i + 2; j < i + 2 + k; j++)
@@ -285,35 +309,31 @@ select_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             best_count = counts[var];
         }
     free(counts);
-    return PyLong_FromLong(best);
+    return best;
+}
+
+static PyObject *
+select_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const int *v;
+    Py_ssize_t n;
+    int heuristic, x;
+    if (expect_args("select_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
+        || as_int(args[1], &heuristic) < 0 || (x = pick_var(v, n, heuristic, NULL, 0)) < 0)
+        return NULL;
+    return PyLong_FromLong(x);
 }
 
 static PyObject *
 min_rank_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     const int *v, *r;
-    Py_ssize_t i = 0, j, n, nr;
-    int best = 0, best_rank = 0;
+    Py_ssize_t n, nr;
+    int x;
     if (expect_args("min_rank_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
-        || residual(args[1], &r, &nr) < 0)
+        || residual(args[1], &r, &nr) < 0 || (x = pick_var(v, n, 0, r, nr)) < 0)
         return NULL;
-    while (i < n) {
-        int k = v[i + 1];
-        for (j = i + 2; j < i + 2 + k; j++) {
-            int var = VAR(v[j]);
-            if (var >= nr) {
-                PyErr_Format(PyExc_IndexError, "variable %d has no rank (%zd ranks)",
-                             var, nr);
-                return NULL;
-            }
-            if (best == 0 || r[var] < best_rank) {
-                best = var;
-                best_rank = r[var];
-            }
-        }
-        i += 2 + k;
-    }
-    return PyLong_FromLong(best);
+    return PyLong_FromLong(x);
 }
 
 static int
@@ -464,19 +484,21 @@ done:
 static PyObject *
 branch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    const int *v;
-    Py_ssize_t n;
-    int x, split, prop;
-    if (expect_args("branch", nargs, 4) < 0 || residual(args[0], &v, &n) < 0
-        || as_int(args[1], &x) < 0 || (split = PyObject_IsTrue(args[2])) < 0
-        || (prop = PyObject_IsTrue(args[3])) < 0)
+    const int *v, *r = NULL;
+    Py_ssize_t n, nr = 0;
+    int heuristic, split, prop, x;
+    if (expect_args("branch", nargs, 5) < 0 || residual(args[0], &v, &n) < 0
+        || as_int(args[1], &heuristic) < 0
+        || (args[2] != Py_None && residual(args[2], &r, &nr) < 0)
+        || (split = PyObject_IsTrue(args[3])) < 0 || (prop = PyObject_IsTrue(args[4])) < 0
+        || (x = pick_var(v, n, heuristic, r, nr)) < 0)
         return NULL;
     int *buf = malloc((4 * n + 1) * sizeof(int));
     if (buf == NULL)
         return PyErr_NoMemory();
     PyObject *low = branch_child(v, n, -x, split, prop, buf), *high = NULL, *result = NULL;
     if (low != NULL && (high = branch_child(v, n, x, split, prop, buf)) != NULL)
-        result = PyTuple_Pack(2, low, high);
+        result = Py_BuildValue("(iOO)", x, low, high);
     free(buf);
     Py_XDECREF(low);
     Py_XDECREF(high);
@@ -505,10 +527,11 @@ static PyMethodDef methods[] = {
      "min_rank_var(res, ranks): variable of minimum rank occurring in res; ranks "
      "is int32, indexed by var."},
     {"branch", (PyCFunction)(void (*)(void))branch, METH_FASTCALL,
-     "branch(res, x, split, propagate): both children of a decision on x, "
-     "(low, high).\n\nEach child is (parts, implied, conflict), what condition, "
-     "has_empty, propagate (with `propagate`) and split_components (with "
-     "`split`) give in turn; see _kernel_py.branch."},
+     "branch(res, heuristic, ranks, split, propagate): one decision, (x, low, "
+     "high).\n\nx is what select_var(res, heuristic) picks, or with a rank "
+     "table what min_rank_var(res, ranks) picks; each child is (parts, implied, "
+     "conflict), what condition, has_empty, propagate (with `propagate`) and "
+     "split_components (with `split`) give in turn; see _kernel_py.branch."},
     {"split_components", split_components, METH_O,
      "Finest variable-disjoint partition of the clauses.\n\nParts come out "
      "ordered by smallest original clause index (clauses are scanned in index "

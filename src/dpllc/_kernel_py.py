@@ -31,12 +31,16 @@ order.  A count reaching zero is the empty clause that loop would find
 after conditioning on the same literal, so on a conflict the residual
 returned is the same as well.
 
-`branch` is one decision of the search in one call: it decodes the
-parent and builds its counts and occurrence lists once, and derives both
-children from them, each assigned, propagated by the same pass, rebuilt
-and (optionally) split.  So below the root no mode calls `condition`,
-`has_empty`, `propagate` or `split_components`; the root is settled by
-the last three, and `condition` has no caller in the package.
+`branch` is one decision of the search in one call.  One pass over the
+decoded parent builds its record counts and occurrence lists; the
+decision variable is picked from the occurrence lists, whose lengths are
+the occurrence counts, and both children are derived from them, each
+assigned, propagated by the same pass, rebuilt and (optionally) split.
+So below the root no mode calls a picker, `condition`, `has_empty`,
+`propagate` or `split_components`.  The root is settled by `has_empty`,
+`propagate` and `split_components`; `condition` has no caller in the
+package, and `select_var` and `min_rank_var` define the pick that
+`branch` must make.
 """
 
 from array import array
@@ -82,38 +86,59 @@ def condition(res: bytes, lit: int) -> bytes:
     return array("i", out).tobytes()
 
 
-def _scan(v: list[int]):
-    """(starts, units) of the decoded residual `v`: the record offsets and
-    the positions of its unit records; None when a record is empty."""
+def _index(v: list[int]):
+    """(starts, units, counts, occ) of the decoded residual `v` in one pass:
+    the record offsets, the positions of its unit records, each record's
+    literal count, and for each literal the positions of the records
+    holding it, in increasing order; None when a record is empty."""
     starts: list[int] = []
     units: list[int] = []
+    counts: list[int] = []
+    occ: dict[int, list[int]] = {}
     i, n = 0, len(v)
     while i < n:
         k = v[i + 1]
         if k == 0:
             return None
+        c = len(starts)
         if k == 1:
-            units.append(len(starts))
+            units.append(c)
         starts.append(i)
-        i += 2 + k
-    return starts, units
-
-
-def _occurrences(v: list[int], starts: list[int]):
-    """(counts, occ): each record's literal count, and for each literal the
-    positions of the records holding it, in increasing order."""
-    counts: list[int] = []
-    occ: dict[int, list[int]] = {}
-    for c, s in enumerate(starts):
-        k = v[s + 1]
         counts.append(k)
-        for lit in v[s + 2 : s + 2 + k]:
+        for lit in v[i + 2 : i + 2 + k]:
             clauses = occ.get(lit)
             if clauses is None:
                 occ[lit] = [c]
             else:
                 clauses.append(c)
-    return counts, occ
+        i += 2 + k
+    return starts, units, counts, occ
+
+
+def _pick(occ: dict[int, list[int]], heuristic: int, ranks) -> int:
+    """The decision variable among the literals of `occ`, as select_var
+    (ranks None) or min_rank_var (ranks the int32 rank table) would pick
+    it from the residual `occ` indexes; 0 when `occ` is empty."""
+    if ranks is not None:
+        r = memoryview(ranks).cast("i")
+        best = 0
+        best_rank = -1
+        for lit in occ:
+            var = lit if lit > 0 else -lit
+            rank = r[var]
+            if best == 0 or rank < best_rank:
+                best, best_rank = var, rank
+        return best
+    if heuristic == HEUR_MIN_INDEX:
+        return min(map(abs, occ), default=0)
+    best = 0
+    best_count = 0
+    for lit, clauses in occ.items():
+        var = lit if lit > 0 else -lit
+        count = len(clauses) + len(occ.get(-lit, ()))
+        if count > best_count or (count == best_count and var < best):
+            best, best_count = var, count
+    return best
 
 
 def _fixpoint(v, starts, counts, occ, heap, true, implied) -> bool:
@@ -174,13 +199,12 @@ def _unit_pass(v: list[int]):
     `found` is None when `v` holds an empty clause or no unit record, and
     otherwise (starts, counts, true, implied) as `_fixpoint` leaves them.
     """
-    scan = _scan(v)
-    if scan is None:
+    index = _index(v)
+    if index is None:
         return True, None
-    starts, units = scan
+    starts, units, counts, occ = index
     if not units:
         return False, None
-    counts, occ = _occurrences(v, starts)
     true: set[int] = set()
     implied: list[int] = []
     # `units` lists the unit records in position order, which is a heap.
@@ -202,28 +226,32 @@ def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
     return array("i", _rebuild(v, starts, counts, true)).tobytes(), tuple(implied), conflict
 
 
-def branch(res: bytes, x: int, split: bool, propagate: bool):
-    """Both children of a decision on `x`: (low, high), on -x and on x.
+def branch(res: bytes, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
+    """One decision: (x, low, high), its variable and its children on -x
+    and on x.
 
-    Each child is (parts, implied, conflict), exactly what conditioning
-    `res` on the literal, then has_empty, then (with `propagate`)
-    propagate, then (with `split`) split_components would give: conflict
-    when the child has an empty clause or a propagation conflict, and then
-    parts == [] and implied == (); otherwise `implied` in derivation order
-    and `parts` the rest's components, or the rest alone, or [] when
-    nothing is left.  The residual is decoded and indexed once for both
-    children, and a child's propagation touches only the records its
-    literals occur in.
+    `x` is what select_var(res, heuristic) picks, or with a rank table
+    `ranks` what min_rank_var(res, ranks) picks; 0 when `res` has no
+    variable.  Each child is (parts, implied, conflict), exactly what
+    conditioning `res` on the literal, then has_empty, then (with
+    `propagate`) propagate, then (with `split`) split_components would
+    give: conflict when the child has an empty clause or a propagation
+    conflict, and then parts == [] and implied == (); otherwise `implied`
+    in derivation order and `parts` the rest's components, or the rest
+    alone, or [] when nothing is left.  The residual is decoded and
+    indexed once, in one pass, for the pick and both children, and a
+    child's propagation touches only the records its literals occur in.
     """
     v = _decode(res)
-    scan = _scan(v)
-    if scan is None:
-        return ([], (), True), ([], (), True)
-    starts, units = scan
-    counts, occ = _occurrences(v, starts)
+    index = _index(v)
+    if index is None:
+        x = select_var(res, heuristic) if ranks is None else min_rank_var(res, ranks)
+        return x, ([], (), True), ([], (), True)
+    starts, units, counts, occ = index
+    x = _pick(occ, heuristic, ranks)
     low = _child(v, starts, units, counts, occ, -x, split, propagate)
     high = _child(v, starts, units, counts, occ, x, split, propagate)
-    return low, high
+    return x, low, high
 
 
 def _child(v, starts, units, counts, occ, lit, split, propagate):

@@ -221,27 +221,28 @@ def _search(
     res0: bytes,
     store: NodeStore,
     cache: Cache | None,
-    pick,
+    heuristic: int,
+    ranks: bytes | None,
     decompose: bool,
     propagate: bool,
-    rank: memoryview | None,
 ) -> int:
     """Exhaustive search from res0; returns the root id of its trace.
 
-    The root is settled by `_settle`, and both children of every decision
-    come settled from one K.branch call, as `_KID` frames holding
-    (parts, implied, conflict) and the literals still waiting: with
-    `propagate` each residual is unit-propagated to fixpoint, and with
-    `decompose` the rest is split into components.  Only the placement of
-    the implied literals differs between the modes:
+    The root is settled by `_settle`, and every decision below it is one
+    K.branch call, which picks the decision variable (by `heuristic`, or
+    with the order's rank table `ranks` the first variable of the order
+    that occurs) and returns it with both children settled, as `_KID`
+    frames holding (parts, implied, conflict) and the literals still
+    waiting: with `propagate` each residual is unit-propagated to
+    fixpoint, and with `decompose` the rest is split into components.
+    Only the placement of the implied literals differs between the modes:
 
       decomposed  literal leaves conjoined with the component traces;
       free        a chain of forced decisions above the rest's trace;
-      ordered     (`rank` is the order's rank table) they wait, sorted by
-                  rank, until the order reaches them: the waiting
-                  literals ranked before a decision's variable become
-                  forced decisions above it, and the others go down to
-                  both children.
+      ordered     they wait, sorted by rank, until the order reaches
+                  them: the waiting literals ranked before the variable
+                  branch returns become forced decisions above it, and
+                  the others go down to both children.
 
     A propagated rest shares no variable with its implied literals, so
     the rest and the waiting literals together are the conditioned
@@ -251,6 +252,7 @@ def _search(
     without a cache) and the forced prefix to chain above the node.
     """
     K = KERNEL
+    rank = None if ranks is None else memoryview(ranks).cast("i")
     byrank = None if rank is None else (lambda lit: rank[lit if lit > 0 else -lit])
     work: list[tuple] = [(_KID, _settle(K, res0, decompose, propagate), ())]
     vals: list[int] = []
@@ -314,12 +316,11 @@ def _search(
                 cache.insert(key, node)
             vals.append(node)
             continue
-        x = pick(res)
+        x, low, high = K.branch(res, heuristic, ranks, decompose, propagate)
         forced = ()
         if waiting:
             cut = bisect_left(waiting, rank[x], key=byrank)
             forced, waiting = waiting[:cut], waiting[cut:]
-        low, high = K.branch(res, x, decompose, propagate)
         work.append((_DEC, x, key, forced))
         work.append((_KID, high, waiting))
         work.append((_KID, low, waiting))
@@ -362,25 +363,21 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     cfg.validate()
     K = KERNEL
     code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
-    rank = None
+    ranks = None
     if cfg.mode == "ordered":
         if cfg.order.n < delta.num_vars:
             raise ValueError("order covers %d of %d variables" % (cfg.order.n, delta.num_vars))
         ranks = cfg.order.rank_bytes
-        rank = memoryview(ranks).cast("i")
-        pick = lambda res: K.min_rank_var(res, ranks)
-    else:
-        pick = lambda res: K.select_var(res, code)
     store = NodeStore()
     cache = Cache() if cfg.caching else None
     root = _search(
         compute_key(delta),
         store,
         cache,
-        pick,
+        code,
+        ranks,
         decompose=cfg.mode == "decomposed",
         propagate=cfg.unit_propagation,
-        rank=rank,
     )
     store.freeze()
     return Circuit(store, root, delta.num_vars)

@@ -1,10 +1,11 @@
 import csv
+import math
 import sys
 import time
 
 import pytest
 
-from dpllc.cli import _count_text, main
+from dpllc.cli import MAX_COUNT_UNIVERSE, _count_text, main
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, parse_nnf, serialize
 
 from util import RUNNING_DIMACS
@@ -112,6 +113,14 @@ ERROR_CASES = {
         ["query", "--implicant", "0", "{d}/a.nnf"],
         "error: 0 is not a literal",
     ),
+    "count-universe-too-large": (
+        ["query", "--count", "{d}/huge.nnf"],
+        "error: --count serves a universe of at most 10000000 variables, not 2000000000",
+    ),
+    "count-universe-raised-too-far": (
+        ["query", "--count", "--universe", "10000001", "{d}/a.nnf"],
+        "error: --count serves a universe of at most 10000000 variables, not 10000001",
+    ),
     "universe-below-circuit": (
         ["query", "--count", "--universe", "2", "{d}/b.nnf"],
         "error: --universe below the circuit's own universe",
@@ -137,6 +146,7 @@ def test_error_messages_are_pinned(workdir, capsys, case):
     (workdir / "bad.nnf").write_text("nnf 1 0 2\nL x\n")
     (workdir / "a.nnf").write_text("nnf 1 0 2\nA 0\n")
     (workdir / "b.nnf").write_text("nnf 1 0 3\nA 0\n")
+    (workdir / "huge.nnf").write_text("nnf 3 2 2000000000\nL 1\nL 2\nA 2 0 1\n")
     argv, expected = ERROR_CASES[case]
     d = str(workdir)
     assert run(*(arg.format(d=d) for arg in argv)) == 1
@@ -271,6 +281,16 @@ def test_counts_above_the_str_digit_limit_print(workdir, tmp_path, capsys):
     (row,) = csv.DictReader(report.open())
     assert row["status"] == "ok"
     assert row["models"] == expected
+
+
+def test_count_prints_a_universe_at_the_cap(workdir, capsys):
+    # The true circuit over MAX_COUNT_UNIVERSE variables: 2^(10^7) models.
+    a = workdir / "a.nnf"
+    a.write_text("nnf 1 0 2\nA 0\n")
+    assert run("query", "--count", "--universe", MAX_COUNT_UNIVERSE, a) == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == math.floor(MAX_COUNT_UNIVERSE * math.log10(2)) + 1
+    assert out.startswith("9049")
 
 
 def test_eq_on_a_huge_declared_universe_draws_only_what_occurs(workdir, capsys):

@@ -53,6 +53,11 @@ def test_kernel_matches_cnf_ops(kernel):
         assert kernel.propagate_conflict(res) == conflict
 
 
+def _first(x, n):
+    """Rank table of an order on 1..n that puts x first."""
+    return compiler.VarOrder((x, *(v for v in range(1, n + 1) if v != x))).rank_bytes
+
+
 def test_backends_agree(kernel_cy):
     for cnf, lit in _cases(count=200, seed=29):
         res = compute_key(cnf)
@@ -60,15 +65,19 @@ def test_backends_agree(kernel_cy):
         assert kernel_py.first_unit_var(res) == kernel_cy.first_unit_var(res)
         for code in (0, 1):
             assert kernel_py.select_var(res, code) == kernel_cy.select_var(res, code)
+            assert kernel_py.branch(res, code, None, True, True) == kernel_cy.branch(
+                res, code, None, True, True
+            )
         if lit:
             assert kernel_py.condition(res, lit) == kernel_cy.condition(res, lit)
         assert kernel_py.propagate(res) == kernel_cy.propagate(res)
         if not cnf.has_empty_clause():
             for x in range(1, cnf.num_vars + 1):
+                ranks = _first(x, cnf.num_vars)
                 for split in (False, True):
                     for prop in (False, True):
-                        assert kernel_py.branch(res, x, split, prop) == kernel_cy.branch(
-                            res, x, split, prop
+                        assert kernel_py.branch(res, 0, ranks, split, prop) == kernel_cy.branch(
+                            res, 0, ranks, split, prop
                         )
         assert kernel_py.propagate_conflict(res) == kernel_cy.propagate_conflict(res)
         if not cnf.has_empty_clause():
@@ -111,8 +120,11 @@ def test_select_var_semantics(kernel):
 
 def test_min_rank_var_rejects_a_variable_without_rank(kernel):
     res = compute_key(Cnf.from_clauses([[5000, 4000]], 5000))
+    ranks = compiler.VarOrder.identity(3).rank_bytes
     with pytest.raises(IndexError):
-        kernel.min_rank_var(res, compiler.VarOrder.identity(3).rank_bytes)
+        kernel.min_rank_var(res, ranks)
+    with pytest.raises(IndexError):
+        kernel.branch(res, 0, ranks, False, True)
 
 
 # --- differential tests against the Cnf-level oracles ------------------------
@@ -189,9 +201,12 @@ def test_branch_children_share_no_variable_with_their_implied_literals(kernel, r
     # What ordered search relies on when it keys a child by its rest and
     # the literals still waiting: neither the branch variable nor an
     # implied literal's variable occurs in the rest.
-    res = compute_key(random_cnf(rng, max_vars=10, max_clauses=16))
+    cnf = random_cnf(rng, max_vars=10, max_clauses=16)
+    res = compute_key(cnf)
     for x in sorted({abs(lit) for lit in _literals(res)}):
-        for parts, implied, _ in kernel.branch(res, x, False, True):
+        y, *children = kernel.branch(res, 0, _first(x, cnf.num_vars), False, True)
+        assert y == x
+        for parts, implied, _ in children:
             rest = {abs(lit) for part in parts for lit in _literals(part)}
             assert len({abs(lit) for lit in implied}) == len(implied)
             assert not rest & ({abs(lit) for lit in implied} | {x})
@@ -259,7 +274,7 @@ BRANCH_CASES = [
 @pytest.mark.parametrize("clauses, low, high", BRANCH_CASES)
 def test_branch_child_kinds(kernel, clauses, low, high):
     res = compute_key(Cnf.from_clauses(clauses, 7))
-    assert kernel.branch(res, 1, True, True) == (low, high)
+    assert kernel.branch(res, 0, _first(1, 7), True, True) == (1, low, high)
 
 
 @bounded
@@ -268,19 +283,25 @@ def test_branch_matches_composition(kernel, rng):
     # Both children of every variable, with and without splitting and
     # propagation, on a residual as the search holds it (settled by
     # propagate) and, when that differs, on the unsettled residual, which
-    # free and decomposed search without propagation branch on.
+    # free and decomposed search without propagation branch on.  A rank
+    # table that puts x first makes branch decide x when x occurs, and
+    # the first occurring variable of that order when it does not.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
     raw = compute_key(cnf)
     if kernel.has_empty(raw):
         return
     settled, _, conflict = kernel.propagate(raw)
     for res in {raw} if conflict else {raw, settled}:
+        occurring = {abs(lit) for lit in _literals(res)}
         for x in range(1, cnf.num_vars + 1):
+            ranks = _first(x, cnf.num_vars)
             for split in (False, True):
                 for prop in (False, True):
-                    assert kernel.branch(res, x, split, prop) == (
-                        _composed(kernel, res, -x, split, prop),
-                        _composed(kernel, res, x, split, prop),
+                    y, low, high = kernel.branch(res, 0, ranks, split, prop)
+                    assert y == (x if x in occurring else kernel.min_rank_var(res, ranks))
+                    assert (low, high) == (
+                        _composed(kernel, res, -y, split, prop),
+                        _composed(kernel, res, y, split, prop),
                     )
 
 
@@ -303,3 +324,27 @@ def test_selectors_match_definitions(kernel, data):
     )
     ranks = compiler.VarOrder(tuple(order)).rank_bytes
     assert kernel.min_rank_var(res, ranks) == min(occurrences, key=rank.get, default=0)
+
+
+# Every variable occurs twice, so max-occurrence ties all four.
+TIES = Cnf.from_clauses([[3, 4], [-1, 2], [-4, -3], [2, 1]], 4)
+
+
+@bounded
+@given(cnf=formulas(), rng=st.randoms(use_true_random=False))
+@example(cnf=TIES, rng=random.Random(0))
+@example(cnf=LEADING_EMPTY, rng=random.Random(0))
+def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
+    # Ties and empty clauses included: the variable branch decides is the
+    # one select_var, or with a rank table min_rank_var, picks.
+    res = compute_key(cnf)
+    order = list(range(1, cnf.num_vars + 1))
+    rng.shuffle(order)
+    ranks = compiler.VarOrder(tuple(order)).rank_bytes
+    first = kernel.min_rank_var(res, ranks)
+    for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
+        picked = kernel.select_var(res, code)
+        for split in (False, True):
+            for prop in (False, True):
+                assert kernel.branch(res, code, None, split, prop)[0] == picked
+                assert kernel.branch(res, code, ranks, split, prop)[0] == first

@@ -45,11 +45,11 @@ COMPILERS = {
 
 # Kernel operations each discipline cannot do without.  Every mode
 # settles the root with has_empty and propagate, and every decision below
-# it with its picker and one branch call.
+# it with one branch call, which picks its own variable.
 MODE_OPS = {
-    "free": {"has_empty", "propagate", "branch", "select_var"},
-    "ordered": {"has_empty", "propagate", "branch", "min_rank_var"},
-    "decomposed": {"has_empty", "propagate", "branch", "select_var"},
+    "free": {"has_empty", "propagate", "branch"},
+    "ordered": {"has_empty", "propagate", "branch"},
+    "decomposed": {"has_empty", "propagate", "branch"},
 }
 
 
@@ -147,28 +147,36 @@ def test_settled_residuals_go_straight_to_the_cache(rebound, mode):
 
 
 def test_decomposed_compile_branches_once_per_decision(rebound):
-    # Every decision node comes from one expanded residual, which picks
-    # its variable and settles both children in one branch call; only the
+    # Every decision node comes from one expanded residual, whose one
+    # branch call picks its variable and settles both children; only the
     # root is settled by the single-step operations.
     calls, _ = rebound
     compile_decomposed(random_3cnf(random.Random(7), 40, 3.0))
     assert calls["branch"] > 100
-    assert calls["branch"] == calls["select_var"] == calls["store.get_node"]
-    assert calls["condition"] == 0
+    assert calls["branch"] == calls["store.get_node"]
+    assert calls["select_var"] == calls["min_rank_var"] == calls["condition"] == 0
     assert calls["has_empty"] == calls["propagate"] == calls["split_components"] == 1
 
 
 def test_ordered_compile_branches_once_per_decision(rebound):
-    # Ordered search expands a residual like the other modes: one picker
-    # call and one branch call per decision, and only the root is settled
-    # by the single-step operations.
+    # Ordered search expands a residual like the other modes: one branch
+    # call per decision, which picks the variable, and only the root is
+    # settled by the single-step operations.  Without propagation no
+    # literal waits, so every get_node call is a decision.
     calls, _ = rebound
     cnf = random_3cnf(random.Random(7), 40, 3.0)
     compile_ordered(cnf, bandwidth_order(cnf))
     assert calls["branch"] > 100
-    assert calls["branch"] == calls["min_rank_var"]
+    assert calls["select_var"] == calls["min_rank_var"] == 0
     assert calls["condition"] == calls["split_components"] == 0
     assert calls["has_empty"] == calls["propagate"] == 1
+    calls.clear()
+    cnf = random_3cnf(random.Random(7), 20, 3.0)
+    order = bandwidth_order(cnf)
+    compile_ordered(cnf, order, compiler.CompileConfig(mode="ordered", order=order, unit_propagation=False))
+    assert calls["branch"] > 100
+    assert calls["branch"] == calls["store.get_node"]
+    assert calls["select_var"] == calls["min_rank_var"] == 0
 
 
 def test_parse_nnf_builds_through_the_rebound_node_store(monkeypatch):
