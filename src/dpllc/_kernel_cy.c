@@ -1,17 +1,18 @@
 /* Compiled residual-formula kernel.
 
-   Same functions, same int32 record layout and byte-identical outputs as
-   _kernel_py, whose docstring is the format reference.  This is the hot
-   inner loop of the compilers: conditioning, unit propagation,
-   branch-variable selection and component splitting over residual clause
-   sets, and `branch`, which picks a decision's variable and conditions,
-   propagates and splits both its children in one call.  Below the root
-   every mode calls only `branch`.  Its pick and select_var's and
-   min_rank_var's are one helper, pick_var, over the decoded parent;
-   `condition` has no caller in the package.  Residuals come from
-   compiler.compute_key or from this kernel, so record lengths are
-   trusted; only a rank table, which belongs to the caller's order, is
-   bounds-checked.
+   The same entry points as _kernel_py, whose docstring describes them,
+   with the same picks, implied literals, conflicts and components in the
+   same order, so the same circuits.  Here a residual stays in the int32
+   record layout that _kernel_py documents, and it is its own cache key:
+   `root` settles the input (has_empty, propagate and split_components in
+   one call), `branch` picks a decision's variable and conditions,
+   propagates and splits both its children in one call, and `key` returns
+   the residual itself.  Its pick and select_var's and min_rank_var's are
+   one helper, pick_var, over the decoded parent.  The single-step
+   operations (`condition` to `split_components`) have no caller in the
+   package.  Residuals come from compiler.compute_key or from this
+   kernel, so record lengths are trusted; only a rank table, which
+   belongs to the caller's order, is bounds-checked.
 
    Build in place (the package falls back to _kernel_py without it):
 
@@ -435,8 +436,8 @@ split_components(PyObject *self, PyObject *arg)
     return split_parts(v, n, arg);
 }
 
-/* One child of branch: (parts, implied, conflict) of v conditioned on lit.
-   buf has room for 4n + 1 ints. */
+/* One child of branch: (parts, implied, conflict) of v conditioned on lit,
+   or of v itself when lit is 0.  buf has room for 4n + 1 ints. */
 static PyObject *
 branch_child(const int *v, Py_ssize_t n, int lit, int split, int prop, int *buf)
 {
@@ -505,7 +506,39 @@ branch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+static PyObject *
+root(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const int *v;
+    Py_ssize_t n;
+    int split, prop;
+    if (expect_args("root", nargs, 3) < 0 || residual(args[0], &v, &n) < 0
+        || (split = PyObject_IsTrue(args[1])) < 0 || (prop = PyObject_IsTrue(args[2])) < 0)
+        return NULL;
+    int *buf = malloc((4 * n + 1) * sizeof(int));
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    PyObject *result = branch_child(v, n, 0, split, prop, buf);
+    free(buf);
+    return result;
+}
+
+static PyObject *
+key(PyObject *self, PyObject *res)
+{
+    if (!PyBytes_Check(res)) {
+        PyErr_Format(PyExc_TypeError, "expected bytes, got %.200s", Py_TYPE(res)->tp_name);
+        return NULL;
+    }
+    Py_INCREF(res);
+    return res;
+}
+
 static PyMethodDef methods[] = {
+    {"root", (PyCFunction)(void (*)(void))root, METH_FASTCALL,
+     "root(res, split, propagate): (parts, implied, conflict) of the input "
+     "formula res, settled as branch settles a child; see _kernel_py.root."},
+    {"key", key, METH_O, "The cache key of a residual: the residual itself."},
     {"has_empty", has_empty, METH_O, "True iff res holds an empty clause."},
     {"condition", (PyCFunction)(void (*)(void))condition, METH_FASTCALL,
      "condition(res, lit): residual after assigning `lit` true: drop satisfied "

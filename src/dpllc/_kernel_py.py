@@ -1,53 +1,356 @@
 """Pure-Python residual-formula kernel.
 
-A residual formula is a bytes object holding native int32 records, one per
-surviving clause, in increasing original-clause-index order:
+The search runs on bitset residuals.  `root` takes the input formula in
+the byte layout below and builds its table once per compile: each
+clause's literals and the mask of its variables, and for each literal the
+mask of the clauses holding it.  A residual is then (table, S, V), two
+Python ints over that table: S the positions of the surviving clauses and
+V the variables that still occur.  An unsatisfied clause keeps exactly its
+literals over unassigned variables, so clause c of S holds exactly its
+table literals whose variables are in V, and the pair determines the
+residual formula (the hybrid encoding of sharpSAT, Thurley, SAT 2006).
+
+`branch` is one decision of the search.  It picks the variable from the
+masks (max-occurrence is one bit_count per variable of V, ties to the
+smaller variable; min-index is V's lowest bit; ordered the least rank),
+and derives both children: conditioning drops the clauses the literal
+satisfies from S and its variable from V, and then visits only the
+clauses of S that hold the opposite literal.  Unit propagation goes on in
+the manner of Chaff's counters (Moskewicz et al., DAC 2001): a clause's
+count of not-yet-false literals is the bit_count of its variables within
+V, a clause whose count reaches one enters a heap keyed by its position,
+and the heap's minimum is always the first unit clause of the residual
+the rescanning definition would see, so the implied literals come out in
+the same order.  A count reaching zero is a conflict.  Splitting is a
+breadth-first search over the masks, and its parts come out in order of
+their smallest clause.  With propagation on, `branch` expects a settled
+parent, one that `root` or `branch` returned with propagation on, and
+which therefore has no unit clause.
+
+`key` is the residual's cache key: the two masks at the input table's
+fixed widths, or the sorted ids of its clauses and variables when those
+are shorter, behind a tag byte that tells the two apart.  Keys are in the
+input table's coordinates (its clause positions, and the formula's
+occurring variables numbered 1..n in increasing order), so they are
+equal exactly when the residuals are.  A residual whose clauses fill less
+than a quarter of a table at least COMPACT_WIDTH clauses wide moves into
+a compact table of its own, when a split makes it or else before it
+branches, so on a wide sparse formula an operation costs what the
+component holds, not what the formula holds; a compact table maps its
+clauses and variables back in increasing order, which keeps every pick,
+every key and every order of clauses and literals as they were.
+
+The byte layout is the root's input format and the layout of the
+single-step operations below `key` (`condition` to `split_components`),
+which the package no longer calls: one native int32 record per surviving
+clause, in increasing original-clause-index order,
 
     idx, k, lit_1, ..., lit_k
 
-Literals within a record are sorted by variable.  The encoding doubles as
-the formula-cache key: two residuals are the same formula exactly when
-their bytes are equal.  The compiled kernel, the hand-written C extension
-_kernel_cy built from _kernel_cy.c, implements the same functions over the
-same layout; outputs must match byte for byte.
-
-Each call decodes its residual once into a list and then works a clause
-at a time, relying on one invariant: a variable occurs at most once per
-record (Cnf._check_clause enforces it, and conditioning only removes
-literals).  So a record holding `lit` is satisfied by it, a record holding
--lit loses exactly one literal, and a record is unit exactly when one of
-its literals is not yet false.
-
-Unit propagation is one pass in the manner of Chaff's counters
-(Moskewicz et al., DAC 2001): occurrence lists and a count of not-yet-false
-literals per record, so each implied literal touches only the records it
-occurs in.  The rescanning definition it replaces conditions on the unit
-record of smallest position, rescans, and repeats.  The pass takes unit
-records from a heap keyed by record position instead: a record enters the
-heap when its count reaches one and leaves it, skipped, once satisfied, so
-the heap's minimum is always the first unit record of the residual the
-rescanning loop would see, and the implied literals come out in the same
-order.  A count reaching zero is the empty clause that loop would find
-after conditioning on the same literal, so on a conflict the residual
-returned is the same as well.
-
-`branch` is one decision of the search in one call.  One pass over the
-decoded parent builds its record counts and occurrence lists; the
-decision variable is picked from the occurrence lists, whose lengths are
-the occurrence counts, and both children are derived from them, each
-assigned, propagated by the same pass, rebuilt and (optionally) split.
-So below the root no mode calls a picker, `condition`, `has_empty`,
-`propagate` or `split_components`.  The root is settled by `has_empty`,
-`propagate` and `split_components`; `condition` has no caller in the
-package, and `select_var` and `min_rank_var` define the pick that
-`branch` must make.
+with the literals of a record sorted by variable.  A variable occurs at
+most once per record (Cnf._check_clause enforces it).  The compiled
+kernel, the hand-written C extension _kernel_cy built from _kernel_cy.c,
+keeps byte residuals throughout: there a residual is its own cache key.
+Both kernels give the same picks, implied literals, conflicts and
+components in the same order, and so the same circuits.
 """
 
 from array import array
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
+
+# A residual whose clauses fill less than a quarter of a table at least
+# this many clauses wide moves into a compact table of its own.
+COMPACT_WIDTH = 256
+
+
+class _Table:
+    """Clauses 0..m-1 over variables 1..n: `lits[c]` sorted by variable,
+    `cvars[c]` the mask of c's variables, `occ[lit]` the mask of the
+    clauses holding lit (a negative literal indexes from the end) and
+    `vocc[x]` of those holding x or -x.  `top` is the input table, and
+    `gpos` and `tvar` map clauses and variables to its own, in increasing
+    order (the identity in the input table itself); `gvar` maps variables
+    to the formula's.  The input table numbers the formula's occurring
+    variables 1..n in increasing order, and holds the original clause
+    indices `idx` and the widths of the key's masks and ids."""
+
+    __slots__ = ("m", "lits", "cvars", "occ", "vocc", "gpos", "tvar", "gvar", "top",
+                 "idx", "sbytes", "vbytes", "ids", "idw")
+
+    def __init__(self, lits, n, gpos, tvar, gvar, top):
+        cvars = []
+        occ = [0] * (2 * n + 1)
+        for c, clause in enumerate(lits):
+            bit = 1 << c
+            mask = 0
+            for lit in clause:
+                occ[lit] |= bit
+                mask |= 1 << (lit if lit > 0 else -lit)
+            cvars.append(mask)
+        self.m = len(lits)
+        self.lits = lits
+        self.cvars = cvars
+        self.occ = occ
+        self.vocc = [occ[x] | occ[-x] for x in range(n + 1)]
+        self.gpos = gpos
+        self.tvar = tvar
+        self.gvar = gvar
+        self.top = top or self
+
+
+_BYTE_ONES = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+
+
+def _ones(x: int):
+    """The positions of the set bits of x, in increasing order."""
+    if x < 256:
+        return _BYTE_ONES[x]
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def root(res: bytes, split: bool, propagate: bool):
+    """(parts, implied, conflict) of the input formula `res`, in the byte
+    layout, after building its table: conflict when it holds an empty
+    clause or (with `propagate`) unit propagation finds one, and then
+    parts == [] and implied == (); otherwise `implied` in derivation order
+    and `parts` the rest's components (with `split`), or the rest alone,
+    or [] when nothing is left."""
+    v = memoryview(res).cast("i")
+    idx: list[int] = []
+    lits: list[list[int]] = []
+    i = 0
+    while i < len(v):
+        k = v[i + 1]
+        if k == 0:
+            return [], (), True
+        idx.append(v[i])
+        lits.append(v[i + 2 : i + 2 + k].tolist())
+        i += 2 + k
+    xs = sorted({lit if lit > 0 else -lit for clause in lits for lit in clause})
+    local = {x: i for i, x in enumerate(xs, 1)}
+    lits = [[local[lit] if lit > 0 else -local[-lit] for lit in clause] for clause in lits]
+    m, n = len(lits), len(xs)
+    t = _Table(lits, n, range(m), range(n + 1), [0, *xs], None)
+    t.idx = idx
+    t.sbytes = (m + 7) // 8
+    t.vbytes = (n + 8) // 8
+    t.ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
+    t.idw = array(t.ids).itemsize
+    units = [c for c, clause in enumerate(lits) if len(clause) == 1]
+    return _settle(t, (1 << m) - 1, (1 << (n + 1)) - 2, 0, units, split, propagate)
+
+
+def branch(res, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
+    """One decision: (x, low, high), its variable and its children on -x
+    and on x.
+
+    `x` is the occurring variable in the most clauses (HEUR_MAX_OCCURRENCE,
+    ties to the smaller) or the smallest one (HEUR_MIN_INDEX), or with the
+    int32 rank table `ranks` the one of least rank.  Each child is
+    (parts, implied, conflict) as `root` gives it for the residual
+    conditioned on the literal.
+    """
+    t, S, V = res
+    if t.m >= COMPACT_WIDTH and 4 * S.bit_count() < t.m:
+        t, S, V = _compact(t, _ones(S), _ones(V))
+    x = _pick(t, S, V, heuristic, ranks)
+    low = _child(t, S, V, -x, split, propagate)
+    high = _child(t, S, V, x, split, propagate)
+    return t.gvar[x], low, high
+
+
+def _pick(t, S, V, heuristic, ranks) -> int:
+    if ranks is not None:
+        r = memoryview(ranks).cast("i")
+        g = t.gvar
+        best = best_rank = 0
+        while V:
+            low = V & -V
+            V ^= low
+            x = low.bit_length() - 1
+            rank = r[g[x]]
+            if best == 0 or rank < best_rank:
+                best, best_rank = x, rank
+        return best
+    if heuristic == HEUR_MIN_INDEX:
+        return (V & -V).bit_length() - 1
+    vocc = t.vocc
+    best = best_count = 0
+    while V:
+        low = V & -V
+        V ^= low
+        x = low.bit_length() - 1
+        count = (S & vocc[x]).bit_count()
+        if count > best_count:
+            best, best_count = x, count
+    return best
+
+
+def _child(t, S, V, lit, split, propagate):
+    """One child of `branch`: the residual (S, V) of t with `lit` true."""
+    cvars = t.cvars
+    gone = S & t.occ[lit]
+    S ^= gone
+    V ^= 1 << (lit if lit > 0 else -lit)
+    heap: list[int] = []
+    hit = S & t.occ[-lit]
+    while hit:
+        low = hit & -hit
+        hit ^= low
+        c = low.bit_length() - 1
+        k = (cvars[c] & V).bit_count()
+        if k <= 1:
+            if k == 0:
+                return [], (), True
+            heap.append(c)
+    return _settle(t, S, V, gone, heap, split, propagate)
+
+
+def _settle(t, S, V, gone, heap, split, propagate):
+    """(parts, implied, conflict) of the residual (S, V) of t, whose unit
+    clauses are `heap` (in position order, so a heap) and whose V may
+    still hold variables of the clauses in `gone`, which are satisfied."""
+    implied: list[int] = []
+    if propagate and heap:
+        occ, cvars = t.occ, t.cvars
+        while heap:
+            c = heappop(heap)
+            if not S >> c & 1:
+                continue
+            bit = cvars[c] & V
+            x = bit.bit_length() - 1
+            V ^= bit
+            if not occ[x] >> c & 1:
+                x = -x
+            implied.append(x)
+            sat = S & occ[x]
+            S ^= sat
+            gone |= sat
+            hit = S & occ[-x]
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                d = low.bit_length() - 1
+                k = (cvars[d] & V).bit_count()
+                if k <= 1:
+                    if k == 0:
+                        return [], (), True
+                    heappush(heap, d)
+        g = t.gvar
+        implied = [g[u] if u > 0 else -g[-u] for u in implied]
+    if not S:
+        return [], tuple(implied), False
+    if split:
+        return _split_masks(t, S, V), tuple(implied), False
+    # A variable leaves V when the last clause holding it is satisfied.
+    cvars, vocc = t.cvars, t.vocc
+    maybe = 0
+    while gone:
+        low = gone & -gone
+        gone ^= low
+        maybe |= cvars[low.bit_length() - 1]
+    maybe &= V
+    while maybe:
+        low = maybe & -maybe
+        maybe ^= low
+        if not S & vocc[low.bit_length() - 1]:
+            V ^= low
+    return [(t, S, V)], tuple(implied), False
+
+
+def _split_masks(t, S, V) -> list:
+    """The variable-disjoint parts of the residual (S, V) of t, each with
+    its own exact V, in order of their smallest clause.  A part that
+    fills less than a quarter of a wide table moves into its own (a lone
+    clause stays, and moves when it branches)."""
+    cvars, vocc = t.cvars, t.vocc
+    if not S & (S - 1):
+        return [(t, S, cvars[S.bit_length() - 1] & V)]
+    wide = t.m >= COMPACT_WIDTH
+    parts = []
+    while S:
+        # S and V keep the clauses and variables no part has taken yet.
+        cs = S & -S
+        S ^= cs
+        vs = new = cvars[cs.bit_length() - 1] & V
+        V ^= new
+        while new:
+            touch = 0
+            while new:
+                low = new & -new
+                new ^= low
+                touch |= vocc[low.bit_length() - 1]
+            touch &= S
+            S ^= touch
+            cs |= touch
+            while touch:
+                low = touch & -touch
+                touch ^= low
+                new |= cvars[low.bit_length() - 1]
+            new &= V
+            V ^= new
+            vs |= new
+        if wide and 4 * cs.bit_count() < t.m:
+            parts.append(_compact(t, _ones(cs), _ones(vs)))
+        else:
+            parts.append((t, cs, vs))
+    return parts
+
+
+def _compact(t, cs, xs):
+    """The residual of t whose clauses are `cs` and whose variables are
+    `xs`, both in increasing order, moved into a table of its own."""
+    local = {x: i for i, x in enumerate(xs, 1)}
+    lits = []
+    for c in cs:
+        clause = []
+        for lit in t.lits[c]:
+            i = local.get(lit if lit > 0 else -lit)
+            if i is not None:
+                clause.append(i if lit > 0 else -i)
+        lits.append(clause)
+    n = len(xs)
+    gpos = [t.gpos[c] for c in cs]
+    tvar = [0, *(t.tvar[x] for x in xs)]
+    gvar = [0, *(t.gvar[x] for x in xs)]
+    return _Table(lits, n, gpos, tvar, gvar, t.top), (1 << len(lits)) - 1, (1 << (n + 1)) - 2
+
+
+def key(res) -> bytes:
+    """The cache key of a residual: equal exactly when the residuals are.
+
+    Tag 0 then S and V as masks of the input table's fixed widths, or,
+    when it is shorter, tag 1 then the counts and the sorted ids of S's
+    clauses and V's variables, as unsigned ints of the width the input
+    table's size needs; so a key is never longer than 1 + ceil(m / 8) +
+    ceil((n + 1) / 8) bytes for m clauses over variables 1..n.
+    """
+    t, S, V = res
+    top = t.top
+    s, n = S.bit_count(), V.bit_count()
+    if top.idw * (2 + s + n) >= top.sbytes + top.vbytes:
+        if t is not top:
+            gS = gV = 0
+            for c in _ones(S):
+                gS |= 1 << t.gpos[c]
+            for x in _ones(V):
+                gV |= 1 << t.tvar[x]
+            S, V = gS, gV
+        return b"\x00" + S.to_bytes(top.sbytes, "little") + V.to_bytes(top.vbytes, "little")
+    g, h = t.gpos, t.tvar
+    ids = [s, n, *[g[c] for c in _ones(S)], *[h[x] for x in _ones(V)]]
+    return b"\x01" + array(top.ids, ids).tobytes()
+
+
+# --- the byte layout's single-step operations ---------------------------------
 
 
 def _decode(res: bytes) -> list[int]:
@@ -113,32 +416,6 @@ def _index(v: list[int]):
                 clauses.append(c)
         i += 2 + k
     return starts, units, counts, occ
-
-
-def _pick(occ: dict[int, list[int]], heuristic: int, ranks) -> int:
-    """The decision variable among the literals of `occ`, as select_var
-    (ranks None) or min_rank_var (ranks the int32 rank table) would pick
-    it from the residual `occ` indexes; 0 when `occ` is empty."""
-    if ranks is not None:
-        r = memoryview(ranks).cast("i")
-        best = 0
-        best_rank = -1
-        for lit in occ:
-            var = lit if lit > 0 else -lit
-            rank = r[var]
-            if best == 0 or rank < best_rank:
-                best, best_rank = var, rank
-        return best
-    if heuristic == HEUR_MIN_INDEX:
-        return min(map(abs, occ), default=0)
-    best = 0
-    best_count = 0
-    for lit, clauses in occ.items():
-        var = lit if lit > 0 else -lit
-        count = len(clauses) + len(occ.get(-lit, ()))
-        if count > best_count or (count == best_count and var < best):
-            best, best_count = var, count
-    return best
 
 
 def _fixpoint(v, starts, counts, occ, heap, true, implied) -> bool:
@@ -224,64 +501,6 @@ def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
         return res, (), conflict
     starts, counts, true, implied = found
     return array("i", _rebuild(v, starts, counts, true)).tobytes(), tuple(implied), conflict
-
-
-def branch(res: bytes, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
-    """One decision: (x, low, high), its variable and its children on -x
-    and on x.
-
-    `x` is what select_var(res, heuristic) picks, or with a rank table
-    `ranks` what min_rank_var(res, ranks) picks; 0 when `res` has no
-    variable.  Each child is (parts, implied, conflict), exactly what
-    conditioning `res` on the literal, then has_empty, then (with
-    `propagate`) propagate, then (with `split`) split_components would
-    give: conflict when the child has an empty clause or a propagation
-    conflict, and then parts == [] and implied == (); otherwise `implied`
-    in derivation order and `parts` the rest's components, or the rest
-    alone, or [] when nothing is left.  The residual is decoded and
-    indexed once, in one pass, for the pick and both children, and a
-    child's propagation touches only the records its literals occur in.
-    """
-    v = _decode(res)
-    index = _index(v)
-    if index is None:
-        x = select_var(res, heuristic) if ranks is None else min_rank_var(res, ranks)
-        return x, ([], (), True), ([], (), True)
-    starts, units, counts, occ = index
-    x = _pick(occ, heuristic, ranks)
-    low = _child(v, starts, units, counts, occ, -x, split, propagate)
-    high = _child(v, starts, units, counts, occ, x, split, propagate)
-    return x, low, high
-
-
-def _child(v, starts, units, counts, occ, lit, split, propagate):
-    """One child of `branch` from the parent's shared index."""
-    counts = counts[:]
-    for c in occ.get(lit, ()):
-        counts[c] = -1
-    heap: list[int] = []
-    for c in occ.get(-lit, ()):
-        k = counts[c] - 1
-        if k == 0:
-            return [], (), True
-        counts[c] = k
-        if k == 1:
-            heap.append(c)
-    true = {lit}
-    implied: list[int] = []
-    if propagate:
-        # The parent's own unit records join those `lit` made; the heap
-        # then yields them in position order, as propagate would.
-        if units:
-            heap += [c for c in units if counts[c] == 1]
-            heapify(heap)
-        if _fixpoint(v, starts, counts, occ, heap, true, implied):
-            return [], (), True
-    out = _rebuild(v, starts, counts, true)
-    if not out:
-        return [], tuple(implied), False
-    rest = array("i", out).tobytes()
-    return (_split(out, rest) if split else [rest]), tuple(implied), False
 
 
 def propagate_conflict(res: bytes) -> bool:

@@ -14,11 +14,14 @@ under:
 
 So a discipline is a branch picker, whether components are split and
 where implied literals go; `compile_cnf` derives all three from a
-CompileConfig.  Formula caching memoizes the compilation of residual
-formulas keyed by their surviving-clause fingerprint (in ordered mode
-with the implied literals still waiting for their turn).  The search runs
-on an explicit work stack, so formulas with very many variables cannot
-overflow the call stack.
+CompileConfig.  The kernel (KERNEL) holds the residual formulas: the
+input goes in once, in the byte layout of `compute_key`, and every
+residual after that is the kernel's own, which it keys for the cache.
+Formula caching memoizes the compilation of residual formulas under
+those keys, which are equal exactly when the residuals are (in ordered
+mode with the implied literals still waiting for their turn appended).
+The search runs on an explicit work stack, so formulas with very many
+variables cannot overflow the call stack.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ HEURISTICS = ("max-occurrence", "min-index")
 
 
 def compute_key(delta: Cnf) -> bytes:
-    """Canonical fingerprint of a residual formula, in the kernel's
-    residual byte layout: per clause its index, its length and its
-    literals sorted by variable.
+    """Canonical fingerprint of a formula in the kernels' byte layout:
+    per clause its index, its length and its literals sorted by variable.
 
-    Equal keys exactly when the surviving-clause sets are identical; the
-    full key is stored and compared, never a lossy hash.
+    It is the input format of K.root.  Equal fingerprints exactly when
+    the clause sets are identical.  The compiled kernel keeps its
+    residuals in this layout, and each one is its own cache key there;
+    the Python kernel keys a residual by its clause and variable sets
+    instead (see _kernel_py.key).
     """
     arr = array("i")
     for idx, lits in delta.clauses:
@@ -177,7 +182,9 @@ class CompileConfig:
 
 
 class Cache:
-    """Formula cache: full residual fingerprints mapped to node ids."""
+    """Formula cache: exact residual keys (K.key, plus ordered mode's
+    waiting literals) mapped to node ids; a key is stored and compared
+    whole, never as a lossy hash."""
 
     def __init__(self):
         self.table: dict[bytes, int] = {}
@@ -193,20 +200,6 @@ class Cache:
 
 
 _KID, _DEC, _AND = 0, 1, 2
-
-
-def _settle(K, res: bytes, decompose: bool, propagate: bool):
-    """The root's (parts, implied, conflict), in the form K.branch gives
-    each child: an empty clause or a propagation conflict, else the
-    implied literals and the rest's components (or the rest alone)."""
-    if K.has_empty(res):
-        return [], (), True
-    implied: tuple[int, ...] = ()
-    if propagate:
-        res, implied, conflict = K.propagate(res)
-        if conflict:
-            return [], (), True
-    return (K.split_components(res) if decompose else [res]) if res else [], implied, False
 
 
 def _chain(store: NodeStore, lits, node: int) -> int:
@@ -228,14 +221,16 @@ def _search(
 ) -> int:
     """Exhaustive search from res0; returns the root id of its trace.
 
-    The root is settled by `_settle`, and every decision below it is one
-    K.branch call, which picks the decision variable (by `heuristic`, or
-    with the order's rank table `ranks` the first variable of the order
-    that occurs) and returns it with both children settled, as `_KID`
-    frames holding (parts, implied, conflict) and the literals still
-    waiting: with `propagate` each residual is unit-propagated to
-    fixpoint, and with `decompose` the rest is split into components.
-    Only the placement of the implied literals differs between the modes:
+    The input res0 (in the byte layout) is settled by one K.root call,
+    and every decision below it is one K.branch call on a residual of the
+    kernel's, which picks the decision variable (by `heuristic`, or with
+    the order's rank table `ranks` the first variable of the order that
+    occurs) and returns it with both children settled, as `_KID` frames
+    holding (parts, implied, conflict) and the literals still waiting:
+    with `propagate` each residual is unit-propagated to fixpoint, and
+    with `decompose` the rest is split into components; both kernels
+    take the same calls.  Only the placement of the implied literals
+    differs between the modes:
 
       decomposed  literal leaves conjoined with the component traces;
       free        a chain of forced decisions above the rest's trace;
@@ -246,15 +241,19 @@ def _search(
 
     A propagated rest shares no variable with its implied literals, so
     the rest and the waiting literals together are the conditioned
-    residual's function; they are its cache key, the waiting ones as a
-    trailer record (-1, k, lit_1, ..., lit_k) that no clause index can
-    imitate.  A `_DEC` frame holds the key to cache the node under (None
-    without a cache) and the forced prefix to chain above the node.
+    residual's function; its cache key is K.key of the rest (empty when
+    nothing is left) and the waiting ones as a trailer record (-1, k,
+    lit_1, ..., lit_k), which neither kernel's key can imitate: a byte
+    residual starts with a clause index, which is never negative, and a
+    Python kernel key with a tag byte of 0 or 1, and each is as long as
+    its own content says.  A `_DEC` frame holds the key to cache the node
+    under (None without a cache) and the forced prefix to chain above the
+    node.
     """
     K = KERNEL
     rank = None if ranks is None else memoryview(ranks).cast("i")
     byrank = None if rank is None else (lambda lit: rank[lit if lit > 0 else -lit])
-    work: list[tuple] = [(_KID, _settle(K, res0, decompose, propagate), ())]
+    work: list[tuple] = [(_KID, K.root(res0, decompose, propagate), ())]
     vals: list[int] = []
     while work:
         frame = work.pop()
@@ -267,7 +266,7 @@ def _search(
             if rank is not None:
                 if implied:
                     waiting = tuple(sorted(waiting + implied, key=byrank))
-                res = parts[0] if parts else b""
+                res = parts[0] if parts else None
                 if not (res or waiting):
                     vals.append(TRUE)
                     continue
@@ -305,7 +304,9 @@ def _search(
             continue
         key = None
         if cache is not None:
-            key = res + array("i", (-1, len(waiting), *waiting)).tobytes() if waiting else res
+            key = K.key(res) if res else b""
+            if waiting:
+                key += array("i", (-1, len(waiting), *waiting)).tobytes()
             hit = cache.probe(key)
             if hit is not None:
                 vals.append(hit)

@@ -10,13 +10,16 @@ circuit or the store size under any configuration.
 
 import hashlib
 import random
+from array import array
 
 import pytest
 
 import dpllc.compiler as compiler
+from dpllc import _kernel
 from dpllc.compiler import (
     HEURISTICS,
     MODES,
+    Cache,
     CompileConfig,
     bandwidth_order,
     compile_cnf,
@@ -74,19 +77,78 @@ def configurations_corpus():
     yield FORMULAS["flat-v8-e14"]()
 
 
+def configurations(cnf):
+    """Every CompileConfig, ordered mode under the formula's RCM order."""
+    order = bandwidth_order(cnf)
+    for mode in MODES:
+        for caching in (False, True):
+            for up in (False, True):
+                for heuristic in HEURISTICS:
+                    yield CompileConfig(mode, caching, up, heuristic, order if mode == "ordered" else None)
+
+
 def test_every_configuration_is_pinned(kernel, monkeypatch):
     monkeypatch.setattr(compiler, "KERNEL", kernel)
     digest = hashlib.sha256()
     for cnf in configurations_corpus():
-        order = bandwidth_order(cnf)
-        for mode in MODES:
-            for caching in (False, True):
-                for up in (False, True):
-                    for heuristic in HEURISTICS:
-                        cfg = CompileConfig(
-                            mode, caching, up, heuristic, order if mode == "ordered" else None
-                        )
-                        circuit = compile_cnf(cnf, cfg)
-                        digest.update(serialize(circuit).encode())
-                        digest.update(b"%d\n" % len(circuit.store))
+        for cfg in configurations(cnf):
+            circuit = compile_cnf(cnf, cfg)
+            digest.update(serialize(circuit).encode())
+            digest.update(b"%d\n" % len(circuit.store))
     assert digest.hexdigest() == CONFIGURATIONS_DIGEST
+
+
+def _cache_log(kernel, cnf, cfg, monkeypatch):
+    """(operation, key, node) of every probe and insert of one compile."""
+    log = []
+
+    class LoggingCache(Cache):
+        def probe(self, key):
+            node = Cache.probe(self, key)
+            log.append(("probe", key, node))
+            return node
+
+        def insert(self, key, node):
+            log.append(("insert", key, node))
+            Cache.insert(self, key, node)
+
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
+    monkeypatch.setattr(compiler, "Cache", LoggingCache)
+    compile_cnf(cnf, cfg)
+    return log
+
+
+def _trailer(layout_key: bytes) -> bytes:
+    """The ordered trailer (-1, k, waiting...) of a byte-layout key."""
+    v = memoryview(layout_key).cast("i")
+    i = 0
+    while i < len(v) and v[i] != -1:
+        i += 2 + v[i + 1]
+    return layout_key[4 * i :]
+
+
+def test_cache_keys_are_one_to_one_across_backends(kernel_cy, monkeypatch):
+    # The compiled kernel keys a residual by its byte layout, the Python
+    # kernel by its clause and variable sets.  On every configuration the
+    # two make the same probes with the same outcomes and the same
+    # inserts, and their keys map one to one; a Python key is never longer
+    # than its two masks (ceil(m / 8) and ceil((n + 1) / 8) bytes for m
+    # clauses over n variables) behind one tag byte, plus the trailer.
+    kernel_py = _kernel.load("py")
+    for cnf in configurations_corpus():
+        bound = 1 + -(-len(cnf.clauses) // 8) + -(-(cnf.num_vars + 1) // 8)
+        for cfg in configurations(cnf):
+            py = _cache_log(kernel_py, cnf, cfg, monkeypatch)
+            cy = _cache_log(kernel_cy, cnf, cfg, monkeypatch)
+            assert [(op, node) for op, _, node in py] == [(op, node) for op, _, node in cy]
+            forward: dict[bytes, bytes] = {}
+            backward: dict[bytes, bytes] = {}
+            for (_, py_key, _), (_, cy_key, _) in zip(py, cy):
+                assert forward.setdefault(py_key, cy_key) == cy_key
+                assert backward.setdefault(cy_key, py_key) == py_key
+                trailer = _trailer(cy_key)
+                assert py_key.endswith(trailer)
+                assert len(py_key) - len(trailer) <= bound
+                if trailer:
+                    assert cfg.mode == "ordered"
+                    assert len(trailer) == 4 * (2 + array("i", trailer)[1])

@@ -22,7 +22,7 @@ from dpllc.compiler import (
 from dpllc.queries import model_count
 from dpllc.store import FALSE, TRUE, serialize, stats
 
-from util import brute_force_count, condition, random_cnf, running_cnf, select_variable
+from util import brute_force_count, condition, random_3cnf, random_cnf, running_cnf, select_variable
 
 ALL_SETTINGS = [
     CompileConfig(caching=c, unit_propagation=u, heuristic=h)
@@ -311,6 +311,45 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
         elapsed = time.perf_counter() - start
         assert elapsed < DEEP_BUDGET_S, "%s took %.2f s" % (cfg, elapsed)
         assert model_count(circuit) == 1
+
+
+# What the cache may still hold at the end of the wide compile below:
+# 0.68 MB of keys and table on the Python kernel and 0.92 MB on the
+# compiled one; keys made of the input table's two masks would take
+# about 9 MB.
+WIDE_CACHE_BYTES = 1_500_000
+
+
+def test_wide_sparse_formula_compiles_per_component(kernel, monkeypatch):
+    # A random 3-CNF of 3,000 clauses over 20,000 variables falls apart
+    # into small components.  Decomposed search must cost what those hold,
+    # not what the formula holds: on the Python kernel each component
+    # moves into a compact table of its own, and its cache keys list its
+    # few clauses and variables.
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
+    cnf = random_3cnf(random.Random(0), 20_000, 0.15)
+    start = time.perf_counter()
+    circuit = compile_decomposed(cnf)
+    elapsed = time.perf_counter() - start
+    assert elapsed < DEEP_BUDGET_S, "took %.2f s" % elapsed
+    assert len(circuit.store) == 13_222
+    kept = []
+
+    class KeptCache(Cache):
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    monkeypatch.setattr(compiler, "Cache", KeptCache)
+    tracemalloc.start()
+    try:
+        compile_decomposed(cnf)
+        with_cache = tracemalloc.get_traced_memory()[0]
+        kept.clear()
+        held = with_cache - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < WIDE_CACHE_BYTES, "the cache held %d bytes" % held
 
 
 def test_uncached_search_holds_no_residual_per_level():

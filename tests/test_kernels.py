@@ -1,8 +1,10 @@
 """The two kernel backends must agree with each other byte for byte, and
-both must agree with the plain Cnf-level operations."""
+both must agree with the plain Cnf-level operations and with the byte
+layout's decision step in tests/util.py."""
 
 import random
 from array import array
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,16 @@ from dpllc import _kernel
 from dpllc.cnf import Cnf
 from dpllc.compiler import compute_key
 
-from util import components, condition, random_cnf, unit_propagate
+from util import (
+    components,
+    condition,
+    decode,
+    decode_child,
+    oracle_branch,
+    oracle_root,
+    random_cnf,
+    unit_propagate,
+)
 
 # A test that takes `kernel` runs once per backend (see conftest.py).
 kernel_py = _kernel.load("py")
@@ -65,19 +76,20 @@ def test_backends_agree(kernel_cy):
         assert kernel_py.first_unit_var(res) == kernel_cy.first_unit_var(res)
         for code in (0, 1):
             assert kernel_py.select_var(res, code) == kernel_cy.select_var(res, code)
-            assert kernel_py.branch(res, code, None, True, True) == kernel_cy.branch(
-                res, code, None, True, True
-            )
         if lit:
             assert kernel_py.condition(res, lit) == kernel_cy.condition(res, lit)
         assert kernel_py.propagate(res) == kernel_cy.propagate(res)
-        if not cnf.has_empty_clause():
-            for x in range(1, cnf.num_vars + 1):
-                ranks = _first(x, cnf.num_vars)
-                for split in (False, True):
-                    for prop in (False, True):
-                        assert kernel_py.branch(res, 0, ranks, split, prop) == kernel_cy.branch(
-                            res, 0, ranks, split, prop
+        picks = [(code, None) for code in (0, 1)]
+        picks += [(0, _first(x, cnf.num_vars)) for x in range(1, cnf.num_vars + 1)]
+        for split in (False, True):
+            for prop in (False, True):
+                py_root, cy_root = kernel_py.root(res, split, prop), kernel_cy.root(res, split, prop)
+                assert decode_child(py_root) == cy_root
+                for py_part, cy_part in zip(py_root[0], cy_root[0]):
+                    for code, ranks in picks:
+                        x, low, high = kernel_py.branch(py_part, code, ranks, split, prop)
+                        assert (x, decode_child(low), decode_child(high)) == kernel_cy.branch(
+                            cy_part, code, ranks, split, prop
                         )
         assert kernel_py.propagate_conflict(res) == kernel_cy.propagate_conflict(res)
         if not cnf.has_empty_clause():
@@ -123,8 +135,9 @@ def test_min_rank_var_rejects_a_variable_without_rank(kernel):
     ranks = compiler.VarOrder.identity(3).rank_bytes
     with pytest.raises(IndexError):
         kernel.min_rank_var(res, ranks)
+    (part,), _, _ = kernel.root(res, False, True)
     with pytest.raises(IndexError):
-        kernel.branch(res, 0, ranks, False, True)
+        kernel.branch(part, 0, ranks, False, True)
 
 
 # --- differential tests against the Cnf-level oracles ------------------------
@@ -202,14 +215,14 @@ def test_branch_children_share_no_variable_with_their_implied_literals(kernel, r
     # the literals still waiting: neither the branch variable nor an
     # implied literal's variable occurs in the rest.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
-    res = compute_key(cnf)
-    for x in sorted({abs(lit) for lit in _literals(res)}):
-        y, *children = kernel.branch(res, 0, _first(x, cnf.num_vars), False, True)
-        assert y == x
-        for parts, implied, _ in children:
-            rest = {abs(lit) for part in parts for lit in _literals(part)}
-            assert len({abs(lit) for lit in implied}) == len(implied)
-            assert not rest & ({abs(lit) for lit in implied} | {x})
+    for res in kernel.root(compute_key(cnf), False, True)[0]:
+        for x in sorted({abs(lit) for lit in _literals(decode(res))}):
+            y, *children = kernel.branch(res, 0, _first(x, cnf.num_vars), False, True)
+            assert y == x
+            for parts, implied, _ in children:
+                rest = {abs(lit) for part in parts for lit in _literals(decode(part))}
+                assert len({abs(lit) for lit in implied}) == len(implied)
+                assert not rest & ({abs(lit) for lit in implied} | {x})
 
 
 def _literals(res):
@@ -273,36 +286,37 @@ BRANCH_CASES = [
 
 @pytest.mark.parametrize("clauses, low, high", BRANCH_CASES)
 def test_branch_child_kinds(kernel, clauses, low, high):
-    res = compute_key(Cnf.from_clauses(clauses, 7))
-    assert kernel.branch(res, 0, _first(1, 7), True, True) == (1, low, high)
+    (res,), _, _ = kernel.root(compute_key(Cnf.from_clauses(clauses, 7)), False, False)
+    x, got_low, got_high = kernel.branch(res, 0, _first(1, 7), True, True)
+    assert (x, decode_child(got_low), decode_child(got_high)) == (1, low, high)
 
 
 @bounded
 @given(rng=st.randoms(use_true_random=False))
 def test_branch_matches_composition(kernel, rng):
     # Both children of every variable, with and without splitting and
-    # propagation, on a residual as the search holds it (settled by
-    # propagate) and, when that differs, on the unsettled residual, which
-    # free and decomposed search without propagation branch on.  A rank
-    # table that puts x first makes branch decide x when x occurs, and
-    # the first occurring variable of that order when it does not.
+    # propagation, on a residual as the search holds it (settled by root
+    # with propagation), and without propagation on the unsettled input,
+    # which free and decomposed search without propagation branch on.  A
+    # rank table that puts x first makes branch decide x when x occurs,
+    # and the first occurring variable of that order when it does not.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
     raw = compute_key(cnf)
-    if kernel.has_empty(raw):
-        return
-    settled, _, conflict = kernel.propagate(raw)
-    for res in {raw} if conflict else {raw, settled}:
-        occurring = {abs(lit) for lit in _literals(res)}
+    settled = kernel.root(raw, False, True)[0]
+    parents = [(res, prop) for res in settled for prop in (False, True)]
+    parents += [(res, False) for res in kernel.root(raw, False, False)[0]]
+    for res, prop in parents:
+        layout = decode(res)
+        occurring = {abs(lit) for lit in _literals(layout)}
         for x in range(1, cnf.num_vars + 1):
             ranks = _first(x, cnf.num_vars)
             for split in (False, True):
-                for prop in (False, True):
-                    y, low, high = kernel.branch(res, 0, ranks, split, prop)
-                    assert y == (x if x in occurring else kernel.min_rank_var(res, ranks))
-                    assert (low, high) == (
-                        _composed(kernel, res, -y, split, prop),
-                        _composed(kernel, res, y, split, prop),
-                    )
+                y, low, high = kernel.branch(res, 0, ranks, split, prop)
+                assert y == (x if x in occurring else kernel.min_rank_var(layout, ranks))
+                assert (decode_child(low), decode_child(high)) == (
+                    _composed(kernel, layout, -y, split, prop),
+                    _composed(kernel, layout, y, split, prop),
+                )
 
 
 @bounded
@@ -335,16 +349,100 @@ TIES = Cnf.from_clauses([[3, 4], [-1, 2], [-4, -3], [2, 1]], 4)
 @example(cnf=TIES, rng=random.Random(0))
 @example(cnf=LEADING_EMPTY, rng=random.Random(0))
 def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
-    # Ties and empty clauses included: the variable branch decides is the
-    # one select_var, or with a rank table min_rank_var, picks.
-    res = compute_key(cnf)
+    # Ties included: the variable branch decides is the one select_var,
+    # or with a rank table min_rank_var, picks from the residual in the
+    # byte layout, settled or not.  An input with an empty clause is a
+    # conflict at the root and never branches.
+    raw = compute_key(cnf)
+    if kernel.root(raw, False, False)[2]:
+        assert cnf.has_empty_clause()
+        return
     order = list(range(1, cnf.num_vars + 1))
     rng.shuffle(order)
     ranks = compiler.VarOrder(tuple(order)).rank_bytes
-    first = kernel.min_rank_var(res, ranks)
-    for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
-        picked = kernel.select_var(res, code)
-        for split in (False, True):
-            for prop in (False, True):
+    parents = [(res, prop) for res in kernel.root(raw, False, True)[0] for prop in (False, True)]
+    parents += [(res, False) for res in kernel.root(raw, False, False)[0]]
+    for res, prop in parents:
+        layout = decode(res)
+        first = kernel.min_rank_var(layout, ranks)
+        for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
+            picked = kernel.select_var(layout, code)
+            for split in (False, True):
                 assert kernel.branch(res, code, None, split, prop)[0] == picked
                 assert kernel.branch(res, code, ranks, split, prop)[0] == first
+
+
+# --- the decision step against the byte layout's reference -------------------
+
+
+@contextmanager
+def _compact_width(width):
+    """Python kernel tables of at least `width` clauses compact."""
+    saved = kernel_py.COMPACT_WIDTH
+    kernel_py.COMPACT_WIDTH = width
+    try:
+        yield
+    finally:
+        kernel_py.COMPACT_WIDTH = saved
+
+
+def _walk_against_oracle(kernel, cnf, rng, steps=10):
+    # Settle the input, then branch on residuals drawn at random from
+    # everything settled so far, under every split, propagation, heuristic
+    # and rank-table setting; each step must give the reference's pick,
+    # children (implied literals in order, conflicts, components in
+    # order), and the keys must tell residuals apart exactly as their
+    # byte layouts do.
+    res0 = compute_key(cnf)
+    order = list(range(1, cnf.num_vars + 1))
+    rng.shuffle(order)
+    shuffled = compiler.VarOrder(tuple(order)).rank_bytes
+    for split in (False, True):
+        for prop in (False, True):
+            root = kernel.root(res0, split, prop)
+            assert decode_child(root) == oracle_root(res0, split, prop)
+            layouts: dict[bytes, bytes] = {}
+            keys: dict[bytes, bytes] = {}
+            for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
+                for ranks in (None, shuffled):
+                    pool = list(root[0])
+                    for _ in range(steps):
+                        if not pool:
+                            break
+                        res = pool.pop(rng.randrange(len(pool)))
+                        layout, key = decode(res), kernel.key(res)
+                        assert layouts.setdefault(key, layout) == layout
+                        assert keys.setdefault(layout, key) == key
+                        x, low, high = kernel.branch(res, code, ranks, split, prop)
+                        want = oracle_branch(layout, code, ranks, split, prop)
+                        assert (x, decode_child(low), decode_child(high)) == want
+                        pool += low[0] + high[0]
+
+
+walked = settings(max_examples=60, deadline=None)
+
+
+@walked
+@given(cnf=formulas(max_vars=9, max_clauses=18), rng=st.randoms(use_true_random=False))
+@example(cnf=TIES, rng=random.Random(0))
+@example(cnf=LONG_CASCADE, rng=random.Random(0))
+def test_decision_steps_match_the_byte_reference(kernel, cnf, rng):
+    _walk_against_oracle(kernel, cnf, rng)
+
+
+# A path of 40 binary clauses: its residuals shrink a few clauses at a
+# time, so compact tables of compact tables occur.
+PATH = Cnf.from_clauses([[v, v + 1] for v in range(1, 41)], 41)
+
+
+@walked
+@given(cnf=formulas(max_vars=9, max_clauses=18), rng=st.randoms(use_true_random=False))
+@example(cnf=PATH, rng=random.Random(0))
+@example(cnf=LONG_CASCADE, rng=random.Random(0))
+def test_compact_tables_match_the_byte_reference(cnf, rng):
+    # With the width at 1 every residual that fills less than a quarter
+    # of its table moves into a table of its own before it branches, so
+    # the remapping runs on small formulas; keys stay in the input
+    # table's coordinates.
+    with _compact_width(1):
+        _walk_against_oracle(kernel_py, cnf, rng, steps=30)

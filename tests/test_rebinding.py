@@ -25,8 +25,9 @@ from util import random_3cnf
 
 ORIGINAL = (compiler.KERNEL, compiler.Cache, compiler.NodeStore)
 
-KERNEL_OPS = (
-    "branch",
+# The single-step operations over the byte layout, which the search no
+# longer calls.
+BYTE_OPS = (
     "condition",
     "propagate",
     "propagate_conflict",
@@ -36,6 +37,7 @@ KERNEL_OPS = (
     "min_rank_var",
     "has_empty",
 )
+KERNEL_OPS = ("root", "branch", "key", *BYTE_OPS)
 
 COMPILERS = {
     "free": compile_free,
@@ -44,12 +46,13 @@ COMPILERS = {
 }
 
 # Kernel operations each discipline cannot do without.  Every mode
-# settles the root with has_empty and propagate, and every decision below
-# it with one branch call, which picks its own variable.
+# settles the input with one root call, keys every residual it probes the
+# cache with, and takes every decision with one branch call, which picks
+# its own variable.
 MODE_OPS = {
-    "free": {"has_empty", "propagate", "branch"},
-    "ordered": {"has_empty", "propagate", "branch"},
-    "decomposed": {"has_empty", "propagate", "branch"},
+    "free": {"root", "key", "branch"},
+    "ordered": {"root", "key", "branch"},
+    "decomposed": {"root", "key", "branch"},
 }
 
 
@@ -101,19 +104,20 @@ def test_compile_goes_through_rebound_names(rebound, mode):
     calls, counting_store = rebound
     circuit = COMPILERS[mode](random_3cnf(random.Random(5), 16, 2.5))
     assert isinstance(circuit.store, counting_store)
-    assert MODE_OPS[mode] <= {op for op in KERNEL_OPS if calls[op]}
+    assert MODE_OPS[mode] == {op for op in KERNEL_OPS if calls[op]}
     assert calls["cache.probe"] and calls["cache.insert"] and calls["store.get_node"]
 
 
 def test_free_compile_propagates_a_unit_chain_once(rebound):
-    # x1 and x_i -> x_i+1: propagation derives every literal in one call,
-    # and the forced decisions need no conditioning.
+    # x1 and x_i -> x_i+1: settling the input derives every literal in
+    # one call, and the forced decisions need no branching.
     calls, _ = rebound
     n = 200
     cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
     circuit = compile_free(cnf)
-    assert calls["propagate"] == 1
-    assert calls["condition"] == 0
+    assert calls["root"] == 1
+    assert calls["branch"] == 0
+    assert not any(calls[op] for op in BYTE_OPS)
     assert calls["store.get_node"] == n
     assert model_count(circuit) == 1
 
@@ -121,16 +125,15 @@ def test_free_compile_propagates_a_unit_chain_once(rebound):
 def test_ordered_compile_places_a_unit_chain_from_one_propagation(rebound):
     # Propagating the root implies the whole chain and leaves nothing to
     # branch on; the implied literals wait in rank order and become one
-    # chain of forced decisions, under one cache probe.
+    # chain of forced decisions, under one cache probe whose key is the
+    # waiting literals alone.
     calls, _ = rebound
     n = 1000
     cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
     circuit = compile_ordered(cnf, compiler.VarOrder.identity(n))
-    assert calls["propagate"] == 1
-    assert calls["propagate_conflict"] == 0
-    assert calls["condition"] == 0
-    assert calls["has_empty"] == 1
-    assert calls["branch"] == 0
+    assert calls["root"] == 1
+    assert not any(calls[op] for op in BYTE_OPS)
+    assert calls["branch"] == calls["key"] == 0
     assert calls["cache.probe"] == 1
     assert calls["store.get_node"] == n
     assert model_count(circuit) == 1
@@ -138,45 +141,48 @@ def test_ordered_compile_places_a_unit_chain_from_one_propagation(rebound):
 
 @pytest.mark.parametrize("mode", ["free", "decomposed"])
 def test_settled_residuals_go_straight_to_the_cache(rebound, mode):
-    # Only the input and the conditioned residuals are propagated and
-    # split; a fixpoint or component pushed after that step is not.
+    # Only the input and the children of a decision are settled (by root
+    # and branch); a fixpoint or component that comes out of that step is
+    # keyed and probed as it is, and expanded by one branch call on a
+    # miss, with no settling step of its own.
     calls, _ = rebound
     COMPILERS[mode](random_3cnf(random.Random(7), 40, 3.0))
-    assert calls["propagate"] <= calls["condition"] + 1
-    assert calls["split_components"] <= calls["propagate"]
+    assert calls["root"] == 1
+    assert calls["key"] == calls["cache.probe"] > 100
+    assert calls["branch"] == calls["cache.insert"]
+    assert not any(calls[op] for op in BYTE_OPS)
 
 
 def test_decomposed_compile_branches_once_per_decision(rebound):
     # Every decision node comes from one expanded residual, whose one
     # branch call picks its variable and settles both children; only the
-    # root is settled by the single-step operations.
+    # input is settled by root.
     calls, _ = rebound
     compile_decomposed(random_3cnf(random.Random(7), 40, 3.0))
     assert calls["branch"] > 100
     assert calls["branch"] == calls["store.get_node"]
-    assert calls["select_var"] == calls["min_rank_var"] == calls["condition"] == 0
-    assert calls["has_empty"] == calls["propagate"] == calls["split_components"] == 1
+    assert calls["root"] == 1
+    assert not any(calls[op] for op in BYTE_OPS)
 
 
 def test_ordered_compile_branches_once_per_decision(rebound):
     # Ordered search expands a residual like the other modes: one branch
-    # call per decision, which picks the variable, and only the root is
-    # settled by the single-step operations.  Without propagation no
-    # literal waits, so every get_node call is a decision.
+    # call per decision, which picks the variable, and only the input is
+    # settled by root.  Without propagation no literal waits, so every
+    # get_node call is a decision.
     calls, _ = rebound
     cnf = random_3cnf(random.Random(7), 40, 3.0)
     compile_ordered(cnf, bandwidth_order(cnf))
     assert calls["branch"] > 100
-    assert calls["select_var"] == calls["min_rank_var"] == 0
-    assert calls["condition"] == calls["split_components"] == 0
-    assert calls["has_empty"] == calls["propagate"] == 1
+    assert calls["root"] == 1
+    assert not any(calls[op] for op in BYTE_OPS)
     calls.clear()
     cnf = random_3cnf(random.Random(7), 20, 3.0)
     order = bandwidth_order(cnf)
     compile_ordered(cnf, order, compiler.CompileConfig(mode="ordered", order=order, unit_propagation=False))
     assert calls["branch"] > 100
     assert calls["branch"] == calls["store.get_node"]
-    assert calls["select_var"] == calls["min_rank_var"] == 0
+    assert not any(calls[op] for op in BYTE_OPS)
 
 
 def test_parse_nnf_builds_through_the_rebound_node_store(monkeypatch):

@@ -3,9 +3,12 @@ oracles kept independent of the code under test."""
 
 import itertools
 import random
+from array import array
+from heapq import heapify
 from typing import Iterable, Iterator
 
 import dpllc.compiler as compiler
+from dpllc import _kernel_py as byte_ops
 from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision_dnnf
 from dpllc.cnf import Cnf, as_term
 from dpllc.queries import LanguageError, annotate, condition_circuit, is_consistent, model_count
@@ -302,6 +305,131 @@ def components(delta: Cnf) -> list[Cnf]:
     for idx, lits in delta.clauses:
         groups.setdefault(find(abs(lits[0])), []).append((idx, lits))
     return [Cnf(delta.num_vars, tuple(g)) for g in groups.values()]
+
+
+# --- the byte layout's decision step, the reference for both kernels ---------
+#
+# `oracle_root` and `oracle_branch` settle the input and take one decision
+# over byte residuals (see dpllc._kernel_py) with the single-step byte
+# operations; `decode` turns either kernel's residual into that layout.
+
+
+def oracle_root(res: bytes, split: bool, propagate: bool):
+    """(parts, implied, conflict) that K.root(res, split, propagate) must
+    give, in the byte layout: has_empty, then propagate, then
+    split_components."""
+    if byte_ops.has_empty(res):
+        return [], (), True
+    implied: tuple[int, ...] = ()
+    if propagate:
+        res, implied, conflict = byte_ops.propagate(res)
+        if conflict:
+            return [], (), True
+    return (byte_ops.split_components(res) if split else [res]) if res else [], implied, False
+
+
+def oracle_branch(res: bytes, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
+    """(x, low, high) that K.branch must give for the residual `res`, in
+    the byte layout.
+
+    `x` is what select_var(res, heuristic) picks, or with a rank table
+    `ranks` what min_rank_var(res, ranks) picks; 0 when `res` has no
+    variable.  Each child is (parts, implied, conflict), exactly what
+    conditioning `res` on the literal, then has_empty, then (with
+    `propagate`) propagate, then (with `split`) split_components would
+    give: conflict when the child has an empty clause or a propagation
+    conflict, and then parts == [] and implied == (); otherwise `implied`
+    in derivation order and `parts` the rest's components, or the rest
+    alone, or [] when nothing is left.
+    """
+    v = byte_ops._decode(res)
+    index = byte_ops._index(v)
+    if index is None:
+        x = byte_ops.select_var(res, heuristic) if ranks is None else byte_ops.min_rank_var(res, ranks)
+        return x, ([], (), True), ([], (), True)
+    starts, units, counts, occ = index
+    x = _oracle_pick(occ, heuristic, ranks)
+    low = _oracle_child(v, starts, units, counts, occ, -x, split, propagate)
+    high = _oracle_child(v, starts, units, counts, occ, x, split, propagate)
+    return x, low, high
+
+
+def _oracle_pick(occ: dict[int, list[int]], heuristic: int, ranks) -> int:
+    """The decision variable among the literals of `occ`, as select_var
+    (ranks None) or min_rank_var (ranks the int32 rank table) would pick
+    it from the residual `occ` indexes; 0 when `occ` is empty."""
+    if ranks is not None:
+        r = memoryview(ranks).cast("i")
+        best = 0
+        best_rank = -1
+        for lit in occ:
+            var = lit if lit > 0 else -lit
+            rank = r[var]
+            if best == 0 or rank < best_rank:
+                best, best_rank = var, rank
+        return best
+    if heuristic == byte_ops.HEUR_MIN_INDEX:
+        return min(map(abs, occ), default=0)
+    best = 0
+    best_count = 0
+    for lit, clauses in occ.items():
+        var = lit if lit > 0 else -lit
+        count = len(clauses) + len(occ.get(-lit, ()))
+        if count > best_count or (count == best_count and var < best):
+            best, best_count = var, count
+    return best
+
+
+def _oracle_child(v, starts, units, counts, occ, lit, split, propagate):
+    """One child of `oracle_branch` from the parent's shared index."""
+    counts = counts[:]
+    for c in occ.get(lit, ()):
+        counts[c] = -1
+    heap: list[int] = []
+    for c in occ.get(-lit, ()):
+        k = counts[c] - 1
+        if k == 0:
+            return [], (), True
+        counts[c] = k
+        if k == 1:
+            heap.append(c)
+    true = {lit}
+    implied: list[int] = []
+    if propagate:
+        # The parent's own unit records join those `lit` made; the heap
+        # then yields them in position order, as propagate would.
+        if units:
+            heap += [c for c in units if counts[c] == 1]
+            heapify(heap)
+        if byte_ops._fixpoint(v, starts, counts, occ, heap, true, implied):
+            return [], (), True
+    out = byte_ops._rebuild(v, starts, counts, true)
+    if not out:
+        return [], tuple(implied), False
+    rest = array("i", out).tobytes()
+    return (byte_ops._split(out, rest) if split else [rest]), tuple(implied), False
+
+
+def decode(res) -> bytes:
+    """A kernel residual in the byte layout: a compiled kernel's residual
+    is already in it, and a Python kernel residual (table, S, V) holds
+    the clauses of S, each with its literals over the variables of V."""
+    if isinstance(res, bytes):
+        return res
+    t, S, V = res
+    g = t.gvar
+    out = array("i")
+    for c in range(t.m):
+        if S >> c & 1:
+            lits = [g[lit] if lit > 0 else -g[-lit] for lit in t.lits[c] if V >> abs(lit) & 1]
+            out.extend((t.top.idx[t.gpos[c]], len(lits), *lits))
+    return out.tobytes()
+
+
+def decode_child(child):
+    """A (parts, implied, conflict) triple with its parts decoded."""
+    parts, implied, conflict = child
+    return [decode(part) for part in parts], implied, conflict
 
 
 # --- reference versions of the guided round-trip ----------------------------
