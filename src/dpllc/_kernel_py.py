@@ -1,14 +1,19 @@
 """Pure-Python residual-formula kernel.
 
 The search runs on bitset residuals.  `root` takes the input formula in
-the byte layout below and builds its table once per compile: each
-clause's literals and the mask of its variables, and for each literal the
-mask of the clauses holding it.  A residual is then (table, S, V), two
-Python ints over that table: S the positions of the surviving clauses and
-V the variables that still occur.  An unsatisfied clause keeps exactly its
-literals over unassigned variables, so clause c of S holds exactly its
-table literals whose variables are in V, and the pair determines the
-residual formula (the hybrid encoding of sharpSAT, Thurley, SAT 2006).
+the byte layout below and settles it there (unit propagation, then the
+split into components), which costs what the formula holds.  It then
+builds one table per part: each clause's literals and the mask of its
+variables, and for each literal the mask of the clauses holding it.  A
+residual is then (table, S, V, settled): S and V are two Python ints
+over the table, S the positions of the surviving clauses and V the
+variables that still occur, and `settled` says that it has no unit
+clause.  An unsatisfied clause keeps exactly its literals over
+unassigned variables, so clause c of S holds exactly its table literals
+whose variables are in V, and the pair determines the residual formula
+(the hybrid encoding of sharpSAT, Thurley, SAT 2006).  A part's table
+numbers only the part's own clauses and variables, so on a wide sparse
+formula its masks are as wide as the component, not the formula.
 
 `branch` is one decision of the search.  It picks the variable from the
 masks (max-occurrence is one bit_count per variable of V, ties to the
@@ -21,29 +26,23 @@ count of not-yet-false literals is the bit_count of its variables within
 V, a clause whose count reaches one enters a heap keyed by its position,
 and the heap's minimum is always the first unit clause of the residual
 the rescanning definition would see, so the implied literals come out in
-the same order.  A count reaching zero is a conflict.  Splitting is a
+the same order.  The unit clauses of a parent that is not settled join
+the heap too.  A count reaching zero is a conflict.  Splitting is a
 breadth-first search over the masks, and its parts come out in order of
-their smallest clause.  With propagation on, `branch` expects a settled
-parent, one that `root` or `branch` returned with propagation on, and
-which therefore has no unit clause.
+their smallest clause.
 
-`key` is the residual's cache key: the two masks at the input table's
-fixed widths, or the sorted ids of its clauses and variables when those
-are shorter, behind a tag byte that tells the two apart.  Keys are in the
-input table's coordinates (its clause positions, and the formula's
-occurring variables numbered 1..n in increasing order), so they are
-equal exactly when the residuals are.  A residual whose clauses fill less
-than a quarter of a table at least COMPACT_WIDTH clauses wide moves into
-a compact table of its own, when a split makes it or else before it
-branches, so on a wide sparse formula an operation costs what the
-component holds, not what the formula holds; a compact table maps its
-clauses and variables back in increasing order, which keeps every pick,
-every key and every order of clauses and literals as they were.
+`key` is the residual's cache key: the two masks at the fixed widths of
+the settled input, or the sorted ids of its clauses and variables when
+those are shorter, behind a tag byte that tells the two apart.  Keys are
+in the settled input's coordinates (its clause positions, and its
+variables numbered 1..n in increasing order; a part's table maps its
+own back in increasing order), so they are equal exactly when the
+residuals are.
 
 The byte layout is the root's input format and the layout of the
 single-step operations below `key` (`condition` to `split_components`),
-which the package no longer calls: one native int32 record per surviving
-clause, in increasing original-clause-index order,
+which the package calls only inside `root`: one native int32 record per
+surviving clause, in increasing original-clause-index order,
 
     idx, k, lit_1, ..., lit_k
 
@@ -56,49 +55,46 @@ components in the same order, and so the same circuits.
 """
 
 from array import array
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
 
-# A residual whose clauses fill less than a quarter of a table at least
-# this many clauses wide moves into a compact table of its own.
-COMPACT_WIDTH = 256
-
 
 class _Table:
-    """Clauses 0..m-1 over variables 1..n: `lits[c]` sorted by variable,
-    `cvars[c]` the mask of c's variables, `occ[lit]` the mask of the
-    clauses holding lit (a negative literal indexes from the end) and
-    `vocc[x]` of those holding x or -x.  `top` is the input table, and
-    `gpos` and `tvar` map clauses and variables to its own, in increasing
-    order (the identity in the input table itself); `gvar` maps variables
-    to the formula's.  The input table numbers the formula's occurring
-    variables 1..n in increasing order, and holds the original clause
-    indices `idx` and the widths of the key's masks and ids."""
+    """The clauses `clauses` (lists of the formula's literals, sorted by
+    variable) over the formula's variables `xs` (sorted), numbered 0..m-1
+    and 1..n: `cvars[c]` the mask of c's variables, `occ[lit]` the mask
+    of the clauses holding lit (a negative literal indexes from the end)
+    and `vocc[x]` of those holding x or -x.  `idx` holds the original
+    clause indices and `gvar` the formula's variables.  `gpos` and `tvar`
+    map clauses and variables to the settled input's numbering, in
+    increasing order, or are None when the table numbers them as it
+    does; `widths` are the key's widths there."""
 
-    __slots__ = ("m", "lits", "cvars", "occ", "vocc", "gpos", "tvar", "gvar", "top",
-                 "idx", "sbytes", "vbytes", "ids", "idw")
+    __slots__ = ("idx", "cvars", "occ", "vocc", "gvar", "gpos", "tvar",
+                 "sbytes", "vbytes", "ids", "idw")
 
-    def __init__(self, lits, n, gpos, tvar, gvar, top):
+    def __init__(self, idx, clauses, xs, gpos, tvar, widths):
+        local = dict(zip(xs, range(1, len(xs) + 1)))
         cvars = []
-        occ = [0] * (2 * n + 1)
-        for c, clause in enumerate(lits):
+        occ = [0] * (2 * len(xs) + 1)
+        for c, clause in enumerate(clauses):
             bit = 1 << c
             mask = 0
             for lit in clause:
-                occ[lit] |= bit
-                mask |= 1 << (lit if lit > 0 else -lit)
+                i = local[lit] if lit > 0 else -local[-lit]
+                occ[i] |= bit
+                mask |= 1 << (i if i > 0 else -i)
             cvars.append(mask)
-        self.m = len(lits)
-        self.lits = lits
+        self.idx = idx
         self.cvars = cvars
         self.occ = occ
-        self.vocc = [occ[x] | occ[-x] for x in range(n + 1)]
+        self.vocc = [occ[x] | occ[-x] for x in range(len(xs) + 1)]
+        self.gvar = [0, *xs]
         self.gpos = gpos
         self.tvar = tvar
-        self.gvar = gvar
-        self.top = top or self
+        self.sbytes, self.vbytes, self.ids, self.idw = widths
 
 
 _BYTE_ONES = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -118,34 +114,58 @@ def _ones(x: int):
 
 def root(res: bytes, split: bool, propagate: bool):
     """(parts, implied, conflict) of the input formula `res`, in the byte
-    layout, after building its table: conflict when it holds an empty
-    clause or (with `propagate`) unit propagation finds one, and then
-    parts == [] and implied == (); otherwise `implied` in derivation order
-    and `parts` the rest's components (with `split`), or the rest alone,
-    or [] when nothing is left."""
-    v = memoryview(res).cast("i")
+    layout: conflict when it holds an empty clause or (with `propagate`)
+    unit propagation finds one, and then parts == [] and implied == ();
+    otherwise `implied` in derivation order and `parts` the rest's
+    components (with `split`), or the rest alone, or [] when nothing is
+    left, each a residual over a table of its own."""
+    v = _decode(res)
+    implied: tuple[int, ...] = ()
+    if propagate:
+        conflict, found = _unit_pass(v)
+        if conflict:
+            return [], (), True
+        if found is not None:
+            starts, counts, true, derived = found
+            v = _rebuild(v, starts, counts, true)
+            implied = tuple(derived)
+    elif has_empty(res):
+        return [], (), True
+    if not v:
+        return [], implied, False
     idx: list[int] = []
-    lits: list[list[int]] = []
+    clauses: list[list[int]] = []
     i = 0
     while i < len(v):
         k = v[i + 1]
-        if k == 0:
-            return [], (), True
         idx.append(v[i])
-        lits.append(v[i + 2 : i + 2 + k].tolist())
+        clauses.append(v[i + 2 : i + 2 + k])
         i += 2 + k
-    xs = sorted({lit if lit > 0 else -lit for clause in lits for lit in clause})
-    local = {x: i for i, x in enumerate(xs, 1)}
-    lits = [[local[lit] if lit > 0 else -local[-lit] for lit in clause] for clause in lits]
-    m, n = len(lits), len(xs)
-    t = _Table(lits, n, range(m), range(n + 1), [0, *xs], None)
-    t.idx = idx
-    t.sbytes = (m + 7) // 8
-    t.vbytes = (n + 8) // 8
-    t.ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
-    t.idw = array(t.ids).itemsize
-    units = [c for c, clause in enumerate(lits) if len(clause) == 1]
-    return _settle(t, (1 << m) - 1, (1 << (n + 1)) - 2, 0, units, split, propagate)
+    xs = sorted({lit if lit > 0 else -lit for clause in clauses for lit in clause})
+    m, n = len(clauses), len(xs)
+    ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
+    widths = (m + 7) // 8, (n + 8) // 8, ids, array(ids).itemsize
+    members: dict[int, list[int]] = {}
+    if split:
+        group = _labels(v)
+        for c, clause in enumerate(clauses):
+            lit = clause[0]
+            members.setdefault(group[lit if lit > 0 else -lit], []).append(c)
+    if len(members) < 2:
+        return [_residual(_Table(idx, clauses, xs, None, None, widths), propagate)], implied, False
+    number = {x: i for i, x in enumerate(xs, 1)}
+    parts = []
+    for cs in members.values():
+        part = [clauses[c] for c in cs]
+        ys = sorted({lit if lit > 0 else -lit for clause in part for lit in clause})
+        t = _Table([idx[c] for c in cs], part, ys, cs, [0, *(number[y] for y in ys)], widths)
+        parts.append(_residual(t, propagate))
+    return parts, implied, False
+
+
+def _residual(t, settled):
+    """The residual of all of t."""
+    return t, (1 << len(t.cvars)) - 1, (1 << len(t.gvar)) - 2, settled
 
 
 def branch(res, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
@@ -158,14 +178,15 @@ def branch(res, heuristic: int, ranks: bytes | None, split: bool, propagate: boo
     (parts, implied, conflict) as `root` gives it for the residual
     conditioned on the literal.
     """
-    t, S, V = res
-    if t.m >= COMPACT_WIDTH and 4 * S.bit_count() < t.m:
-        t, S, V = _compact(t, _ones(S), _ones(V))
+    t, S, V, settled = res
     x = _pick(t, S, V, heuristic, ranks)
-    low = _child(t, S, V, -x, split, propagate)
-    high = _child(t, S, V, x, split, propagate)
+    units = ()
+    if propagate and not settled:
+        cvars = t.cvars
+        units = [c for c in _ones(S) if (cvars[c] & V).bit_count() == 1]
+    low = _child(t, S, V, -x, split, propagate, units)
+    high = _child(t, S, V, x, split, propagate, units)
     return t.gvar[x], low, high
-
 
 def _pick(t, S, V, heuristic, ranks) -> int:
     if ranks is not None:
@@ -194,8 +215,9 @@ def _pick(t, S, V, heuristic, ranks) -> int:
     return best
 
 
-def _child(t, S, V, lit, split, propagate):
-    """One child of `branch`: the residual (S, V) of t with `lit` true."""
+def _child(t, S, V, lit, split, propagate, units):
+    """One child of `branch`: the residual (S, V) of t with `lit` true;
+    `units` are the parent's unit clauses when it is not settled."""
     cvars = t.cvars
     gone = S & t.occ[lit]
     S ^= gone
@@ -211,13 +233,18 @@ def _child(t, S, V, lit, split, propagate):
             if k == 0:
                 return [], (), True
             heap.append(c)
+    if units:
+        # A unit clause holding -lit is empty now, and one holding lit
+        # is gone; the others are still unit clauses.
+        heap += [c for c in units if S >> c & 1]
+        heapify(heap)
     return _settle(t, S, V, gone, heap, split, propagate)
 
 
 def _settle(t, S, V, gone, heap, split, propagate):
     """(parts, implied, conflict) of the residual (S, V) of t, whose unit
-    clauses are `heap` (in position order, so a heap) and whose V may
-    still hold variables of the clauses in `gone`, which are satisfied."""
+    clauses are `heap` (a heap of positions) and whose V may still hold
+    variables of the clauses in `gone`, which are satisfied."""
     implied: list[int] = []
     if propagate and heap:
         occ, cvars = t.occ, t.cvars
@@ -249,7 +276,7 @@ def _settle(t, S, V, gone, heap, split, propagate):
     if not S:
         return [], tuple(implied), False
     if split:
-        return _split_masks(t, S, V), tuple(implied), False
+        return _split_masks(t, S, V, propagate), tuple(implied), False
     # A variable leaves V when the last clause holding it is satisfied.
     cvars, vocc = t.cvars, t.vocc
     maybe = 0
@@ -263,18 +290,15 @@ def _settle(t, S, V, gone, heap, split, propagate):
         maybe ^= low
         if not S & vocc[low.bit_length() - 1]:
             V ^= low
-    return [(t, S, V)], tuple(implied), False
+    return [(t, S, V, propagate)], tuple(implied), False
 
 
-def _split_masks(t, S, V) -> list:
+def _split_masks(t, S, V, settled) -> list:
     """The variable-disjoint parts of the residual (S, V) of t, each with
-    its own exact V, in order of their smallest clause.  A part that
-    fills less than a quarter of a wide table moves into its own (a lone
-    clause stays, and moves when it branches)."""
+    its own exact V, in order of their smallest clause."""
     cvars, vocc = t.cvars, t.vocc
     if not S & (S - 1):
-        return [(t, S, cvars[S.bit_length() - 1] & V)]
-    wide = t.m >= COMPACT_WIDTH
+        return [(t, S, cvars[S.bit_length() - 1] & V, settled)]
     parts = []
     while S:
         # S and V keep the clauses and variables no part has taken yet.
@@ -298,56 +322,36 @@ def _split_masks(t, S, V) -> list:
             new &= V
             V ^= new
             vs |= new
-        if wide and 4 * cs.bit_count() < t.m:
-            parts.append(_compact(t, _ones(cs), _ones(vs)))
-        else:
-            parts.append((t, cs, vs))
+        parts.append((t, cs, vs, settled))
     return parts
-
-
-def _compact(t, cs, xs):
-    """The residual of t whose clauses are `cs` and whose variables are
-    `xs`, both in increasing order, moved into a table of its own."""
-    local = {x: i for i, x in enumerate(xs, 1)}
-    lits = []
-    for c in cs:
-        clause = []
-        for lit in t.lits[c]:
-            i = local.get(lit if lit > 0 else -lit)
-            if i is not None:
-                clause.append(i if lit > 0 else -i)
-        lits.append(clause)
-    n = len(xs)
-    gpos = [t.gpos[c] for c in cs]
-    tvar = [0, *(t.tvar[x] for x in xs)]
-    gvar = [0, *(t.gvar[x] for x in xs)]
-    return _Table(lits, n, gpos, tvar, gvar, t.top), (1 << len(lits)) - 1, (1 << (n + 1)) - 2
 
 
 def key(res) -> bytes:
     """The cache key of a residual: equal exactly when the residuals are.
 
-    Tag 0 then S and V as masks of the input table's fixed widths, or,
+    Tag 0 then S and V as masks of the settled input's fixed widths, or,
     when it is shorter, tag 1 then the counts and the sorted ids of S's
-    clauses and V's variables, as unsigned ints of the width the input
-    table's size needs; so a key is never longer than 1 + ceil(m / 8) +
+    clauses and V's variables, as unsigned ints of the width the settled
+    input's size needs; so a key is never longer than 1 + ceil(m / 8) +
     ceil((n + 1) / 8) bytes for m clauses over variables 1..n.
     """
-    t, S, V = res
-    top = t.top
+    t, S, V, _ = res
+    g, h = t.gpos, t.tvar
     s, n = S.bit_count(), V.bit_count()
-    if top.idw * (2 + s + n) >= top.sbytes + top.vbytes:
-        if t is not top:
+    if t.idw * (2 + s + n) >= t.sbytes + t.vbytes:
+        if g is not None:
             gS = gV = 0
             for c in _ones(S):
-                gS |= 1 << t.gpos[c]
+                gS |= 1 << g[c]
             for x in _ones(V):
-                gV |= 1 << t.tvar[x]
+                gV |= 1 << h[x]
             S, V = gS, gV
-        return b"\x00" + S.to_bytes(top.sbytes, "little") + V.to_bytes(top.vbytes, "little")
-    g, h = t.gpos, t.tvar
-    ids = [s, n, *[g[c] for c in _ones(S)], *[h[x] for x in _ones(V)]]
-    return b"\x01" + array(top.ids, ids).tobytes()
+        return b"\x00" + S.to_bytes(t.sbytes, "little") + V.to_bytes(t.vbytes, "little")
+    if g is None:
+        ids = [s, n, *_ones(S), *_ones(V)]
+    else:
+        ids = [s, n, *[g[c] for c in _ones(S)], *[h[x] for x in _ones(V)]]
+    return b"\x01" + array(t.ids, ids).tobytes()
 
 
 # --- the byte layout's single-step operations ---------------------------------
@@ -583,15 +587,31 @@ def split_components(res: bytes) -> list[bytes]:
 
 def _split(v: list[int], res: bytes) -> list[bytes]:
     """split_components of `res`, whose decoded records are `v`."""
-    n = len(v)
-    if n == 0:
+    if not v:
         return []
-    # group[x] labels the part of variable x; members[g] lists its
-    # variables.  A record joins all groups its variables are in, and the
-    # smaller group is relabelled into the larger.
+    group = _labels(v)
+    parts: dict[int, list[bytes]] = {}
+    i, n = 0, len(v)
+    while i < n:
+        end = i + 2 + v[i + 1]
+        lit = v[i + 2]
+        part = parts.setdefault(group[lit if lit > 0 else -lit], [])
+        part.append(res[4 * i : 4 * end])
+        i = end
+    if len(parts) == 1:
+        return [res]
+    return [b"".join(part) for part in parts.values()]
+
+
+def _labels(v: list[int]) -> dict[int, int]:
+    """group[x] for each variable x of the decoded residual `v`, a label
+    that the variables of one component share."""
+    # members[g] lists the variables of group g.  A record joins all
+    # groups its variables are in, and the smaller group is relabelled
+    # into the larger.
     group: dict[int, int] = {}
     members: dict[int, list[int]] = {}
-    i = 0
+    i, n = 0, len(v)
     while i < n:
         k = v[i + 1]
         if k == 0:
@@ -624,14 +644,4 @@ def _split(v: list[int], res: bytes) -> list[bytes]:
         for x in fresh:
             group[x] = target
         i += 2 + k
-    if len(members) == 1:
-        return [res]
-    parts: dict[int, list[bytes]] = {}
-    i = 0
-    while i < n:
-        end = i + 2 + v[i + 1]
-        lit = v[i + 2]
-        part = parts.setdefault(group[lit if lit > 0 else -lit], [])
-        part.append(res[4 * i : 4 * end])
-        i = end
-    return [b"".join(part) for part in parts.values()]
+    return group

@@ -318,14 +318,19 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
 # compiled one; keys made of the input table's two masks would take
 # about 9 MB.
 WIDE_CACHE_BYTES = 1_500_000
+# The traced peak of that compile: 4.1 MB on the Python kernel and
+# 3.6 MB on the compiled one.  Tables as wide as the whole formula, a
+# mask of up to n bits per clause and of up to m bits per literal, took
+# 10.5 MB here and grow with m * n.
+WIDE_PEAK_BYTES = 6_000_000
 
 
 def test_wide_sparse_formula_compiles_per_component(kernel, monkeypatch):
     # A random 3-CNF of 3,000 clauses over 20,000 variables falls apart
     # into small components.  Decomposed search must cost what those hold,
-    # not what the formula holds: on the Python kernel each component
-    # moves into a compact table of its own, and its cache keys list its
-    # few clauses and variables.
+    # not what the formula holds: on the Python kernel the root gives each
+    # component a table of its own, and its cache keys list its few
+    # clauses and variables.
     monkeypatch.setattr(compiler, "KERNEL", kernel)
     cnf = random_3cnf(random.Random(0), 20_000, 0.15)
     start = time.perf_counter()
@@ -344,12 +349,13 @@ def test_wide_sparse_formula_compiles_per_component(kernel, monkeypatch):
     tracemalloc.start()
     try:
         compile_decomposed(cnf)
-        with_cache = tracemalloc.get_traced_memory()[0]
+        with_cache, peak = tracemalloc.get_traced_memory()
         kept.clear()
         held = with_cache - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held < WIDE_CACHE_BYTES, "the cache held %d bytes" % held
+    assert peak < WIDE_PEAK_BYTES, "the traced peak was %d bytes" % peak
 
 
 def test_uncached_search_holds_no_residual_per_level():

@@ -4,7 +4,7 @@ layout's decision step in tests/util.py."""
 
 import random
 from array import array
-from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,11 +82,11 @@ def test_backends_agree(kernel_cy):
         picks = [(code, None) for code in (0, 1)]
         picks += [(0, _first(x, cnf.num_vars)) for x in range(1, cnf.num_vars + 1)]
         for split in (False, True):
-            for prop in (False, True):
-                py_root, cy_root = kernel_py.root(res, split, prop), kernel_cy.root(res, split, prop)
+            for settle in (False, True):
+                py_root, cy_root = kernel_py.root(res, split, settle), kernel_cy.root(res, split, settle)
                 assert decode_child(py_root) == cy_root
                 for py_part, cy_part in zip(py_root[0], cy_root[0]):
-                    for code, ranks in picks:
+                    for (code, ranks), prop in product(picks, (False, True)):
                         x, low, high = kernel_py.branch(py_part, code, ranks, split, prop)
                         assert (x, decode_child(low), decode_child(high)) == kernel_cy.branch(
                             cy_part, code, ranks, split, prop
@@ -296,15 +296,16 @@ def test_branch_child_kinds(kernel, clauses, low, high):
 def test_branch_matches_composition(kernel, rng):
     # Both children of every variable, with and without splitting and
     # propagation, on a residual as the search holds it (settled by root
-    # with propagation), and without propagation on the unsettled input,
-    # which free and decomposed search without propagation branch on.  A
-    # rank table that puts x first makes branch decide x when x occurs,
-    # and the first occurring variable of that order when it does not.
+    # with propagation) and on the unsettled input, which free and
+    # decomposed search without propagation branch on; with propagation
+    # branch must also propagate the unit clauses an unsettled parent
+    # holds.  A rank table that puts x first makes branch decide x when x
+    # occurs, and the first occurring variable of that order when it
+    # does not.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
     raw = compute_key(cnf)
-    settled = kernel.root(raw, False, True)[0]
-    parents = [(res, prop) for res in settled for prop in (False, True)]
-    parents += [(res, False) for res in kernel.root(raw, False, False)[0]]
+    roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
+    parents = [(res, prop) for res in roots for prop in (False, True)]
     for res, prop in parents:
         layout = decode(res)
         occurring = {abs(lit) for lit in _literals(layout)}
@@ -360,8 +361,8 @@ def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
     order = list(range(1, cnf.num_vars + 1))
     rng.shuffle(order)
     ranks = compiler.VarOrder(tuple(order)).rank_bytes
-    parents = [(res, prop) for res in kernel.root(raw, False, True)[0] for prop in (False, True)]
-    parents += [(res, False) for res in kernel.root(raw, False, False)[0]]
+    roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
+    parents = [(res, prop) for res in roots for prop in (False, True)]
     for res, prop in parents:
         layout = decode(res)
         first = kernel.min_rank_var(layout, ranks)
@@ -375,21 +376,11 @@ def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
 # --- the decision step against the byte layout's reference -------------------
 
 
-@contextmanager
-def _compact_width(width):
-    """Python kernel tables of at least `width` clauses compact."""
-    saved = kernel_py.COMPACT_WIDTH
-    kernel_py.COMPACT_WIDTH = width
-    try:
-        yield
-    finally:
-        kernel_py.COMPACT_WIDTH = saved
-
-
 def _walk_against_oracle(kernel, cnf, rng, steps=10):
     # Settle the input, then branch on residuals drawn at random from
     # everything settled so far, under every split, propagation, heuristic
-    # and rank-table setting; each step must give the reference's pick,
+    # and rank-table setting (and with propagation on an input the root
+    # did not propagate); each step must give the reference's pick,
     # children (implied literals in order, conflicts, components in
     # order), and the keys must tell residuals apart exactly as their
     # byte layouts do.
@@ -398,9 +389,9 @@ def _walk_against_oracle(kernel, cnf, rng, steps=10):
     rng.shuffle(order)
     shuffled = compiler.VarOrder(tuple(order)).rank_bytes
     for split in (False, True):
-        for prop in (False, True):
-            root = kernel.root(res0, split, prop)
-            assert decode_child(root) == oracle_root(res0, split, prop)
+        for settle, prop in ((False, False), (False, True), (True, True)):
+            root = kernel.root(res0, split, settle)
+            assert decode_child(root) == oracle_root(res0, split, settle)
             layouts: dict[bytes, bytes] = {}
             keys: dict[bytes, bytes] = {}
             for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
@@ -428,21 +419,3 @@ walked = settings(max_examples=60, deadline=None)
 @example(cnf=LONG_CASCADE, rng=random.Random(0))
 def test_decision_steps_match_the_byte_reference(kernel, cnf, rng):
     _walk_against_oracle(kernel, cnf, rng)
-
-
-# A path of 40 binary clauses: its residuals shrink a few clauses at a
-# time, so compact tables of compact tables occur.
-PATH = Cnf.from_clauses([[v, v + 1] for v in range(1, 41)], 41)
-
-
-@walked
-@given(cnf=formulas(max_vars=9, max_clauses=18), rng=st.randoms(use_true_random=False))
-@example(cnf=PATH, rng=random.Random(0))
-@example(cnf=LONG_CASCADE, rng=random.Random(0))
-def test_compact_tables_match_the_byte_reference(cnf, rng):
-    # With the width at 1 every residual that fills less than a quarter
-    # of its table moves into a table of its own before it branches, so
-    # the remapping runs on small formulas; keys stay in the input
-    # table's coordinates.
-    with _compact_width(1):
-        _walk_against_oracle(kernel_py, cnf, rng, steps=30)

@@ -412,17 +412,18 @@ def _oracle_child(v, starts, units, counts, occ, lit, split, propagate):
 
 def decode(res) -> bytes:
     """A kernel residual in the byte layout: a compiled kernel's residual
-    is already in it, and a Python kernel residual (table, S, V) holds
-    the clauses of S, each with its literals over the variables of V."""
+    is already in it, and a Python kernel residual (table, S, V, settled)
+    holds the clauses of S, each with its literals over the variables of
+    V."""
     if isinstance(res, bytes):
         return res
-    t, S, V = res
-    g = t.gvar
+    t, S, V, _ = res
     out = array("i")
-    for c in range(t.m):
+    for c in range(len(t.cvars)):
         if S >> c & 1:
-            lits = [g[lit] if lit > 0 else -g[-lit] for lit in t.lits[c] if V >> abs(lit) & 1]
-            out.extend((t.top.idx[t.gpos[c]], len(lits), *lits))
+            xs = [x for x in range(len(t.gvar)) if (t.cvars[c] & V) >> x & 1]
+            lits = [t.gvar[x] if t.occ[x] >> c & 1 else -t.gvar[x] for x in xs]
+            out.extend((t.idx[c], len(lits), *lits))
     return out.tobytes()
 
 
