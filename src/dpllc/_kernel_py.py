@@ -3,8 +3,8 @@
 The search runs on bitset residuals.  `root` takes the input formula in
 the byte layout below and settles it there (unit propagation, then the
 split into components), which costs what the formula holds.  It then
-builds one table per part: each clause's literals and the mask of its
-variables, and for each literal the mask of the clauses holding it.  A
+builds one table per part: the mask of each clause's variables, and for
+each literal the mask of the clauses holding it.  A
 residual is then (table, S, V, settled): S and V are two Python ints
 over the table, S the positions of the surviving clauses and V the
 variables that still occur, and `settled` says that it has no unit
@@ -41,8 +41,9 @@ residuals are.
 
 The byte layout is the root's input format and the layout of the
 single-step operations below `key` (`condition` to `split_components`),
-which the package calls only inside `root`: one native int32 record per
-surviving clause, in increasing original-clause-index order,
+which the search does not call; `root` settles the input with them and
+their helpers.  It holds one native int32 record per surviving clause, in
+increasing original-clause-index order,
 
     idx, k, lit_1, ..., lit_k
 

@@ -315,7 +315,7 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
 
 # What the cache may still hold at the end of the wide compile below:
 # 0.68 MB of keys and table on the Python kernel and 0.92 MB on the
-# compiled one; keys made of the input table's two masks would take
+# compiled one; keys made of the settled input's two masks would take
 # about 9 MB.
 WIDE_CACHE_BYTES = 1_500_000
 # The traced peak of that compile: 4.1 MB on the Python kernel and
