@@ -9,7 +9,14 @@ every run's outcome and provenance (kernel backend, Python, commit, sha256
 of src/).  A run that exits non-zero, times out or prints no result is
 recorded with what it did print; it is never dropped.
 
+With `--parent DIR` (another checkout, usually of the parent commit) every
+run is paired with the same run in DIR, the two sides taking turns to go
+first by seed parity.  The parent's runs are kept as their own groups
+(`parent_groups`), and every end-to-end metric of this checkout gets
+`wins`, the seeds on which it beat the parent, out of `pairs`.
+
     python3 scripts/bench_record.py --label baseline   # writes BENCH_baseline.json
+    python3 scripts/bench_record.py --label pr --parent ../parent-checkout
 """
 
 from __future__ import annotations
@@ -59,11 +66,12 @@ def parse_run(workload: str, seed: int, trace: int, exit_code: int | None, stdou
     }
 
 
-def run_once(workload: str, seed: int, trace: int) -> dict:
+def run_once(root: str, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run of the checkout at root, which builds its own copy."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired as exc:
         out = exc.stdout.decode() if isinstance(exc.stdout, bytes) else exc.stdout or ""
         return parse_run(workload, seed, trace, None, out, "timed out after %d s" % RUN_TIMEOUT_S)
@@ -99,25 +107,56 @@ def aggregate(runs: list[dict]) -> dict:
     return groups
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    args = ap.parse_args(argv)
-    runs = []
+def add_wins(groups: dict, parent_groups: dict) -> None:
+    """Per end-to-end metric, the seeds on which this checkout's value is
+    better than the parent's (a tie is no win), out of the seeds both have."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    for key, group in groups.items():
+        before = parent_groups.get(key, {}).get("metrics", {})
+        for name, entry in group["metrics"].items():
+            if name not in better or name not in before:
+                continue
+            theirs = before[name]["values"]
+            pairs = [(v, theirs[s]) for s, v in entry["values"].items() if s in theirs]
+            sign = 1 if better[name] == "higher" else -1
+            entry["wins"] = sum(sign * (mine - old) > 0 for mine, old in pairs)
+            entry["pairs"] = len(pairs)
+
+
+def record(label: str, parent: str | None = None, run=run_once) -> tuple[dict, list[dict]]:
+    """Run every workload, seed and trace setting; with a parent, pair each
+    run with the parent's, odd seeds running this checkout first."""
+    roots = {"this": ROOT} if parent is None else {"this": ROOT, "parent": parent}
+    runs: dict[str, list[dict]] = {side: [] for side in roots}
     for trace, seeds in SEEDS.items():
         for workload in WORKLOADS:
             for seed in seeds:
-                run = run_once(workload, seed, trace)
-                print("%s seed %d trace %d: exit %s" % (workload, seed, trace, run["exit_code"]), file=sys.stderr)
-                runs.append(run)
-    record = {
-        "label": args.label,
+                for side in list(roots) if seed % 2 else list(roots)[::-1]:
+                    result = run(roots[side], workload, seed, trace)
+                    print("%s: %s seed %d trace %d: exit %s" % (side, workload, seed, trace, result["exit_code"]),
+                          file=sys.stderr)
+                    runs[side].append(result)
+    rec = {
+        "label": label,
         "command": "python3 perfbench/run.py --workload W --seed S --trace T",
-        "groups": aggregate(runs),
+        "groups": aggregate(runs["this"]),
     }
+    if parent is not None:
+        rec["parent_groups"] = aggregate(runs["parent"])
+        add_wins(rec["groups"], rec["parent_groups"])
+    return rec, [r for side in runs.values() for r in side]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
+    ap.add_argument("--parent", help="a checkout to pair every run with, usually of the parent commit")
+    args = ap.parse_args(argv)
+    rec, runs = record(args.label, args.parent and os.path.abspath(args.parent))
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
+        json.dump(rec, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(path)
     return 0 if all(r["correct"] for r in runs) else 1

@@ -12,16 +12,21 @@ choices resolved by that script, reproducing the original circuit up to
 isomorphism.
 
 Costs: the checks read a circuit's kept order and masks instead of walking
-it again.  circuit_to_cnf and compile_guided take time linear in the
-circuit plus the clause text, and isomorphic linear in both circuits (up
-to sorting conjunction children).  Every function here walks with explicit
-stacks, so none depends on the recursion limit.
+it again.  circuit_to_cnf takes time linear in the circuit plus the clause
+text, and isomorphic linear in both circuits (up to sorting conjunction
+children).  compile_guided is linear in the clause text: the clauses of a
+residual have all taken the same steps, so they share one cursor (a
+literal and a color position), and each step touches every clause once
+with list-level operations; a residual of one clause is built at once as
+its chain of decisions.  Every function here walks with explicit stacks,
+so none depends on the recursion limit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .cnf import Cnf
 from .compiler import VarOrder
@@ -299,74 +304,93 @@ def compile_guided(guided: GuidedCnf) -> Circuit:
     the search branches on it.  The result is isomorphic to the circuit
     the script came from.
 
-    Each clause keeps a cursor on its current literal and on that
-    literal's next color, so a step costs one per clause it touches and
-    the replay is linear in the script.  It runs on an explicit work
-    stack, independent of the recursion limit, and builds nodes in the
-    post-order of the recursive definition.
+    Every clause of a residual has taken the same steps: a color split
+    advances each by one color, and a decision advances each by one
+    literal and resets its color position to 0.  So a residual is its
+    clause ids plus one cursor, a literal position and a color position.
+    A step reads the heads at the cursor with one comprehension; a color
+    split groups the clauses by their color keys, and a decision splits
+    them by head literal with `compress`.  A one-clause residual can only
+    decide down its own literals, each with the true sink on the other
+    branch, so it is built directly as that chain, from its last literal
+    back to the cursor; the chain's last decision, on one literal, is kept
+    per literal for the whole replay.
+
+    The replay is linear in the script, runs on an explicit work stack,
+    independent of the recursion limit, and builds nodes in the post-order
+    of the recursive definition, so the store is the same node for node.
     """
     clauses = guided.clauses
-    lit_at = [0] * len(clauses)
-    color_at = [0] * len(clauses)
     store = NodeStore()
+    get_node = store.get_node
+    leaves: dict[int, int] = {}
     results: list[int] = []
-    # ("expand", clause ids) | ("and", child count) | ("decide", var)
-    work: list[tuple] = [("expand", list(range(len(clauses))))]
+    # A work item is a residual (clause ids, literal position, color
+    # position) or an int: var > 0 decides on var over the last two
+    # results, -n conjoins the last n.
+    work: list = [(list(range(len(clauses))), 0, 0)]
     while work:
-        op, arg = work.pop()
-        if op == "and":
-            children = results[len(results) - arg :]
-            del results[len(results) - arg :]
-            results.append(FALSE if FALSE in children else store.get_and_node(children))
+        item = work.pop()
+        if type(item) is int:
+            if item > 0:
+                high = results.pop()
+                results[-1] = get_node(item, results[-1], high)
+            else:
+                children = results[item:]
+                del results[item:]
+                results.append(FALSE if FALSE in children else store.get_and_node(children))
             continue
-        if op == "decide":
-            high = results.pop()
-            low = results.pop()
-            results.append(store.get_node(arg, low, high))
+        ids, p, c = item
+        if len(ids) == 1:
+            clause = clauses[ids[0]]
+            if p >= len(clause):
+                results.append(FALSE)
+                continue
+            lit = clause[-1][0]
+            node = leaves.get(lit)
+            if node is None:
+                node = leaves[lit] = get_node(lit, FALSE, TRUE) if lit > 0 else get_node(-lit, TRUE, FALSE)
+            for k in range(len(clause) - 2, p - 1, -1):
+                lit = clause[k][0]
+                node = get_node(lit, node, TRUE) if lit > 0 else get_node(-lit, TRUE, node)
+            results.append(node)
             continue
         try:
-            heads = [clauses[i][lit_at[i]] for i in arg]
+            heads = [clauses[i][p] for i in ids]
         except IndexError:  # some clause is used up: the empty clause
             results.append(FALSE)
             continue
         if not heads:
             results.append(TRUE)
             continue
-        if color_at[arg[0]] < len(heads[0][1]):
+        if c < len(heads[0][1]):
+            try:
+                keys = [colors[c] for _, colors in heads]
+            except IndexError:
+                raise GuidedScriptError("mixed colored and uncolored first literals") from None
             parts: dict[int, list[int]] = {}
-            for i, (_, colors) in zip(arg, heads):
-                k = color_at[i]
-                if k == len(colors):
-                    raise GuidedScriptError("mixed colored and uncolored first literals")
-                color_at[i] = k + 1
-                part = parts.get(colors[k])
+            for k, i in zip(keys, ids):
+                part = parts.get(k)
                 if part is None:
-                    parts[colors[k]] = [i]
+                    parts[k] = [i]
                 else:
                     part.append(i)
-            work.append(("and", len(parts)))
-            work.extend(("expand", p) for p in reversed(parts.values()))
+            work.append(-len(parts))
+            work.extend([(part, p, c + 1) for part in reversed(parts.values())])
             continue
-        var = abs(heads[0][0])
-        low: list[int] = []
-        high: list[int] = []
-        agree = True
-        for i, (lit, colors) in zip(arg, heads):
-            if color_at[i] < len(colors):
-                raise GuidedScriptError("mixed colored and uncolored first literals")
-            if lit == var:
-                low.append(i)
-            elif lit == -var:
-                high.append(i)
-            else:
-                agree = False
-            lit_at[i] += 1
-            color_at[i] = 0
-        if not agree:
+        # The split that moved the cursor to c took a color from every head,
+        # so a head with exactly c colors has none left.
+        lits = [lit for lit, colors in heads if len(colors) == c]
+        if len(lits) != len(heads):
+            raise GuidedScriptError("mixed colored and uncolored first literals")
+        var = abs(lits[0])
+        low = list(compress(ids, map(var.__eq__, lits)))
+        high = list(compress(ids, map((-var).__eq__, lits)))
+        if len(low) + len(high) != len(ids):
             raise GuidedScriptError("uncolored first literals disagree on the variable")
-        work.append(("decide", var))
-        work.append(("expand", high))
-        work.append(("expand", low))
+        work.append(var)
+        work.append((high, p + 1, 0))
+        work.append((low, p + 1, 0))
 
     store.freeze()
     return Circuit(store, results[0], guided.num_vars)

@@ -90,3 +90,47 @@ def test_summary_is_median_and_quartiles_over_every_run():
     assert (post["q1"], post["q3"]) == (pytest.approx(0.37), pytest.approx(0.39))
     traced = groups["query-mix/trace1"]["metrics"]["post_compile_s"]
     assert traced["median"] == traced["q1"] == traced["q3"] == 9.0
+
+
+def test_a_parent_run_pairs_every_run_and_counts_wins(monkeypatch):
+    # A fake runner: this checkout is 0.1 s faster than the parent on every
+    # seed but 104, where the two tie.
+    monkeypatch.setattr(bench_record, "SEEDS", {0: (101, 102, 103, 104), 1: (101,)})
+    monkeypatch.setattr(bench_record, "WORKLOADS", ("query-mix",))
+    calls = []
+
+    def fake_run(root, workload, seed, trace):
+        calls.append((root, seed, trace))
+        value = 0.5 if root == "PARENT" or seed == 104 else 0.4
+        return bench_record.parse_run(workload, seed, trace, 0, _stdout(seed, value), "")
+
+    rec, runs = bench_record.record("pr", "PARENT", run=fake_run)
+    this = bench_record.ROOT
+    # Odd seeds run this checkout first, even seeds the parent.
+    assert calls == [
+        (this, 101, 0), ("PARENT", 101, 0),
+        ("PARENT", 102, 0), (this, 102, 0),
+        (this, 103, 0), ("PARENT", 103, 0),
+        ("PARENT", 104, 0), (this, 104, 0),
+        (this, 101, 1), ("PARENT", 101, 1),
+    ]
+    assert len(runs) == 10
+    assert sorted(rec["parent_groups"]) == sorted(rec["groups"]) == ["query-mix/trace0", "query-mix/trace1"]
+    before = rec["parent_groups"]["query-mix/trace0"]["metrics"]["post_compile_s"]
+    assert before["median"] == 0.5 and "wins" not in before
+    after = rec["groups"]["query-mix/trace0"]["metrics"]["post_compile_s"]
+    assert (after["wins"], after["pairs"]) == (3, 4)
+    assert after["median"] == pytest.approx(0.4)
+    # Equal node counts are no win either.
+    nodes = rec["groups"]["query-mix/trace0"]["metrics"]["circuit_nodes"]
+    assert (nodes["wins"], nodes["pairs"]) == (0, 4)
+
+
+def test_without_a_parent_the_record_has_no_pairs():
+    def fake_run(root, workload, seed, trace):
+        return bench_record.parse_run(workload, seed, trace, 0, _stdout(seed, 0.4), "")
+
+    rec, runs = bench_record.record("solo", run=fake_run)
+    assert "parent_groups" not in rec
+    assert len(runs) == sum(len(s) for s in bench_record.SEEDS.values()) * len(bench_record.WORKLOADS)
+    assert all("wins" not in m for g in rec["groups"].values() for m in g["metrics"].values())

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from util import (
     oracle_circuit_to_cnf,
     oracle_compile_guided,
     oracle_isomorphic,
+    random_3cnf,
     random_cnf,
     running_cnf,
 )
@@ -256,6 +259,14 @@ def test_guided_roundtrip_all_modes():
             again = compile_guided(guided)
             assert isomorphic(again, circuit)
             assert oracle_isomorphic(again, circuit)
+    # Medium scripts, whose steps run over dozens of clauses and whose
+    # residuals split by color below decisions.
+    for ratio in (1.5, 2.0, 2.5):
+        cnf = random_3cnf(rng, 30, ratio)
+        for circuit in (compile_decomposed(cnf), compile_free(cnf)):
+            guided = circuit_to_cnf(circuit)
+            assert len(guided.clauses) > 50
+            assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
 
 
 def test_derived_clauses_preserve_semantics():
@@ -493,3 +504,38 @@ def test_isomorphic_wide_conjunction():
     assert not isomorphic(_wide(2000, flip=1234), _wide(2000, expanded=True))
     assert not isomorphic(_wide(2000, drop=777), _wide(2000, expanded=True))
     assert not isomorphic(literals, _wide(2000, flip=2000))
+
+
+REPLAY_BUDGET_S = 5.0
+
+
+def test_guided_roundtrip_of_a_wide_conjunction():
+    # One color split into 20,000 one-literal parts, at the default
+    # recursion limit.
+    circuit = _wide(20_000)
+    guided = circuit_to_cnf(circuit)
+    assert len(guided.clauses) == 20_000
+    start = time.perf_counter()
+    again = compile_guided(guided)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REPLAY_BUDGET_S, "replay took %.2f s" % elapsed
+    assert isomorphic(again, circuit)
+
+
+def test_compile_guided_of_one_long_clause_is_its_decision_chain():
+    # One clause of 100,000 literals replays as the chain of decisions
+    # with the true sink on each literal's other branch, built from the
+    # last literal up, exactly as NodeStore builds it directly.
+    n = 100_000
+    assert sys.getrecursionlimit() < n
+    lits = [v if v % 3 else -v for v in range(1, n + 1)]
+    start = time.perf_counter()
+    replay = compile_guided(GuidedCnf((tuple((lit, ()) for lit in lits),), n))
+    elapsed = time.perf_counter() - start
+    assert elapsed < REPLAY_BUDGET_S, "replay took %.2f s" % elapsed
+    s = NodeStore()
+    node = FALSE
+    for lit in reversed(lits):
+        node = s.get_node(lit, node, TRUE) if lit > 0 else s.get_node(-lit, TRUE, node)
+    assert replay.root == node
+    assert replay.store.nodes == s.nodes
