@@ -1,18 +1,18 @@
 /* Compiled residual-formula kernel.
 
-   The same entry points as _kernel_py, whose docstring describes them,
-   with the same picks, implied literals, conflicts and components in the
-   same order, so the same circuits.  Here a residual stays in the int32
-   record layout that _kernel_py documents, and it is its own cache key:
-   `root` settles the input (has_empty, propagate and split_components in
-   one call), `branch` picks a decision's variable and conditions,
-   propagates and splits both its children in one call, and `key` returns
-   the residual itself.  Its pick and select_var's and min_rank_var's are
-   one helper, pick_var, over the decoded parent.  The single-step
-   operations (`condition` to `split_components`) have no caller in the
-   package.  Residuals come from compiler.compute_key or from this
-   kernel, so record lengths are trusted; only a rank table, which
-   belongs to the caller's order, is bounds-checked.
+   The search's entry points of _kernel_py, `root`, `branch` and `key`,
+   whose docstring describes them, with the same picks, implied literals,
+   conflicts and components in the same order, so the same circuits.
+   Here a residual stays in the int32 record layout that _kernel_py
+   documents, and it is its own cache key: `root` settles the input (what
+   _kernel_py's has_empty, propagate and split_components do in turn),
+   `branch` picks a decision's variable (pick_var, what _kernel_py's
+   select_var or min_rank_var picks) and conditions, propagates and
+   splits both its children in one call, and `key` returns the residual
+   itself.  The single-step byte-layout operations live in _kernel_py
+   only.  Residuals come from compiler.compute_key or from this kernel,
+   so record lengths are trusted; only a rank table, which belongs to the
+   caller's order, is bounds-checked.
 
    Build in place (the package falls back to _kernel_py without it):
 
@@ -120,7 +120,7 @@ condition_into(const int *v, Py_ssize_t n, int lit, int *out)
 /* Conditions on the first unit record until none is left or a record is
    empty; returns whether one is.  The fixpoint is left in *res (v itself
    when nothing was implied, else a or b, each of capacity >= n), and the
-   implied literals, when implied is not NULL, in derivation order. */
+   implied literals in implied, in derivation order. */
 static int
 unit_fixpoint(const int *v, Py_ssize_t n, int *a, int *b, int *implied,
               Py_ssize_t *ni, const int **res, Py_ssize_t *nres)
@@ -144,110 +144,11 @@ unit_fixpoint(const int *v, Py_ssize_t n, int *a, int *b, int *implied,
             *nres = n;
             return conflict;
         }
-        if (implied != NULL)
-            implied[(*ni)++] = unit;
+        implied[(*ni)++] = unit;
         int *dst = cur == a ? b : a;
         n = condition_into(cur, n, unit, dst);
         cur = dst;
     }
-}
-
-static PyObject *
-has_empty(PyObject *self, PyObject *res)
-{
-    const int *v;
-    Py_ssize_t i = 0, n;
-    if (residual(res, &v, &n) < 0)
-        return NULL;
-    while (i < n) {
-        if (v[i + 1] == 0)
-            Py_RETURN_TRUE;
-        i += 2 + v[i + 1];
-    }
-    Py_RETURN_FALSE;
-}
-
-static PyObject *
-condition(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    const int *v;
-    Py_ssize_t n, m;
-    int lit;
-    if (expect_args("condition", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
-        || as_int(args[1], &lit) < 0)
-        return NULL;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, n * 4);
-    if (out == NULL)
-        return NULL;
-    m = condition_into(v, n, lit, (int *)PyBytes_AS_STRING(out));
-    if (m < n && _PyBytes_Resize(&out, m * 4) < 0)
-        return NULL;
-    return out;
-}
-
-static PyObject *
-propagate(PyObject *self, PyObject *arg)
-{
-    const int *v, *fix;
-    Py_ssize_t n, nfix, ni = 0, i;
-    if (residual(arg, &v, &n) < 0)
-        return NULL;
-    int *a = malloc((3 * n + 1) * sizeof(int));
-    if (a == NULL)
-        return PyErr_NoMemory();
-    int conflict = unit_fixpoint(v, n, a, a + n, a + 2 * n, &ni, &fix, &nfix);
-    PyObject *out = NULL, *lits = NULL, *result = NULL;
-    if (fix == v) {
-        Py_INCREF(arg);
-        out = arg;
-    }
-    else
-        out = PyBytes_FromStringAndSize((const char *)fix, nfix * 4);
-    if (out == NULL || (lits = PyTuple_New(ni)) == NULL)
-        goto done;
-    for (i = 0; i < ni; i++) {
-        PyObject *lit = PyLong_FromLong(a[2 * n + i]);
-        if (lit == NULL)
-            goto done;
-        PyTuple_SET_ITEM(lits, i, lit);
-    }
-    result = PyTuple_Pack(3, out, lits, conflict ? Py_True : Py_False);
-done:
-    free(a);
-    Py_XDECREF(out);
-    Py_XDECREF(lits);
-    return result;
-}
-
-static PyObject *
-propagate_conflict(PyObject *self, PyObject *arg)
-{
-    const int *v, *fix;
-    Py_ssize_t n, nfix;
-    if (residual(arg, &v, &n) < 0)
-        return NULL;
-    int *a = malloc((2 * n + 1) * sizeof(int));
-    if (a == NULL)
-        return PyErr_NoMemory();
-    int conflict = unit_fixpoint(v, n, a, a + n, NULL, NULL, &fix, &nfix);
-    free(a);
-    return PyBool_FromLong(conflict);
-}
-
-static PyObject *
-first_unit_var(PyObject *self, PyObject *res)
-{
-    const int *v;
-    Py_ssize_t i = 0, n;
-    if (residual(res, &v, &n) < 0)
-        return NULL;
-    while (i < n) {
-        int k = v[i + 1];
-        if (k == 1)
-            return PyLong_FromLong(VAR(v[i + 2]));
-        i += 2 + k;
-    }
-    return PyLong_FromLong(0);
 }
 
 /* The decision variable of v[0..n): with a rank table r of nr entries the
@@ -313,30 +214,6 @@ pick_var(const int *v, Py_ssize_t n, int heuristic, const int *r, Py_ssize_t nr)
     return best;
 }
 
-static PyObject *
-select_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    const int *v;
-    Py_ssize_t n;
-    int heuristic, x;
-    if (expect_args("select_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
-        || as_int(args[1], &heuristic) < 0 || (x = pick_var(v, n, heuristic, NULL, 0)) < 0)
-        return NULL;
-    return PyLong_FromLong(x);
-}
-
-static PyObject *
-min_rank_var(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    const int *v, *r;
-    Py_ssize_t n, nr;
-    int x;
-    if (expect_args("min_rank_var", nargs, 2) < 0 || residual(args[0], &v, &n) < 0
-        || residual(args[1], &r, &nr) < 0 || (x = pick_var(v, n, 0, r, nr)) < 0)
-        return NULL;
-    return PyLong_FromLong(x);
-}
-
 static int
 find(int *parent, int x)
 {
@@ -351,11 +228,10 @@ find(int *parent, int x)
     return root;
 }
 
-/* Finest variable-disjoint partition of v[0..n) as a list of bytes, parts
-   ordered by first record; `whole`, when not NULL, is v as a bytes object
-   and is the single part when there is one. */
+/* Finest variable-disjoint partition of v[0..n), which holds no empty
+   record, as a list of bytes, parts ordered by first record. */
 static PyObject *
-split_parts(const int *v, Py_ssize_t n, PyObject *whole)
+split_parts(const int *v, Py_ssize_t n)
 {
     Py_ssize_t i = 0, j;
     if (n == 0)
@@ -377,13 +253,7 @@ split_parts(const int *v, Py_ssize_t n, PyObject *whole)
         group[var] = -1;
     }
     while (i < n) {
-        int k = v[i + 1];
-        if (k == 0) {
-            PyErr_SetString(PyExc_ValueError,
-                            "cannot split a residual containing an empty clause");
-            goto done;
-        }
-        int first = VAR(v[i + 2]);
+        int k = v[i + 1], first = VAR(v[i + 2]);
         for (j = i + 3; j < i + 2 + k; j++)
             parent[find(parent, first)] = find(parent, VAR(v[j]));
         i += 2 + k;
@@ -393,14 +263,6 @@ split_parts(const int *v, Py_ssize_t n, PyObject *whole)
         if (group[root] < 0)
             group[root] = ngroups++;
         size[group[root]] += 2 + v[i + 1];
-    }
-    if (ngroups == 1 && whole != NULL) {
-        parts = PyList_New(1);
-        if (parts != NULL) {
-            Py_INCREF(whole);
-            PyList_SET_ITEM(parts, 0, whole);
-        }
-        goto done;
     }
     if ((parts = PyList_New(ngroups)) == NULL)
         goto done;
@@ -426,16 +288,6 @@ done:
     return parts;
 }
 
-static PyObject *
-split_components(PyObject *self, PyObject *arg)
-{
-    const int *v;
-    Py_ssize_t n;
-    if (residual(arg, &v, &n) < 0)
-        return NULL;
-    return split_parts(v, n, arg);
-}
-
 /* One child of branch: (parts, implied, conflict) of v conditioned on lit,
    or of v itself when lit is 0.  buf has room for 4n + 1 ints. */
 static PyObject *
@@ -454,7 +306,7 @@ branch_child(const int *v, Py_ssize_t n, int lit, int split, int prop, int *buf)
         return Py_BuildValue("([]()O)", Py_True);
     PyObject *parts = NULL, *lits = NULL, *result = NULL;
     if (split)
-        parts = split_parts(rest, nrest, NULL);
+        parts = split_parts(rest, nrest);
     else if (nrest == 0)
         parts = PyList_New(0);
     else {
@@ -539,42 +391,20 @@ static PyMethodDef methods[] = {
      "root(res, split, propagate): (parts, implied, conflict) of the input "
      "formula res, settled as branch settles a child; see _kernel_py.root."},
     {"key", key, METH_O, "The cache key of a residual: the residual itself."},
-    {"has_empty", has_empty, METH_O, "True iff res holds an empty clause."},
-    {"condition", (PyCFunction)(void (*)(void))condition, METH_FASTCALL,
-     "condition(res, lit): residual after assigning `lit` true: drop satisfied "
-     "clauses, strip -lit."},
-    {"propagate", propagate, METH_O,
-     "Condition on unit clauses until fixpoint.\n\nReturns (residual, implied, "
-     "conflict); implied is in derivation order and conflict means an empty "
-     "clause is present in the residual."},
-    {"propagate_conflict", propagate_conflict, METH_O,
-     "True iff unit propagation derives the empty clause.\n\nSame fixpoint as "
-     "propagate(), but only the verdict is returned; this is the cheap "
-     "conflict lookahead."},
-    {"first_unit_var", first_unit_var, METH_O,
-     "Variable of the first unit clause; 0 when there is none."},
-    {"select_var", (PyCFunction)(void (*)(void))select_var, METH_FASTCALL,
-     "select_var(res, heuristic): deterministic branch-variable choice; 0 when "
-     "the residual has no variables."},
-    {"min_rank_var", (PyCFunction)(void (*)(void))min_rank_var, METH_FASTCALL,
-     "min_rank_var(res, ranks): variable of minimum rank occurring in res; ranks "
-     "is int32, indexed by var."},
     {"branch", (PyCFunction)(void (*)(void))branch, METH_FASTCALL,
      "branch(res, heuristic, ranks, split, propagate): one decision, (x, low, "
-     "high).\n\nx is what select_var(res, heuristic) picks, or with a rank "
-     "table what min_rank_var(res, ranks) picks; each child is (parts, implied, "
-     "conflict), what condition, has_empty, propagate (with `propagate`) and "
-     "split_components (with `split`) give in turn; see _kernel_py.branch."},
-    {"split_components", split_components, METH_O,
-     "Finest variable-disjoint partition of the clauses.\n\nParts come out "
-     "ordered by smallest original clause index (clauses are scanned in index "
-     "order) and must not contain empty clauses."},
+     "high).\n\nx is what _kernel_py.select_var(res, heuristic) picks, or with "
+     "a rank table what _kernel_py.min_rank_var(res, ranks) picks; each child "
+     "is (parts, implied, conflict), what _kernel_py's condition, has_empty, "
+     "propagate (with `propagate`) and split_components (with `split`) give "
+     "in turn; see _kernel_py.branch."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "dpllc._kernel_cy",
-    "Compiled residual-formula kernel; same functions and outputs as _kernel_py.",
+    "Compiled residual-formula kernel: _kernel_py's root, branch and key, "
+    "with the same outputs.",
     -1, methods,
 };
 

@@ -42,8 +42,11 @@ residuals are.
 The byte layout is the root's input format and the layout of the
 single-step operations below `key` (`condition` to `split_components`),
 which the search does not call; `root` settles the input with them and
-their helpers.  It holds one native int32 record per surviving clause, in
-increasing original-clause-index order,
+their helpers.  They stay as the tests' reference for both kernels'
+`root` and `branch`, and as the names the benchmark's tracer looks up on
+this kernel; the compiled kernel does not have them.  The layout holds
+one native int32 record per surviving clause, in increasing
+original-clause-index order,
 
     idx, k, lit_1, ..., lit_k
 

@@ -23,7 +23,7 @@ PROVENANCE = {
 }
 
 
-def _stdout(seed, post_compile_s, correct=True, failed=0):
+def _stdout(seed, post_compile_s, correct=True, failed=0, layers=None):
     result = {
         "correct": correct,
         "attempted": 42,
@@ -31,6 +31,7 @@ def _stdout(seed, post_compile_s, correct=True, failed=0):
         "metrics": {
             "post_compile_s": {"value": post_compile_s, "unit": "s"},
             "circuit_nodes": {"value": 24663, "unit": "count"},
+            **{name: {"value": value, "unit": "s"} for name, value in (layers or {}).items()},
         },
     }
     return "\n".join(
@@ -134,3 +135,34 @@ def test_without_a_parent_the_record_has_no_pairs():
     assert "parent_groups" not in rec
     assert len(runs) == sum(len(s) for s in bench_record.SEEDS.values()) * len(bench_record.WORKLOADS)
     assert all("wins" not in m for g in rec["groups"].values() for m in g["metrics"].values())
+
+
+def test_a_traced_group_records_each_layer_over_the_compile(monkeypatch):
+    # A fake runner whose traced runs swing every layer together: seed 102
+    # runs twice as slow as 101 and seed 103 not at all compiled, yet each
+    # layer's share of the compile stays put.
+    monkeypatch.setattr(bench_record, "SEEDS", {0: (101,), 1: (101, 102, 103)})
+    monkeypatch.setattr(bench_record, "WORKLOADS", ("ddnnf-pipeline",))
+    layers = {
+        101: {"compiler.compile.s": 0.2, "store.parse_nnf.s": 0.05, "checks.compile_guided.s": 0.1},
+        102: {"compiler.compile.s": 0.4, "store.parse_nnf.s": 0.1, "checks.compile_guided.s": 0.2},
+        103: {"compiler.compile.s": 0.0, "store.parse_nnf.s": 0.1},
+    }
+
+    def fake_run(root, workload, seed, trace):
+        out = _stdout(seed, 0.4, layers=layers[seed] if trace else None)
+        return bench_record.parse_run(workload, seed, trace, 0, out, "")
+
+    rec, _ = bench_record.record("solo", run=fake_run)
+    assert "compile_ratios" not in rec["groups"]["ddnnf-pipeline/trace0"]
+    ratios = rec["groups"]["ddnnf-pipeline/trace1"]["compile_ratios"]
+    # Only layer seconds, not the compile itself or an end-to-end metric.
+    assert sorted(ratios) == ["checks.compile_guided.s", "store.parse_nnf.s"]
+    parse = ratios["store.parse_nnf.s"]
+    assert parse["unit"] == "ratio"
+    assert parse["values"] == {"101": pytest.approx(0.25), "102": pytest.approx(0.25)}
+    assert parse["median"] == parse["q1"] == parse["q3"] == pytest.approx(0.25)
+    assert ratios["checks.compile_guided.s"]["median"] == pytest.approx(0.5)
+    # The raw seconds still swing.
+    raw = rec["groups"]["ddnnf-pipeline/trace1"]["metrics"]["store.parse_nnf.s"]
+    assert raw["values"] == {"101": 0.05, "102": 0.1, "103": 0.1}

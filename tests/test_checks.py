@@ -3,7 +3,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpllc.store as store
@@ -458,8 +458,18 @@ _script_literal = st.tuples(
 )
 
 
+# Nested colors: both store the inner conjunction ('A', (2, 3)) as node 4,
+# before the root ('A', (2, 3, 5)).
+NESTED_COLORS = (((1, (1, 2)),), ((2, (1, 3)),), ((3, (2,)),))
+# Both report the low child's disagreeing variables before they look at
+# the high child, whose colors are mixed.
+LOW_CHILD_ERROR_FIRST = (((1, ()), (2, ())), ((1, ()), (3, ())), ((-1, ()), (2, (1,))), ((-1, ()), (3, ())))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.lists(_script_literal, max_size=3).map(tuple), max_size=5).map(tuple))
+@example(NESTED_COLORS)
+@example(LOW_CHILD_ERROR_FIRST)
 def test_compile_guided_matches_the_reference_on_any_script(clauses):
     guided = GuidedCnf(clauses, 3)
     assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)

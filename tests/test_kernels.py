@@ -1,10 +1,13 @@
 """The two kernel backends must agree with each other byte for byte, and
-both must agree with the plain Cnf-level operations and with the byte
-layout's decision step in tests/util.py."""
+both must agree with the byte layout's decision step: the single-step
+operations of _kernel_py, which must agree with the plain Cnf-level
+operations in tests/util.py."""
 
+import importlib.util
 import random
 from array import array
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,10 @@ from util import (
 # A test that takes `kernel` runs once per backend (see conftest.py).
 kernel_py = _kernel.load("py")
 bounded = settings(max_examples=300, deadline=None)
+# The single-step byte-layout operations exist in _kernel_py only; a test
+# of them runs on that backend alone.
+byte_layout = pytest.mark.parametrize("kernel", [kernel_py], ids=["py"])
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def _cases(count=150, seed=23):
@@ -45,6 +52,7 @@ def _cases(count=150, seed=23):
     return out
 
 
+@byte_layout
 def test_kernel_matches_cnf_ops(kernel):
     for cnf, lit in _cases():
         res = compute_key(cnf)
@@ -70,15 +78,8 @@ def _first(x, n):
 
 
 def test_backends_agree(kernel_cy):
-    for cnf, lit in _cases(count=200, seed=29):
+    for cnf, _ in _cases(count=200, seed=29):
         res = compute_key(cnf)
-        assert kernel_py.has_empty(res) == kernel_cy.has_empty(res)
-        assert kernel_py.first_unit_var(res) == kernel_cy.first_unit_var(res)
-        for code in (0, 1):
-            assert kernel_py.select_var(res, code) == kernel_cy.select_var(res, code)
-        if lit:
-            assert kernel_py.condition(res, lit) == kernel_cy.condition(res, lit)
-        assert kernel_py.propagate(res) == kernel_cy.propagate(res)
         picks = [(code, None) for code in (0, 1)]
         picks += [(0, _first(x, cnf.num_vars)) for x in range(1, cnf.num_vars + 1)]
         for split in (False, True):
@@ -91,13 +92,19 @@ def test_backends_agree(kernel_cy):
                         assert (x, decode_child(low), decode_child(high)) == kernel_cy.branch(
                             cy_part, code, ranks, split, prop
                         )
-        assert kernel_py.propagate_conflict(res) == kernel_cy.propagate_conflict(res)
-        if not cnf.has_empty_clause():
-            assert kernel_py.split_components(res) == kernel_cy.split_components(res)
-        order = list(range(1, cnf.num_vars + 1))
-        random.Random(cnf.num_vars).shuffle(order)
-        ranks = compiler.VarOrder(tuple(order)).rank_bytes
-        assert kernel_py.min_rank_var(res, ranks) == kernel_cy.min_rank_var(res, ranks)
+
+
+def test_each_kernel_exposes_what_its_callers_use(kernel_cy):
+    # The compiled kernel is the search's interface and nothing more; the
+    # Python kernel also keeps every operation the benchmark's tracer
+    # looks up by name, so a traced run cannot lose one.
+    public = {name for name in dir(kernel_cy) if not name.startswith("_")}
+    assert public == {"root", "branch", "key", "HEUR_MIN_INDEX", "HEUR_MAX_OCCURRENCE"}
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.KERNEL_OPS
+    assert all(callable(getattr(kernel_py, name, None)) for name in layers.KERNEL_OPS)
 
 
 def test_compilers_identical_across_backends(kernel_cy, monkeypatch):
@@ -123,6 +130,7 @@ def test_compilers_identical_across_backends(kernel_cy, monkeypatch):
             assert isomorphic(a, b)
 
 
+@byte_layout
 def test_select_var_semantics(kernel):
     cnf = compute_key(Cnf.from_clauses([[2, 3], [3]], 3))
     assert kernel.select_var(cnf, kernel.HEUR_MAX_OCCURRENCE) == 3
@@ -134,7 +142,7 @@ def test_min_rank_var_rejects_a_variable_without_rank(kernel):
     res = compute_key(Cnf.from_clauses([[5000, 4000]], 5000))
     ranks = compiler.VarOrder.identity(3).rank_bytes
     with pytest.raises(IndexError):
-        kernel.min_rank_var(res, ranks)
+        kernel_py.min_rank_var(res, ranks)
     (part,), _, _ = kernel.root(res, False, True)
     with pytest.raises(IndexError):
         kernel.branch(part, 0, ranks, False, True)
@@ -165,6 +173,7 @@ def formulas(draw, max_vars=10, max_clauses=16):
     return Cnf.from_clauses(clauses, n)
 
 
+@byte_layout
 @bounded
 @given(data=st.data())
 def test_condition_matches_oracle(kernel, data):
@@ -177,6 +186,7 @@ LEADING_EMPTY = Cnf.from_clauses([[], [1], [-1, 2]], 2)
 LONG_CASCADE = Cnf.from_clauses([[-v, v + 1] for v in range(1, 10)] + [[1]], 10)
 
 
+@byte_layout
 @bounded
 @given(cnf=formulas())
 @example(cnf=LEADING_EMPTY)
@@ -188,6 +198,7 @@ def test_propagate_matches_unit_propagate(kernel, cnf):
     assert kernel.propagate_conflict(res) == conflict
 
 
+@byte_layout
 @bounded
 @given(rng=st.randoms(use_true_random=False))
 def test_closure_decides_the_branches_it_holds(kernel, rng):
@@ -233,6 +244,7 @@ def _literals(res):
         i += 2 + v[i + 1]
 
 
+@byte_layout
 @bounded
 @given(cnf=formulas())
 def test_split_matches_components(kernel, cnf):
@@ -244,19 +256,19 @@ def test_split_matches_components(kernel, cnf):
         assert kernel.split_components(res) == [compute_key(p) for p in components(cnf)]
 
 
-def _composed(kernel, res, lit, split, prop):
-    """One child of `branch`, by the single-step kernel operations."""
-    child = kernel.condition(res, lit)
-    if kernel.has_empty(child):
+def _composed(res, lit, split, prop):
+    """One child of `branch`, by _kernel_py's single-step operations."""
+    child = kernel_py.condition(res, lit)
+    if kernel_py.has_empty(child):
         return [], (), True
     implied = ()
     if prop:
-        child, implied, conflict = kernel.propagate(child)
+        child, implied, conflict = kernel_py.propagate(child)
         if conflict:
             return [], (), True
     if not child:
         return [], implied, False
-    return (kernel.split_components(child) if split else [child]), implied, False
+    return (kernel_py.split_components(child) if split else [child]), implied, False
 
 
 def _records(*records):
@@ -313,13 +325,14 @@ def test_branch_matches_composition(kernel, rng):
             ranks = _first(x, cnf.num_vars)
             for split in (False, True):
                 y, low, high = kernel.branch(res, 0, ranks, split, prop)
-                assert y == (x if x in occurring else kernel.min_rank_var(layout, ranks))
+                assert y == (x if x in occurring else kernel_py.min_rank_var(layout, ranks))
                 assert (decode_child(low), decode_child(high)) == (
-                    _composed(kernel, layout, -y, split, prop),
-                    _composed(kernel, layout, y, split, prop),
+                    _composed(layout, -y, split, prop),
+                    _composed(layout, y, split, prop),
                 )
 
 
+@byte_layout
 @bounded
 @given(data=st.data())
 def test_selectors_match_definitions(kernel, data):
@@ -350,10 +363,10 @@ TIES = Cnf.from_clauses([[3, 4], [-1, 2], [-4, -3], [2, 1]], 4)
 @example(cnf=TIES, rng=random.Random(0))
 @example(cnf=LEADING_EMPTY, rng=random.Random(0))
 def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
-    # Ties included: the variable branch decides is the one select_var,
-    # or with a rank table min_rank_var, picks from the residual in the
-    # byte layout, settled or not.  An input with an empty clause is a
-    # conflict at the root and never branches.
+    # Ties included: the variable branch decides is the one _kernel_py's
+    # select_var, or with a rank table min_rank_var, picks from the
+    # residual in the byte layout, settled or not.  An input with an
+    # empty clause is a conflict at the root and never branches.
     raw = compute_key(cnf)
     if kernel.root(raw, False, False)[2]:
         assert cnf.has_empty_clause()
@@ -365,9 +378,9 @@ def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
     parents = [(res, prop) for res in roots for prop in (False, True)]
     for res, prop in parents:
         layout = decode(res)
-        first = kernel.min_rank_var(layout, ranks)
+        first = kernel_py.min_rank_var(layout, ranks)
         for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
-            picked = kernel.select_var(layout, code)
+            picked = kernel_py.select_var(layout, code)
             for split in (False, True):
                 assert kernel.branch(res, code, None, split, prop)[0] == picked
                 assert kernel.branch(res, code, ranks, split, prop)[0] == first

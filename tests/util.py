@@ -257,8 +257,9 @@ def unit_propagate(delta: Cnf) -> tuple[Cnf, list[int], bool]:
 
 
 def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
-    """Branch variable of a formula under the named heuristic, through the
-    kernel the compiler currently uses.
+    """Branch variable of a formula under the named heuristic, by the
+    byte layout's select_var (in _kernel_py; both kernels' branch picks
+    the same variable).
 
     max-occurrence picks the variable in the most surviving clauses,
     min-index the smallest occurring index; ties break to the smaller
@@ -266,9 +267,8 @@ def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
     """
     if heuristic not in compiler.HEURISTICS:
         raise ValueError("unknown heuristic %r" % heuristic)
-    K = compiler.KERNEL
-    code = K.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
-    var = K.select_var(compiler.compute_key(delta), code)
+    code = byte_ops.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else byte_ops.HEUR_MIN_INDEX
+    var = byte_ops.select_var(compiler.compute_key(delta), code)
     if var == 0:
         raise ValueError("formula mentions no variables")
     return var
