@@ -333,7 +333,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq", help="probabilistic equivalence of two circuits")
     p.add_argument("a", metavar="A.nnf")
     p.add_argument("b", metavar="B.nnf")
-    p.add_argument("--rounds", type=int, default=queries.EQ_ROUNDS)
+    p.add_argument(
+        "--rounds",
+        type=int,
+        default=queries.EQ_ROUNDS,
+        help="random evaluation rounds; each multiplies an equivalent verdict's "
+        "error bound by universe / (2^61 - 1) (default %(default)s)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eq)
 

@@ -18,13 +18,16 @@ Costs, for a circuit of |C| reachable nodes and edges over n variables:
 - `condition_circuit` takes one sweep that builds a fresh, reduced store.
 - `enumerate_models` streams its terms with O(n) time between consecutive
   terms, and materialises no conjunct's terms.
-- `prob_equiv` takes one sweep per circuit per round.
+- `prob_equiv` takes one sweep per circuit for its first round, then one
+  sweep per circuit for every group of up to `LANES` further rounds,
+  with arithmetic modulo the product of the group's primes.
 
 Every pass is iterative, so no query depends on the recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +40,11 @@ from .store import FALSE, TRUE, Circuit, NodeStore, reachable
 # 2^61 - 1, a Mersenne prime; field for the polynomial identity test.
 EQ_PRIME = (1 << 61) - 1
 EQ_ROUNDS = 5
+# Rounds after the first share one sweep in groups of up to LANES, one lane
+# prime each.  A sweep's products widen with the group: on an 18,632-node
+# FBDD (CPython 3.11, 2-vCPU VM) a lone round took 0.007-0.009 s, a lane of
+# a 4- to 8-lane group 0.0031-0.0039 s, and of a 12-lane group 0.004 s.
+LANES = 8
 
 
 class LanguageError(ValueError):
@@ -283,12 +291,55 @@ def _expand_terms(nodes: list[tuple], root: int) -> Iterator[frozenset[int]]:
             yield frozenset(lits)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which is exact
+    for every n below 3.1 * 10^23, far above the lane primes."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _lane_primes(count: int) -> tuple[int, ...]:
+    """EQ_PRIME and the count - 1 primes just above it, ascending."""
+    primes = [EQ_PRIME]
+    n = EQ_PRIME
+    while len(primes) < count:
+        n += 2
+        if _is_prime(n):
+            primes.append(n)
+    return tuple(primes)
+
+
+LANE_PRIMES = _lane_primes(LANES)
+
+
 @dataclass(frozen=True)
 class EqVerdict:
     """Outcome of the probabilistic equivalence test.
 
     not-equivalent verdicts are certain; equivalent-probably carries a
-    one-sided error bound of (universe / prime) per round.
+    one-sided error bound of at most (universe / prime) per round, where
+    `prime` is EQ_PRIME, the least of the lane primes.
     """
 
     outcome: str  # 'equivalent-probably' | 'not-equivalent'
@@ -302,11 +353,13 @@ class EqVerdict:
 
 
 def _poly_eval(circuit: Circuit, order: list[int], point: list[int], p: int) -> int:
-    """Evaluate the circuit's network polynomial at a field point, sweeping
-    the reachable ids in `order` (topological, as from annotate).
+    """Evaluate the circuit's network polynomial at a point modulo p,
+    sweeping the reachable ids in `order` (topological, as from annotate).
 
-    A variable absent below a node would contribute the factor
-    r + (1 - r) = 1, so non-smooth gaps need no correction.
+    p need not be prime: modulo a product of primes the result is, by the
+    Chinese remainder theorem, the evaluations modulo each of them at the
+    point's residues.  A variable absent below a node would contribute
+    the factor r + (1 - r) = 1, so non-smooth gaps need no correction.
     """
     nodes = circuit.store.nodes
     vals = [0] * len(nodes)
@@ -316,7 +369,8 @@ def _poly_eval(circuit: Circuit, order: list[int], point: list[int], p: int) -> 
         if kind == "D":
             _, var, low, high = node
             r = point[var]
-            vals[nid] = ((1 - r) * vals[low] + r * vals[high]) % p
+            lo = vals[low]
+            vals[nid] = (lo + r * (vals[high] - lo)) % p
         elif kind == "A":
             acc = 1
             for c in node[1]:
@@ -338,10 +392,18 @@ def prob_equiv(
     Per round, draws one field element per variable that occurs in either
     circuit, in increasing variable order, and compares the two network
     polynomials at that point; any disagreement proves inequivalence,
-    while agreement in every round bounds the error by
-    (universe / prime)^rounds.  A variable that occurs in neither circuit
-    cannot tell them apart, so a declared universe far above the
+    while agreement in every round bounds the error by at most
+    (universe / EQ_PRIME)^rounds.  A variable that occurs in neither
+    circuit cannot tell them apart, so a declared universe far above the
     variables used costs nothing.
+
+    Round 1 runs alone over EQ_PRIME, so most inequivalent pairs are
+    refuted by one narrow sweep of each circuit.  The other rounds run in
+    groups of up to LANES: one sweep per circuit modulo M, the product of
+    the group's lane primes, at a point drawn uniformly from [0, M).
+    Z/M is the product of the lane fields, so each lane is an independent
+    round over a field of at least EQ_PRIME elements, and a mismatch
+    reports the first lane that differs.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1, got %d" % rounds)
@@ -354,14 +416,20 @@ def prob_equiv(
     occurring = masks_a[a.root] | masks_b[b.root]
     variables = [v for v, bit in enumerate(bin(occurring)[:1:-1], 1) if bit == "1"]
     width = occurring.bit_length() + 1
-    p = EQ_PRIME
     rng = random.Random(seed)
-    for done in range(1, rounds + 1):
+    done = 0
+    while done < rounds:
+        lanes = LANE_PRIMES[: 1 if done == 0 else rounds - done]
+        m = math.prod(lanes)
         point = [0] * width
         for v in variables:
-            point[v] = rng.randrange(p)
-        if _poly_eval(a, order_a, point, p) != _poly_eval(b, order_b, point, p):
-            return EqVerdict("not-equivalent", done, p, Fraction(0))
+            point[v] = rng.randrange(m)
+        va = _poly_eval(a, order_a, point, m)
+        vb = _poly_eval(b, order_b, point, m)
+        if va != vb:
+            first = next(i for i, q in enumerate(lanes) if va % q != vb % q)
+            return EqVerdict("not-equivalent", done + 1 + first, EQ_PRIME, Fraction(0))
+        done += len(lanes)
     return EqVerdict(
-        "equivalent-probably", rounds, p, Fraction(a.universe, p) ** rounds
+        "equivalent-probably", rounds, EQ_PRIME, Fraction(a.universe, EQ_PRIME) ** rounds
     )

@@ -57,13 +57,10 @@ class NodeStore:
     def node(self, nid: int) -> tuple:
         return self.nodes[nid]
 
-    def _intern(self, node: tuple) -> int:
-        existing = self._unique.get(node)
-        if existing is not None:
-            return existing
+    def _add(self, node: tuple, nid: int) -> int:
+        """Append a node the unique table lacks; nid must be len(self.nodes)."""
         if self.frozen:
             raise StoreError("store is frozen")
-        nid = len(self.nodes)
         self.nodes.append(node)
         self._unique[node] = nid
         return nid
@@ -72,20 +69,31 @@ class NodeStore:
         if not 0 <= nid < len(self.nodes):
             raise StoreError("invalid node id %d" % nid)
 
+    # The constructors check ids inline against one length read and probe
+    # the unique table once: they run once per node built, so a helper
+    # call per check is a measurable share of compiling and conditioning.
+
     def literal(self, lit: int) -> int:
         if lit == 0:
             raise StoreError("0 is not a literal")
-        return self._intern(("L", lit))
+        node = ("L", lit)
+        nid = self._unique.get(node)
+        return self._add(node, len(self.nodes)) if nid is None else nid
 
     def get_node(self, var: int, low: int, high: int) -> int:
         """Decision node on var, reduced: equal children collapse to the child."""
         if var < 1:
             raise StoreError("decision variable must be positive, got %d" % var)
-        self._check_id(low)
-        self._check_id(high)
+        n = len(self.nodes)
+        if not 0 <= low < n:
+            raise StoreError("invalid node id %d" % low)
+        if not 0 <= high < n:
+            raise StoreError("invalid node id %d" % high)
         if low == high:
             return low
-        return self._intern(("D", var, low, high))
+        node = ("D", var, low, high)
+        nid = self._unique.get(node)
+        return self._add(node, n) if nid is None else nid
 
     def get_and_node(self, children) -> int:
         """Conjunction of children, normalized.
@@ -95,14 +103,17 @@ class NodeStore:
         child itself.  A false sink among the children is a contract
         violation: callers must return the false sink directly instead.
         """
+        nodes = self.nodes
+        n = len(nodes)
         flat: set[int] = set()
         for c in children:
-            self._check_id(c)
+            if not 0 <= c < n:
+                raise StoreError("invalid node id %d" % c)
             if c == FALSE:
                 raise StoreError("false sink among conjuncts")
             if c == TRUE:
                 continue
-            node = self.nodes[c]
+            node = nodes[c]
             if node[0] == "A":
                 flat.update(node[1])
             else:
@@ -111,7 +122,9 @@ class NodeStore:
             return TRUE
         if len(flat) == 1:
             return next(iter(flat))
-        return self._intern(("A", tuple(sorted(flat))))
+        node = ("A", tuple(sorted(flat)))
+        nid = self._unique.get(node)
+        return self._add(node, n) if nid is None else nid
 
     def freeze(self) -> None:
         self.frozen = True

@@ -1,14 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from dpllc import queries
 from dpllc.checks import isomorphic
 from dpllc.cnf import Cnf
 from dpllc.compiler import CompileConfig, VarOrder, compile_decomposed, compile_free, compile_ordered
 from dpllc.queries import (
     EQ_PRIME,
+    LANE_PRIMES,
+    LANES,
     LanguageError,
+    _is_prime,
     _poly_eval,
     annotate,
     condition_circuit,
@@ -258,11 +263,20 @@ def test_condition_preserves_order():
 # --- probabilistic equivalence ----------------------------------------------
 
 
+# One round alone, one round plus a partial lane group, and rounds that
+# fill two lane groups and start a third.
+EQ_ROUND_COUNTS = (1, 5, 2 * LANES + 3)
+
+
 def test_eq_self():
     circuit = compile_free(running_cnf())
     verdict = prob_equiv(circuit, circuit)
     assert verdict.equivalent
     assert verdict.error_bound == Fraction(3, EQ_PRIME) ** 5
+    for rounds in EQ_ROUND_COUNTS:
+        verdict = prob_equiv(circuit, circuit, rounds=rounds)
+        assert verdict.equivalent and verdict.rounds == rounds and verdict.prime == EQ_PRIME
+        assert verdict.error_bound == Fraction(3, EQ_PRIME) ** rounds
 
 
 def test_eq_sinks_differ():
@@ -277,8 +291,9 @@ def test_eq_across_modes():
     for _ in range(15):
         cnf = random_cnf(rng, max_vars=8, max_clauses=12)
         a, b, c = _modes(cnf)
-        assert prob_equiv(a, b, seed=rng.randrange(1 << 30)).equivalent
-        assert prob_equiv(b, c, seed=rng.randrange(1 << 30)).equivalent
+        for rounds in EQ_ROUND_COUNTS:
+            assert prob_equiv(a, b, seed=rng.randrange(1 << 30), rounds=rounds).equivalent
+            assert prob_equiv(b, c, seed=rng.randrange(1 << 30), rounds=rounds).equivalent
 
 
 def test_eq_universe_mismatch():
@@ -307,6 +322,75 @@ def test_eq_zero_one_points_match_boolean_evaluation():
             point = [0] + [int(a[v]) for v in range(1, cnf.num_vars + 1)]
             assert _poly_eval(circuit, order, point, EQ_PRIME) == int(eval_circuit(circuit, a))
             assert eval_circuit(circuit, a) == eval_cnf(cnf, a)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # A Carmichael number, the least strong pseudoprime to bases 2, 3, 5
+    # and 7, and the least to every prime base up to 23.
+    for composite in (561, 3_215_031_751, 3_825_123_056_546_413_051, (1 << 61) + 1):
+        assert not _is_prime(composite)
+    assert _is_prime((1 << 61) - 1)
+
+
+def test_lane_primes_ascend_from_eq_prime():
+    assert len(LANE_PRIMES) == LANES
+    assert LANE_PRIMES[0] == EQ_PRIME
+    assert all(p < q for p, q in zip(LANE_PRIMES, LANE_PRIMES[1:]))
+    assert all(_is_prime(p) for p in LANE_PRIMES)
+
+
+def test_poly_eval_modulo_the_lane_product_agrees_with_each_lane():
+    rng = random.Random(97)
+    m = math.prod(LANE_PRIMES)
+    for _ in range(10):
+        cnf = random_cnf(rng, max_vars=8, max_clauses=12)
+        for circuit in _modes(cnf):
+            order, _ = annotate(circuit)
+            point = [rng.randrange(m) for _ in range(cnf.num_vars + 1)]
+            wide = _poly_eval(circuit, order, point, m)
+            for p in LANE_PRIMES:
+                assert wide % p == _poly_eval(circuit, order, [x % p for x in point], p)
+
+
+def test_eq_refutes_in_round_one_with_one_narrow_sweep_each(monkeypatch):
+    moduli = []
+    inner = queries._poly_eval
+
+    def counting(circuit, order, point, p):
+        moduli.append(p)
+        return inner(circuit, order, point, p)
+
+    monkeypatch.setattr(queries, "_poly_eval", counting)
+    a = compile_free(Cnf.from_clauses([[1, 2]], 2))
+    b = compile_free(Cnf.from_clauses([[1], [2]], 2))
+    verdict = prob_equiv(a, b, rounds=2 * LANES + 3)
+    assert not verdict.equivalent and verdict.rounds == 1
+    assert moduli == [EQ_PRIME, EQ_PRIME]
+
+
+def test_eq_reports_the_first_lane_that_differs(monkeypatch):
+    # Sweeps 1-2 are round 1, sweeps 3-4 the first lane group and sweeps
+    # 5-6 the second.  There b's value agrees with a's modulo every lane
+    # prime but the third, so round 1 + LANES + 3 refutes.
+    moduli = []
+    s = NodeStore()
+    a, b = Circuit(s, s.literal(1), 1), Circuit(s, s.literal(-1), 1)
+
+    def fake(circuit, order, point, p):
+        moduli.append(p)
+        return p // LANE_PRIMES[2] if circuit is b and len(moduli) > 4 else 0
+
+    monkeypatch.setattr(queries, "_poly_eval", fake)
+    verdict = prob_equiv(a, b, rounds=2 * LANES + 3)
+    assert not verdict.equivalent and verdict.rounds == 1 + LANES + 3
+    assert moduli == [EQ_PRIME] * 2 + [math.prod(LANE_PRIMES)] * 4
 
 
 def test_eq_is_deterministic_under_seed():
