@@ -31,13 +31,15 @@ the heap too.  A count reaching zero is a conflict.  Splitting is a
 breadth-first search over the masks, and its parts come out in order of
 their smallest clause.
 
-`key` is the residual's cache key: the two masks at the fixed widths of
-the settled input, or the sorted ids of its clauses and variables when
-those are shorter, behind a tag byte that tells the two apart.  Keys are
-in the settled input's coordinates (its clause positions, and its
-variables numbered 1..n in increasing order; a part's table maps its
-own back in increasing order), so they are equal exactly when the
-residuals are.
+`key` is the residual's cache key, in the settled input's coordinates:
+`root` numbers the settled input's clauses and variables part by part,
+each part's in increasing order, so a part's table is one contiguous
+range of that numbering, and its masks map to it by one shift each.  Keys
+are therefore equal exactly when the residuals are.  The key is the two
+masks at the fixed widths of the settled input behind a tag byte 0, a
+few C-level int operations; only on a settled input whose two masks are
+wider than _MASK_KEY_BYTES is it the sorted ids of the residual's clauses
+and variables behind a tag byte 1, when those are shorter.
 
 The byte layout is the root's input format and the layout of the
 single-step operations below `key` (`condition` to `split_components`),
@@ -64,6 +66,13 @@ from heapq import heapify, heappop, heappush
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
 
+# A settled input whose two masks take at most this many bytes keys every
+# residual by its masks: two shifts and one to_bytes, where the id form
+# takes a Python loop over the set bits.  The benchmark corpora's settled
+# inputs take 17 to 28 bytes.  Above the bound a small residual's ids are
+# kept when they are shorter, so that a wide input's keys stay small.
+_MASK_KEY_BYTES = 64
+
 
 class _Table:
     """The clauses `clauses` (lists of the formula's literals, sorted by
@@ -71,15 +80,17 @@ class _Table:
     and 1..n: `cvars[c]` the mask of c's variables, `occ[lit]` the mask
     of the clauses holding lit (a negative literal indexes from the end)
     and `vocc[x]` of those holding x or -x.  `idx` holds the original
-    clause indices and `gvar` the formula's variables.  `gpos` and `tvar`
-    map clauses and variables to the settled input's numbering, in
-    increasing order, or are None when the table numbers them as it
-    does; `widths` are the key's widths there."""
+    clause indices and `gvar` the formula's variables.  The settled input
+    numbers the table's clauses from `coff` and its variables from `voff`
+    + 1, in increasing order; `widths` are its key's: the mask key's
+    length `kbytes`, with S at bit `sshift` and V at bit `vshift`, and the
+    id form's array typecode `ids` and item width `idw`, or None and 0
+    when every key is a mask key."""
 
-    __slots__ = ("idx", "cvars", "occ", "vocc", "gvar", "gpos", "tvar",
-                 "sbytes", "vbytes", "ids", "idw")
+    __slots__ = ("idx", "cvars", "occ", "vocc", "gvar", "coff", "voff",
+                 "sshift", "vshift", "kbytes", "ids", "idw")
 
-    def __init__(self, idx, clauses, xs, gpos, tvar, widths):
+    def __init__(self, idx, clauses, xs, coff, voff, widths):
         local = dict(zip(xs, range(1, len(xs) + 1)))
         cvars = []
         occ = [0] * (2 * len(xs) + 1)
@@ -96,9 +107,12 @@ class _Table:
         self.occ = occ
         self.vocc = [occ[x] | occ[-x] for x in range(len(xs) + 1)]
         self.gvar = [0, *xs]
-        self.gpos = gpos
-        self.tvar = tvar
-        self.sbytes, self.vbytes, self.ids, self.idw = widths
+        self.coff = coff
+        self.voff = voff
+        sbytes, self.kbytes, self.ids, self.idw = widths
+        # A mask key's first byte is its tag, 0.
+        self.sshift = 8 + coff
+        self.vshift = 8 * (1 + sbytes) + voff
 
 
 _BYTE_ONES = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -147,8 +161,12 @@ def root(res: bytes, split: bool, propagate: bool):
         i += 2 + k
     xs = sorted({lit if lit > 0 else -lit for clause in clauses for lit in clause})
     m, n = len(clauses), len(xs)
-    ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
-    widths = (m + 7) // 8, (n + 8) // 8, ids, array(ids).itemsize
+    sbytes, vbytes = (m + 7) // 8, (n + 8) // 8
+    if sbytes + vbytes <= _MASK_KEY_BYTES:
+        widths = sbytes, 1 + sbytes + vbytes, None, 0
+    else:
+        ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
+        widths = sbytes, 1 + sbytes + vbytes, ids, array(ids).itemsize
     members: dict[int, list[int]] = {}
     if split:
         group = _labels(v)
@@ -156,14 +174,16 @@ def root(res: bytes, split: bool, propagate: bool):
             lit = clause[0]
             members.setdefault(group[lit if lit > 0 else -lit], []).append(c)
     if len(members) < 2:
-        return [_residual(_Table(idx, clauses, xs, None, None, widths), propagate)], implied, False
-    number = {x: i for i, x in enumerate(xs, 1)}
+        return [_residual(_Table(idx, clauses, xs, 0, 0, widths), propagate)], implied, False
+    # The settled input numbers its clauses and variables part by part.
     parts = []
+    coff = voff = 0
     for cs in members.values():
         part = [clauses[c] for c in cs]
         ys = sorted({lit if lit > 0 else -lit for clause in part for lit in clause})
-        t = _Table([idx[c] for c in cs], part, ys, cs, [0, *(number[y] for y in ys)], widths)
-        parts.append(_residual(t, propagate))
+        parts.append(_residual(_Table([idx[c] for c in cs], part, ys, coff, voff, widths), propagate))
+        coff += len(cs)
+        voff += len(ys)
     return parts, implied, False
 
 
@@ -333,29 +353,25 @@ def _split_masks(t, S, V, settled) -> list:
 def key(res) -> bytes:
     """The cache key of a residual: equal exactly when the residuals are.
 
-    Tag 0 then S and V as masks of the settled input's fixed widths, or,
-    when it is shorter, tag 1 then the counts and the sorted ids of S's
-    clauses and V's variables, as unsigned ints of the width the settled
-    input's size needs; so a key is never longer than 1 + ceil(m / 8) +
-    ceil((n + 1) / 8) bytes for m clauses over variables 1..n.
+    Tag 0 then S and V as masks of the settled input's fixed widths, in
+    its numbering.  On a settled input whose two masks are wider than
+    _MASK_KEY_BYTES, tag 1 then the counts and the sorted ids of S's
+    clauses and V's variables instead, when that is shorter, as unsigned
+    ints of the width the settled input's size needs.  So a key is never
+    longer than 1 + ceil(m / 8) + ceil((n + 1) / 8) bytes for m clauses
+    over variables 1..n.
     """
     t, S, V, _ = res
-    g, h = t.gpos, t.tvar
-    s, n = S.bit_count(), V.bit_count()
-    if t.idw * (2 + s + n) >= t.sbytes + t.vbytes:
-        if g is not None:
-            gS = gV = 0
-            for c in _ones(S):
-                gS |= 1 << g[c]
-            for x in _ones(V):
-                gV |= 1 << h[x]
-            S, V = gS, gV
-        return b"\x00" + S.to_bytes(t.sbytes, "little") + V.to_bytes(t.vbytes, "little")
-    if g is None:
-        ids = [s, n, *_ones(S), *_ones(V)]
-    else:
-        ids = [s, n, *[g[c] for c in _ones(S)], *[h[x] for x in _ones(V)]]
-    return b"\x01" + array(t.ids, ids).tobytes()
+    if t.ids is not None:
+        s, n = S.bit_count(), V.bit_count()
+        if t.idw * (2 + s + n) < t.kbytes - 1:
+            c, v = t.coff, t.voff
+            if c or v:
+                ids = [s, n, *[c + i for i in _ones(S)], *[v + i for i in _ones(V)]]
+            else:
+                ids = [s, n, *_ones(S), *_ones(V)]
+            return b"\x01" + array(t.ids, ids).tobytes()
+    return (S << t.sshift | V << t.vshift).to_bytes(t.kbytes, "little")
 
 
 # --- the byte layout's single-step operations ---------------------------------

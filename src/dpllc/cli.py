@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import io
 import itertools
 import logging
 import multiprocessing
@@ -35,6 +36,14 @@ def _read(path: str, parse):
         raise SystemExit("error: cannot read %s: %s" % (path, exc))
     except ValueError as exc:
         raise SystemExit("error: %s: %s" % (path, exc))
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to path; an unwritable path exits with a one-line message."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SystemExit("error: cannot write %s: %s" % (path, exc))
 
 
 _COUNT_LEAF_BITS = 4096  # about 1,233 digits, well inside str's limit
@@ -103,7 +112,7 @@ def cmd_compile(args) -> int:
     except ValueError as exc:
         raise SystemExit("error: %s" % exc)
     elapsed = time.perf_counter() - start
-    Path(args.output).write_text(serialize(circuit))
+    _write(args.output, serialize(circuit))
     nodes, edges = stats(circuit)
     print("nodes=%d edges=%d time=%.3f" % (nodes, edges, elapsed))
     return 0
@@ -150,7 +159,7 @@ def cmd_query(args) -> int:
         except ValueError as exc:
             raise SystemExit("error: %s" % exc)
         out = args.output or (str(Path(args.circuit).with_suffix("")) + ".cond.nnf")
-        Path(out).write_text(serialize(conditioned))
+        _write(out, serialize(conditioned))
         nodes, edges = stats(conditioned)
         print("wrote %s nodes=%d edges=%d" % (out, nodes, edges))
     return 0
@@ -189,7 +198,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _bench_worker(path: str, lang: str, order_text: str | None, memory_mb: int | None, conn):
+def _bench_worker(path: str, lang: str, order: VarOrder | None, memory_mb: int | None, conn):
     try:
         if memory_mb is not None:
             import resource
@@ -197,10 +206,9 @@ def _bench_worker(path: str, lang: str, order_text: str | None, memory_mb: int |
             limit = memory_mb * 1024 * 1024
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         cnf = parse_dimacs(Path(path).read_text())
-        order = None
-        if lang == "obdd":
-            order = VarOrder.from_text(order_text) if order_text else bandwidth_order(cnf)
-        cfg = CompileConfig(mode=LANG_MODES[lang], order=order)
+        if lang == "obdd" and order is None:
+            order = bandwidth_order(cnf)
+        cfg = CompileConfig(mode=LANG_MODES[lang], order=order if lang == "obdd" else None)
         start = time.perf_counter()
         circuit = compiler.compile_cnf(cnf, cfg)
         elapsed = time.perf_counter() - start
@@ -214,14 +222,14 @@ def _bench_worker(path: str, lang: str, order_text: str | None, memory_mb: int |
         conn.close()
 
 
-def _bench_instance(path: Path, order_text: str | None, time_limit: float, memory_mb: int | None):
+def _bench_instance(path: Path, order: VarOrder | None, time_limit: float, memory_mb: int | None):
     row: dict[str, str] = {"instance": path.stem}
     statuses = []
     counts = {}
     for lang in ("obdd", "fbdd", "ddnnf"):
         parent, child = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(
-            target=_bench_worker, args=(str(path), lang, order_text, memory_mb, child)
+            target=_bench_worker, args=(str(path), lang, order, memory_mb, child)
         )
         proc.start()
         child.close()
@@ -277,7 +285,7 @@ def cmd_bench(args) -> int:
     time_limit = args.time_limit
     if time_limit is None:
         time_limit = float(os.environ.get(TIME_LIMIT_ENV, DEFAULT_TIME_LIMIT))
-    order_text = Path(args.order).read_text() if args.order else None
+    order = _read(args.order, VarOrder.from_text) if args.order else None
     paths = sorted(directory.glob("*.cnf"))
     rows = []
     for path in paths:
@@ -286,15 +294,15 @@ def cmd_bench(args) -> int:
         except OSError as exc:
             log.warning("skipping unreadable %s: %s", path, exc)
             continue
-        rows.append(_bench_instance(path, order_text, time_limit, args.memory_mb))
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        rows.append(_bench_instance(path, order, time_limit, args.memory_mb))
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    if args.output:
+        _write(args.output, out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
     return 0
 
 

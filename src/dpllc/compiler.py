@@ -245,10 +245,11 @@ def _search(
     nothing is left) and the waiting ones as a trailer record (-1, k,
     lit_1, ..., lit_k), which neither kernel's key can imitate: a byte
     residual starts with a clause index, which is never negative, and a
-    Python kernel key with a tag byte of 0 or 1, and each is as long as
-    its own content says.  A `_DEC` frame holds the key to cache the node
-    under (None without a cache) and the forced prefix to chain above the
-    node.
+    Python kernel key with a tag byte, 0 for masks of the one length the
+    settled input fixes, 1 for sorted ids as many as its counts say; so
+    each key is as long as its own content says.  A `_DEC` frame holds
+    the key to cache the node under (None without a cache) and the forced
+    prefix to chain above the node.
     """
     K = KERNEL
     rank = None if ranks is None else memoryview(ranks).cast("i")

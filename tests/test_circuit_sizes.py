@@ -16,6 +16,7 @@ import pytest
 
 import dpllc.compiler as compiler
 from dpllc import _kernel
+from dpllc.cnf import Cnf
 from dpllc.compiler import (
     HEURISTICS,
     MODES,
@@ -127,6 +128,34 @@ def _trailer(layout_key: bytes) -> bytes:
     return layout_key[4 * i :]
 
 
+def unit_chains(*lengths):
+    """One unit chain [a], [-a, a + 1], ... per length, on disjoint
+    variables."""
+    clauses, first = [], 1
+    for n in lengths:
+        clauses.append([first])
+        clauses += [[-v, v + 1] for v in range(first, first + n - 1)]
+        first += n
+    return Cnf.from_clauses(clauses, first - 1)
+
+
+def key_form_cases():
+    """(formula, configurations, whether its settled input is wider than
+    the Python kernel's mask-key bound).
+
+    Every table of the configurations corpus, and one the size of the
+    benchmark corpora's (165 clauses over 55 variables, compiled as they
+    are), keys residuals by masks alone.  A settled input wider than the
+    mask-key bound gives both forms: one chain of 300 clauses, and two of
+    150, which the decomposed compiles without propagation key as two
+    parts, the second numbered from clause 150 and variable 151."""
+    for cnf in configurations_corpus():
+        yield cnf, configurations(cnf), False
+    yield random_3cnf(random.Random(1), 55, 3.0), [CompileConfig("decomposed")], False
+    for cnf in (unit_chains(300), unit_chains(150, 150)):
+        yield cnf, (cfg for cfg in configurations(cnf) if cfg.caching), True
+
+
 def test_cache_keys_are_one_to_one_across_backends(kernel_cy, monkeypatch):
     # The compiled kernel keys a residual by its byte layout, the Python
     # kernel by its clause and variable sets.  On every configuration the
@@ -135,9 +164,10 @@ def test_cache_keys_are_one_to_one_across_backends(kernel_cy, monkeypatch):
     # than its two masks (ceil(m / 8) and ceil((n + 1) / 8) bytes for m
     # clauses over n variables) behind one tag byte, plus the trailer.
     kernel_py = _kernel.load("py")
-    for cnf in configurations_corpus():
+    for cnf, cfgs, wide in key_form_cases():
         bound = 1 + -(-len(cnf.clauses) // 8) + -(-(cnf.num_vars + 1) // 8)
-        for cfg in configurations(cnf):
+        tags = set()
+        for cfg in cfgs:
             py = _cache_log(kernel_py, cnf, cfg, monkeypatch)
             cy = _cache_log(kernel_cy, cnf, cfg, monkeypatch)
             assert [(op, node) for op, _, node in py] == [(op, node) for op, _, node in cy]
@@ -148,7 +178,12 @@ def test_cache_keys_are_one_to_one_across_backends(kernel_cy, monkeypatch):
                 assert backward.setdefault(cy_key, py_key) == py_key
                 trailer = _trailer(cy_key)
                 assert py_key.endswith(trailer)
-                assert len(py_key) - len(trailer) <= bound
+                body = py_key[: len(py_key) - len(trailer)]
+                assert len(body) <= bound
+                if body:
+                    tags.add(body[0])
                 if trailer:
                     assert cfg.mode == "ordered"
                     assert len(trailer) == 4 * (2 + array("i", trailer)[1])
+        # Tag 0 is the mask form, tag 1 the sorted ids.
+        assert tags == {0, 1} if wide else tags <= {0}

@@ -133,6 +133,30 @@ ERROR_CASES = {
         ["bench", "{d}/run.cnf"],
         "error: {d}/run.cnf is not a directory",
     ),
+    "unwritable-compile-output": (
+        ["compile", "--lang", "fbdd", "{d}/run.cnf", "-o", "{d}/missing/x.nnf"],
+        "error: cannot write {d}/missing/x.nnf: [Errno 2] No such file or directory: "
+        "'{d}/missing/x.nnf'",
+    ),
+    "unwritable-condition-output": (
+        ["query", "--condition", "1", "-o", "{d}/missing/x.nnf", "{d}/a.nnf"],
+        "error: cannot write {d}/missing/x.nnf: [Errno 2] No such file or directory: "
+        "'{d}/missing/x.nnf'",
+    ),
+    "unwritable-bench-output": (
+        ["bench", "{d}/no-cnf", "-o", "{d}/missing/x.csv"],
+        "error: cannot write {d}/missing/x.csv: [Errno 2] No such file or directory: "
+        "'{d}/missing/x.csv'",
+    ),
+    "missing-bench-order": (
+        ["bench", "{d}/no-cnf", "--order", "{d}/missing.ord"],
+        "error: cannot read {d}/missing.ord: [Errno 2] No such file or directory: "
+        "'{d}/missing.ord'",
+    ),
+    "bad-bench-order": (
+        ["bench", "{d}/no-cnf", "--order", "{d}/bad.ord"],
+        "error: {d}/bad.ord: invalid literal for int() with base 10: 'x'",
+    ),
 }
 
 
@@ -147,6 +171,7 @@ def test_error_messages_are_pinned(workdir, capsys, case):
     (workdir / "a.nnf").write_text("nnf 1 0 2\nA 0\n")
     (workdir / "b.nnf").write_text("nnf 1 0 3\nA 0\n")
     (workdir / "huge.nnf").write_text("nnf 3 2 2000000000\nL 1\nL 2\nA 2 0 1\n")
+    (workdir / "no-cnf").mkdir()
     argv, expected = ERROR_CASES[case]
     d = str(workdir)
     assert run(*(arg.format(d=d) for arg in argv)) == 1

@@ -425,10 +425,25 @@ def _walk_against_oracle(kernel, cnf, rng, steps=10):
 
 walked = settings(max_examples=60, deadline=None)
 
+# Settled inputs wider than the Python kernel's mask-key bound, so that it
+# keys their small residuals by sorted ids: 80 copies of one small formula
+# on disjoint variables, which split into 80 parts numbered from clause
+# 3i and variable 4i + 1, and 110 pairs of clauses joined by one hub
+# variable, which fall apart in one part's numbering once it is decided.
+WIDE_PARTS = Cnf.from_clauses(
+    [c for b in range(0, 320, 4) for c in ([b + 1, b + 2, -(b + 3)], [-(b + 1), b + 3, b + 4], [b + 2, -(b + 4)])],
+    320,
+)
+WIDE_HUB = Cnf.from_clauses(
+    [c for a in range(2, 222, 2) for c in ([1, a, a + 1], [-1, a, -(a + 1)], [-a, a + 1])], 221
+)
+
 
 @walked
 @given(cnf=formulas(max_vars=9, max_clauses=18), rng=st.randoms(use_true_random=False))
 @example(cnf=TIES, rng=random.Random(0))
 @example(cnf=LONG_CASCADE, rng=random.Random(0))
+@example(cnf=WIDE_PARTS, rng=random.Random(0))
+@example(cnf=WIDE_HUB, rng=random.Random(0))
 def test_decision_steps_match_the_byte_reference(kernel, cnf, rng):
     _walk_against_oracle(kernel, cnf, rng)

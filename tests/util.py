@@ -419,12 +419,20 @@ def decode(res) -> bytes:
         return res
     t, S, V, _ = res
     out = array("i")
-    for c in range(len(t.cvars)):
-        if S >> c & 1:
-            xs = [x for x in range(len(t.gvar)) if (t.cvars[c] & V) >> x & 1]
-            lits = [t.gvar[x] if t.occ[x] >> c & 1 else -t.gvar[x] for x in xs]
-            out.extend((t.idx[c], len(lits), *lits))
+    for c in _bits(S):
+        lits = [t.gvar[x] if t.occ[x] >> c & 1 else -t.gvar[x] for x in _bits(t.cvars[c] & V)]
+        out.extend((t.idx[c], len(lits), *lits))
     return out.tobytes()
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def decode_child(child):
