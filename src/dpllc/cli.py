@@ -131,6 +131,16 @@ def cmd_query(args) -> int:
             raise SystemExit("error: --universe below the circuit's own universe")
         circuit = Circuit(circuit.store, circuit.root, args.universe)
     _require_ddnnf(circuit)
+    try:
+        _answer_query(args, circuit)
+    except ValueError as exc:
+        # A term wider than the universe, or a universe below the variables
+        # the circuit mentions.
+        raise SystemExit("error: %s" % exc)
+    return 0
+
+
+def _answer_query(args, circuit) -> None:
     if args.count:
         if circuit.universe > MAX_COUNT_UNIVERSE:
             raise SystemExit(
@@ -153,16 +163,11 @@ def cmd_query(args) -> int:
         for term in models:
             print(" ".join(str(l) for l in sorted(term, key=abs)))
     elif args.condition is not None:
-        lits = _parse_lits(args.condition)
-        try:
-            conditioned = queries.condition_circuit(circuit, lits)
-        except ValueError as exc:
-            raise SystemExit("error: %s" % exc)
+        conditioned = queries.condition_circuit(circuit, _parse_lits(args.condition))
         out = args.output or (str(Path(args.circuit).with_suffix("")) + ".cond.nnf")
         _write(out, serialize(conditioned))
         nodes, edges = stats(conditioned)
         print("wrote %s nodes=%d edges=%d" % (out, nodes, edges))
-    return 0
 
 
 def cmd_eq(args) -> int:

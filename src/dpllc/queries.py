@@ -15,7 +15,10 @@ Costs, for a circuit of |C| reachable nodes and edges over n variables:
   counting does big-integer arithmetic of up to n bits per node.
 - `entails_clause` and `is_implicant` take one sweep under the clause's
   negation or the term, and build no store.
-- `condition_circuit` takes one sweep that builds a fresh, reduced store.
+- `condition_circuit` takes two passes: one top-down pass marks what the
+  conditioned root still reaches, and one bottom-up pass rebuilds only
+  the marked nodes in a fresh, reduced store.  On a source of decisions
+  and literals it builds exactly the result's nodes.
 - `enumerate_models` streams its terms with O(n) time between consecutive
   terms, and materialises no conjunct's terms.
 - `prob_equiv` takes one sweep per circuit for its first round, then one
@@ -160,34 +163,63 @@ def is_valid(circuit: Circuit) -> bool:
 
 
 def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
-    """Assign the term's literals and rebuild bottom-up.
+    """Assign the term's literals and rebuild what the conditioned root
+    still reaches.
 
-    The rewrite goes through a fresh store's constructors, so the result
-    is reduced and stays in the source's language class (an ordered input
-    keeps its order).  The universe shrinks by one per assigned variable,
-    whether or not it occurs in the circuit.  It reads the source's order
-    but not its masks, so it accepts circuits outside decision-DNNF.
+    Two passes over the source's order.  A top-down pass marks the nodes
+    the root reaches once every assigned decision takes its branch: an
+    unassigned decision marks both children, a conjunction every
+    conjunct.  A bottom-up pass rebuilds the marked nodes only, through a
+    fresh store's constructors, so the result is reduced and stays in the
+    source's language class (an ordered input keeps its order).  On a
+    source of decisions and literals only, every node built is reachable
+    from the result's root; a conjunction that collapses to false can
+    still leave the conjuncts built before it.
+
+    The universe shrinks by one per assigned variable, whether or not it
+    occurs in the circuit.  It reads the source's order but not its masks,
+    so it accepts circuits outside decision-DNNF.
     """
     t = as_term(term)
     assigned = _assignment(t, circuit.universe)
-    src = circuit.store
+    nodes = circuit.store.nodes
+    value = assigned.get
+    live = bytearray(len(nodes))
+    live[circuit.root] = 1
+    # Marked ids, root first; the rebuild walks them in reverse.
+    marked = []
+    for nid in reversed(circuit.order):
+        if not live[nid]:
+            continue
+        marked.append(nid)
+        node = nodes[nid]
+        kind = node[0]
+        if kind == "D":
+            val = value(node[1])
+            if val is None:
+                live[node[2]] = live[node[3]] = 1
+            else:
+                live[node[3] if val else node[2]] = 1
+        elif kind == "A":
+            for c in node[1]:
+                live[c] = 1
     out = NodeStore()
-    remap = [FALSE] * len(src.nodes)
-    for nid in circuit.order:
-        node = src.nodes[nid]
+    remap = [FALSE] * len(nodes)
+    for nid in reversed(marked):
+        node = nodes[nid]
         kind = node[0]
         if kind == "T":
             remap[nid] = TRUE
         elif kind == "L":
             lit = node[1]
-            val = assigned.get(abs(lit))
+            val = value(abs(lit))
             if val is None:
                 remap[nid] = out.literal(lit)
             else:
                 remap[nid] = TRUE if val == (lit > 0) else FALSE
         elif kind == "D":
             _, var, low, high = node
-            val = assigned.get(var)
+            val = value(var)
             if val is None:
                 remap[nid] = out.get_node(var, remap[low], remap[high])
             else:

@@ -125,6 +125,26 @@ ERROR_CASES = {
         ["query", "--count", "--universe", "2", "{d}/b.nnf"],
         "error: --universe below the circuit's own universe",
     ),
+    "entails-wider-than-universe": (
+        ["query", "--entails", "1 2 3", "{d}/a.nnf"],
+        "error: term assigns more variables than the universe holds",
+    ),
+    "implicant-wider-than-universe": (
+        ["query", "--implicant", "1 2 3", "{d}/a.nnf"],
+        "error: term assigns more variables than the universe holds",
+    ),
+    "count-universe-below-mentioned": (
+        ["query", "--count", "{d}/low.nnf"],
+        "error: universe 1 smaller than the 2 variables mentioned",
+    ),
+    "valid-universe-below-mentioned": (
+        ["query", "--valid", "{d}/low.nnf"],
+        "error: universe 1 smaller than the 2 variables mentioned",
+    ),
+    "implicant-universe-below-mentioned": (
+        ["query", "--implicant", "1", "{d}/low.nnf"],
+        "error: universe 0 smaller than the 1 variables mentioned",
+    ),
     "contradictory-condition": (
         ["query", "--condition", "1 -1", "{d}/a.nnf"],
         "error: term assigns variable 1 both ways",
@@ -171,6 +191,8 @@ def test_error_messages_are_pinned(workdir, capsys, case):
     (workdir / "a.nnf").write_text("nnf 1 0 2\nA 0\n")
     (workdir / "b.nnf").write_text("nnf 1 0 3\nA 0\n")
     (workdir / "huge.nnf").write_text("nnf 3 2 2000000000\nL 1\nL 2\nA 2 0 1\n")
+    # Declares a universe of 1 but mentions variables 1 and 2.
+    (workdir / "low.nnf").write_text("nnf 3 2 1\nL 1\nL 2\nA 2 0 1\n")
     (workdir / "no-cnf").mkdir()
     argv, expected = ERROR_CASES[case]
     d = str(workdir)

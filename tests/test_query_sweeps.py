@@ -3,6 +3,7 @@ the per-circuit annotation cache, and deep circuits at the default
 recursion limit."""
 
 import random
+import re
 import sys
 from itertools import islice
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpllc import store
+from dpllc.checks import isomorphic
 from dpllc.compiler import compile_decomposed, compile_free
 from dpllc.queries import (
     LanguageError,
@@ -28,6 +30,7 @@ from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable
 
 from util import (
     compiled_family,
+    oracle_condition_circuit,
     oracle_entails_clause,
     oracle_enumerate_models,
     oracle_is_implicant,
@@ -113,6 +116,28 @@ def test_wide_conjunctions_match_the_oracles(seed, width):
         assert list(enumerate_models(circuit)) == terms
         assert model_count(circuit) == sum(1 << (circuit.universe - len(t)) for t in terms)
     _assert_term_queries_match(rng, circuit, rounds=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 32))
+def test_condition_rebuilds_only_what_the_full_rebuild_reaches(seed):
+    rng = random.Random(seed)
+    for circuit in compiled_family(rng):
+        lits = _lits(rng, max(circuit.universe, 1) + 2, rng.randint(1, 5))
+        try:
+            want = oracle_condition_circuit(circuit, lits)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                condition_circuit(circuit, lits)
+            continue
+        got = condition_circuit(circuit, lits)
+        assert isomorphic(got, want), lits
+        assert got.universe == want.universe
+        assert _outcome(model_count, got) == _outcome(model_count, want)
+        assert len(got.store) <= len(want.store)
+        if all(circuit.store.nodes[nid][0] != "A" for nid in circuit.order):
+            # Decisions and literals only: nothing built is left unreachable.
+            assert set(got.order) | {FALSE, TRUE} == set(range(len(got.store))), lits
 
 
 def test_term_query_edge_cases_match():
@@ -239,6 +264,21 @@ def test_condition_reuses_the_cached_order(monkeypatch):
 
 
 # --- deep circuits -------------------------------------------------------------
+
+
+def test_condition_builds_nothing_under_a_discarded_branch():
+    # A 40,000-deep chain whose root has a false low branch: conditioning
+    # on -1 keeps the false sink and builds none of the chain below.
+    n = 40000
+    assert sys.getrecursionlimit() < n
+    s = NodeStore()
+    node = TRUE
+    for v in range(n, 0, -1):
+        node = s.get_node(v, FALSE, node)
+    s.freeze()
+    conditioned = condition_circuit(Circuit(s, node, n), [-1])
+    assert conditioned.root == FALSE and conditioned.universe == n - 1
+    assert len(conditioned.store) == 2
 
 
 def test_every_public_query_handles_a_deep_chain():

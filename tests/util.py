@@ -11,7 +11,14 @@ import dpllc.compiler as compiler
 from dpllc import _kernel_py as byte_ops
 from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision_dnnf
 from dpllc.cnf import Cnf, as_term
-from dpllc.queries import LanguageError, annotate, condition_circuit, is_consistent, model_count
+from dpllc.queries import (
+    LanguageError,
+    _assignment,
+    annotate,
+    condition_circuit,
+    is_consistent,
+    model_count,
+)
 from dpllc.store import FALSE, TRUE, Circuit, NnfFormatError, NodeStore, reachable
 
 RUNNING_DIMACS = "p cnf 3 3\n1 2 0\n1 -2 -3 0\n-1 2 -3 0\n"
@@ -580,6 +587,41 @@ def oracle_isomorphic(a, b) -> bool:
 # enumerate_models must agree with exactly on decision-DNNF circuits:
 # condition the circuit in a fresh store and query the copy, and a
 # recursive enumeration that materialises every conjunct's term list.
+# Conditioning itself is checked against the full rebuild: every reachable
+# source node goes through the fresh store's constructors, including those
+# under the branches that the term throws away.
+
+
+def oracle_condition_circuit(circuit: Circuit, term) -> Circuit:
+    assigned = _assignment(as_term(term), circuit.universe)
+    src = circuit.store
+    out = NodeStore()
+    remap = [FALSE] * len(src.nodes)
+    for nid in circuit.order:
+        node = src.nodes[nid]
+        kind = node[0]
+        if kind == "T":
+            remap[nid] = TRUE
+        elif kind == "L":
+            lit = node[1]
+            val = assigned.get(abs(lit))
+            if val is None:
+                remap[nid] = out.literal(lit)
+            else:
+                remap[nid] = TRUE if val == (lit > 0) else FALSE
+        elif kind == "D":
+            _, var, low, high = node
+            val = assigned.get(var)
+            if val is None:
+                remap[nid] = out.get_node(var, remap[low], remap[high])
+            else:
+                remap[nid] = remap[high] if val else remap[low]
+        elif kind == "A":
+            kids = [remap[c] for c in node[1]]
+            if FALSE not in kids:
+                remap[nid] = out.get_and_node(kids)
+    out.freeze()
+    return Circuit(out, remap[circuit.root], circuit.universe - len(assigned))
 
 
 def oracle_entails_clause(circuit, clause) -> bool:
