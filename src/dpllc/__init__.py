@@ -5,6 +5,7 @@ from ._kernel import BACKEND as KERNEL_BACKEND
 from .checks import (
     GuidedCnf,
     GuidedScriptError,
+    GuidedScriptTooLarge,
     MembershipReport,
     check_decision_dnnf,
     check_fbdd,
@@ -46,6 +47,7 @@ __all__ = [
     "EqVerdict",
     "GuidedCnf",
     "GuidedScriptError",
+    "GuidedScriptTooLarge",
     "KERNEL_BACKEND",
     "LanguageError",
     "MembershipReport",

@@ -12,21 +12,25 @@ choices resolved by that script, reproducing the original circuit up to
 isomorphism.
 
 Costs: the checks read a circuit's kept order and masks instead of walking
-it again.  circuit_to_cnf takes time linear in the circuit plus the clause
-text, and isomorphic linear in both circuits (up to sorting conjunction
-children).  compile_guided is linear in the clause text: the clauses of a
-residual have all taken the same steps, so they share one cursor (a
-literal and a color position), and each step touches every clause once
-with list-level operations; a residual of one clause is built at once as
-its chain of decisions.  Every function here walks with explicit stacks,
-so none depends on the recursion limit.
+it again.  A guided script is held as the prefix trie of its clauses, and
+the round trip costs time linear in that trie, not in the clause text,
+which can be quadratic in a decision chain and exponential in a shared
+DAG: circuit_to_cnf is linear in the circuit plus the trie, and
+compile_guided does constant work per trie node (a residual is one trie
+node's children), builds a one-clause residual at once as its chain of
+decisions, and reads every child once per color split.  circuit_to_cnf
+first counts the trie by one fold over the circuit and raises
+GuidedScriptTooLarge, before it builds anything, for a script over
+SCRIPT_BUDGET; the `clauses` and `base` views of a script check the same
+budget.  isomorphic is linear in both circuits (up to sorting conjunction
+children).  Every function here walks with explicit stacks, so none
+depends on the recursion limit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
 
 from .cnf import Cnf
 from .compiler import VarOrder
@@ -225,13 +229,122 @@ def check_decision_dnnf(circuit: Circuit) -> MembershipReport:
 # and colors are consumed head-first during guided decomposition.
 GuidedClause = tuple[tuple[int, tuple[int, ...]], ...]
 
+# The most entries a guided script, or one of its views, may hold: trie
+# nodes plus clauses for a script, literals plus clauses for its `clauses`
+# and `base` views.  Measured with tracemalloc on 64-bit CPython 3.11, an
+# entry of circuit_to_cnf's trie holds about 100 bytes and compile_guided
+# peaks about 180 bytes per entry above that, so a script at the budget
+# takes about 0.4 GB and its round trip about 1.1 GB.  A view entry holds
+# less than a trie entry.
+SCRIPT_BUDGET = 4_000_000
 
-@dataclass(frozen=True)
+
+class GuidedScriptTooLarge(ValueError):
+    """A guided script, or a view of one, would exceed SCRIPT_BUDGET entries."""
+
+
 class GuidedCnf:
-    """CNF whose literal positions carry the replay script of a circuit."""
+    """CNF whose literal positions carry the replay script of a circuit.
 
-    clauses: tuple[GuidedClause, ...]
-    num_vars: int
+    The clauses are held as their prefix trie.  Node 0 is the empty prefix;
+    every other node is one (literal, colors) pair below its parent, so
+    clauses that share a prefix share its nodes.  `_trie` holds per-node
+    lists of literals, colors, parents and children (in the order of the
+    first clause through them; a leaf may hold an empty tuple), and the
+    node each clause ends at, in clause order.  Nodes are numbered in the
+    order the clauses first reach them, so equal clause sequences give
+    equal tries, and `==` and `hash` compare the clause sequences.
+    `clauses` and `base` are views built on demand.
+    """
+
+    __slots__ = ("_num_vars", "_trie", "_hash")
+
+    def __init__(self, clauses, num_vars: int):
+        """Intern the clause tuples; every literal must lie in 1..num_vars."""
+        lits = [0]
+        colors: list[tuple[int, ...]] = [()]
+        parent = [0]
+        children: list = [()]
+        ends = []
+        index: dict[tuple, int] = {}
+        for clause in clauses:
+            at = 0
+            for lit, cols in clause:
+                key = (at, lit, cols)
+                node = index.get(key)
+                if node is None:
+                    if not 1 <= abs(lit) <= num_vars:
+                        raise GuidedScriptError("literal %d outside universe 1..%d" % (lit, num_vars))
+                    node = index[key] = len(lits)
+                    if children[at]:
+                        children[at].append(node)
+                    else:
+                        children[at] = [node]
+                    lits.append(lit)
+                    colors.append(cols)
+                    parent.append(at)
+                    children.append(())
+                at = node
+            ends.append(at)
+        self._num_vars = num_vars
+        self._trie = (lits, colors, parent, children, ends)
+        self._hash = None
+
+    @classmethod
+    def _of_trie(cls, trie: tuple, num_vars: int) -> "GuidedCnf":
+        guided = cls.__new__(cls)
+        guided._num_vars = num_vars
+        guided._trie = trie
+        guided._hash = None
+        return guided
+
+    @property
+    def num_vars(self) -> int:
+        return self._num_vars
+
+    def _key(self) -> tuple:
+        lits, colors, parent, _, ends = self._trie
+        return (self._num_vars, lits, colors, parent, ends)
+
+    def __eq__(self, other):
+        if not isinstance(other, GuidedCnf):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            num_vars, *parts = self._key()
+            self._hash = hash((num_vars, *map(tuple, parts)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "GuidedCnf(<%d trie nodes, %d clauses>, num_vars=%d)" % (
+            len(self._trie[0]) - 1,
+            len(self._trie[4]),
+            self.num_vars,
+        )
+
+    @property
+    def clauses(self) -> tuple[GuidedClause, ...]:
+        lits, colors, parent, _, ends = self._trie
+        depth = [0] * len(parent)
+        for node in range(1, len(parent)):
+            depth[node] = depth[parent[node]] + 1
+        literals = sum([depth[end] for end in ends])
+        if literals + len(ends) > SCRIPT_BUDGET:
+            raise GuidedScriptTooLarge(
+                "the clauses of this guided script hold %d literals in %d clauses, over the budget of %d"
+                % (literals, len(ends), SCRIPT_BUDGET)
+            )
+        out = []
+        for node in ends:
+            clause = []
+            while node:
+                clause.append((lits[node], colors[node]))
+                node = parent[node]
+            clause.reverse()
+            out.append(tuple(clause))
+        return tuple(out)
 
     @property
     def base(self) -> Cnf:
@@ -239,6 +352,31 @@ class GuidedCnf:
             self.num_vars,
             tuple((i, tuple(lit for lit, _ in cl)) for i, cl in enumerate(self.clauses)),
         )
+
+
+def _script_size(nodes: list[tuple], order: list[int]) -> tuple[int, int, int]:
+    """(trie nodes, clauses, literals) of circuit_to_cnf's script, by one
+    fold over the circuit's topological order (children first)."""
+    size = {FALSE: (0, 1, 0), TRUE: (0, 0, 0)}
+    for nid in order:
+        node = nodes[nid]
+        kind = node[0]
+        if kind == "D":
+            _, _, low, high = node
+            tl, cl, ll = size[low]
+            th, ch, lh = size[high]
+            size[nid] = (tl + th + (low != TRUE) + (high != TRUE), cl + ch, ll + cl + lh + ch)
+        elif kind == "A":
+            t = c = n = 0
+            for kid in node[1]:
+                tk, ck, nk = size[kid]
+                t += tk
+                c += ck
+                n += nk
+            size[nid] = (t, c, n)
+        elif kind == "L":
+            size[nid] = (1, 1, 1)
+    return size[order[-1]]
 
 
 def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
@@ -250,16 +388,26 @@ def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
     clauses with a fresh color on their first literal.  Literal leaves are
     treated as their two-sink decision expansion.
 
-    Colors are numbered per conjunction edge in topological order.  One
-    iterative depth-first walk emits every clause once, as a copy of the
-    shared root-to-leaf path, so the cost is linear in the circuit plus
-    the clause text and independent of the recursion limit.
+    Colors are numbered per conjunction edge in topological order.  The
+    clauses come out as their prefix trie: one iterative depth-first walk
+    makes one trie node per step that leads to a clause (a step into the
+    true sink makes none), so the cost is linear in the circuit plus the
+    trie, not the clause text, and independent of the recursion limit.
+    Before the walk, one fold over the circuit counts the trie nodes,
+    clauses and literals, and a script over SCRIPT_BUDGET raises
+    GuidedScriptTooLarge before any trie node is built.
     """
     try:
         order, _ = annotate(circuit)
     except LanguageError as err:
         raise LanguageError("not decision-DNNF: %s" % err) from None
     nodes = circuit.store.nodes
+    trie_nodes, clauses, literals = _script_size(nodes, order)
+    if trie_nodes + clauses > SCRIPT_BUDGET:
+        raise GuidedScriptTooLarge(
+            "the guided script has %d trie nodes, %d clauses and %d literals, over the budget of %d"
+            % (trie_nodes, clauses, literals, SCRIPT_BUDGET)
+        )
     first_color: dict[int, int] = {}
     fresh = 1
     for nid in order:
@@ -267,33 +415,47 @@ def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
         if node[0] == "A":
             first_color[nid] = fresh
             fresh += len(node[1])
-    out: list[GuidedClause] = []
-    path: list[tuple[int, tuple[int, ...]]] = []
-    # (node, path length above it, the pair it appends to the path or None,
-    # colors its first literal still has to take)
-    stack: list[tuple] = [(circuit.root, 0, None, ())]
+    lits = [0]
+    colors: list[tuple[int, ...]] = [()]
+    parent = [0]
+    children: list = [()]
+    ends = []
+    # (circuit node, trie node its clauses continue from, the literal it
+    # adds below that trie node or 0, colors of that literal or else of
+    # the node's own first literal)
+    stack: list[tuple] = [(circuit.root, 0, 0, ())]
     while stack:
-        nid, depth, head, colors = stack.pop()
-        del path[depth:]
-        if head is not None:
-            path.append(head)
-            depth += 1
+        nid, at, lit, cols = stack.pop()
         node = nodes[nid]
         kind = node[0]
-        if kind == "F":
-            out.append(tuple(path))
-        elif kind == "L":
-            out.append(tuple(path) + ((node[1], colors),))
-        elif kind == "D":
+        if lit:
+            new = len(lits)
+            if children[at]:
+                children[at].append(new)
+            else:
+                children[at] = [new]
+            lits.append(lit)
+            colors.append(cols)
+            parent.append(at)
+            children.append(())
+            at = new
+            cols = ()
+        if kind == "D":
             _, var, low, high = node
-            stack.append((high, depth, (-var, colors), ()))
-            stack.append((low, depth, (var, colors), ()))
+            if high != TRUE:
+                stack.append((high, at, -var, cols))
+            if low != TRUE:
+                stack.append((low, at, var, cols))
         elif kind == "A":
             kids = node[1]
             base = first_color[nid]
             for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], depth, None, colors + (base + i,)))
-    return GuidedCnf(tuple(out), circuit.universe)
+                stack.append((kids[i], at, 0, cols + (base + i,)))
+        elif kind == "L":  # its two-sink decision: one clause, of its literal
+            stack.append((FALSE, at, node[1], cols))
+        elif kind == "F":
+            ends.append(at)
+    return GuidedCnf._of_trie((lits, colors, parent, children, ends), circuit.universe)
 
 
 def compile_guided(guided: GuidedCnf) -> Circuit:
@@ -304,31 +466,41 @@ def compile_guided(guided: GuidedCnf) -> Circuit:
     the search branches on it.  The result is isomorphic to the circuit
     the script came from.
 
-    Every clause of a residual has taken the same steps: a color split
-    advances each by one color, and a decision advances each by one
-    literal and resets its color position to 0.  So a residual is its
-    clause ids plus one cursor, a literal position and a color position.
-    A step reads the heads at the cursor with one comprehension; a color
-    split groups the clauses by their color keys, and a decision splits
-    them by head literal with `compress`.  A one-clause residual can only
-    decide down its own literals, each with the true sink on the other
-    branch, so it is built directly as that chain, from its last literal
-    back to the cursor; the chain's last decision, on one literal, is kept
-    per literal for the whole replay.
+    Every clause of a residual has taken the same steps, so a residual is
+    one trie node's children, or after color splits some of them, with one
+    color position for all.  Some clause is used up when one ends at that
+    trie node.  A color split groups the children by their color at the
+    position; a decision finds at most one child on each literal of its
+    variable, and that child's children are the residual below.  A
+    residual of one child splits into itself at every color, so it is
+    decided at once; and if that child's subtree holds one clause end, the
+    residual is that one clause, which can only decide down its literals,
+    each with the true sink on the other branch.  It is built directly as
+    that chain, from its last literal back, and the chain's last decision,
+    on one literal, is kept per literal for the whole replay.
 
-    The replay is linear in the script, runs on an explicit work stack,
-    independent of the recursion limit, and builds nodes in the post-order
-    of the recursive definition, so the store is the same node for node.
+    The replay does constant work per trie node and per child in a color
+    split, so it is linear in the trie, not the clause text.  It runs on an
+    explicit work stack, independent of the recursion limit, and builds
+    nodes in the post-order of the recursive definition, so the store is
+    the same node for node.
     """
-    clauses = guided.clauses
+    lits, colors, parent, children, ends = guided._trie
+    # Clause ends at each trie node, then in each subtree.
+    total = [0] * len(lits)
+    for end in ends:
+        total[end] += 1
+    closed = [count > 0 for count in total]
+    for node in range(len(lits) - 1, 0, -1):
+        total[parent[node]] += total[node]
     store = NodeStore()
     get_node = store.get_node
     leaves: dict[int, int] = {}
     results: list[int] = []
-    # A work item is a residual (clause ids, literal position, color
-    # position) or an int: var > 0 decides on var over the last two
-    # results, -n conjoins the last n.
-    work: list = [(list(range(len(clauses))), 0, 0)]
+    # A work item is a residual (trie node, the children of it that the
+    # residual holds, color position) or an int: var > 0 decides on var over
+    # the last two results, -n conjoins the last n.
+    work: list = [(0, children[0], 0)]
     while work:
         item = work.pop()
         if type(item) is int:
@@ -336,61 +508,67 @@ def compile_guided(guided: GuidedCnf) -> Circuit:
                 high = results.pop()
                 results[-1] = get_node(item, results[-1], high)
             else:
-                children = results[item:]
+                kids = results[item:]
                 del results[item:]
-                results.append(FALSE if FALSE in children else store.get_and_node(children))
+                results.append(FALSE if FALSE in kids else store.get_and_node(kids))
             continue
-        ids, p, c = item
-        if len(ids) == 1:
-            clause = clauses[ids[0]]
-            if p >= len(clause):
-                results.append(FALSE)
-                continue
-            lit = clause[-1][0]
-            node = leaves.get(lit)
-            if node is None:
-                node = leaves[lit] = get_node(lit, FALSE, TRUE) if lit > 0 else get_node(-lit, TRUE, FALSE)
-            for k in range(len(clause) - 2, p - 1, -1):
-                lit = clause[k][0]
-                node = get_node(lit, node, TRUE) if lit > 0 else get_node(-lit, TRUE, node)
-            results.append(node)
-            continue
-        try:
-            heads = [clauses[i][p] for i in ids]
-        except IndexError:  # some clause is used up: the empty clause
+        at, kids, c = item
+        if closed[at]:  # some clause is used up: the empty clause
             results.append(FALSE)
             continue
-        if not heads:
+        if not kids:
             results.append(TRUE)
             continue
-        if c < len(heads[0][1]):
+        first = kids[0]
+        lit = lits[first]
+        if len(kids) == 1:
+            if total[first] == 1:
+                chain = [lit]
+                node = first
+                while children[node]:
+                    node = children[node][0]
+                    chain.append(lits[node])
+                lit = chain.pop()
+                node = leaves.get(lit)
+                if node is None:
+                    node = leaves[lit] = get_node(lit, FALSE, TRUE) if lit > 0 else get_node(-lit, TRUE, FALSE)
+                for lit in reversed(chain):
+                    node = get_node(lit, node, TRUE) if lit > 0 else get_node(-lit, TRUE, node)
+                results.append(node)
+            # No clause ends at a trie node that is decided below, so
+            # (at, (), 0) holds no clause: the true sink.
+            elif lit > 0:
+                work += (lit, (at, (), 0), (first, children[first], 0))
+            else:
+                work += (-lit, (first, children[first], 0), (at, (), 0))
+            continue
+        if c < len(colors[first]):
+            parts: dict[int, list[int]] = {}
             try:
-                keys = [colors[c] for _, colors in heads]
+                for kid in kids:
+                    key = colors[kid][c]
+                    part = parts.get(key)
+                    if part is None:
+                        parts[key] = [kid]
+                    else:
+                        part.append(kid)
             except IndexError:
                 raise GuidedScriptError("mixed colored and uncolored first literals") from None
-            parts: dict[int, list[int]] = {}
-            for k, i in zip(keys, ids):
-                part = parts.get(k)
-                if part is None:
-                    parts[k] = [i]
-                else:
-                    part.append(i)
             work.append(-len(parts))
-            work.extend([(part, p, c + 1) for part in reversed(parts.values())])
+            work.extend([(at, part, c + 1) for part in reversed(parts.values())])
             continue
-        # The split that moved the cursor to c took a color from every head,
-        # so a head with exactly c colors has none left.
-        lits = [lit for lit, colors in heads if len(colors) == c]
-        if len(lits) != len(heads):
+        # The splits that moved the cursor to c took a color from every
+        # child, so a child with exactly c colors has none left, and two
+        # such children with one literal would be one trie node.
+        if len(kids) == 2:
+            other = kids[1]
+            if lits[other] == -lit and len(colors[other]) == c:
+                low, high = (first, other) if lit > 0 else (other, first)
+                work += (abs(lit), (high, children[high], 0), (low, children[low], 0))
+                continue
+        if any(len(colors[kid]) != c for kid in kids):
             raise GuidedScriptError("mixed colored and uncolored first literals")
-        var = abs(lits[0])
-        low = list(compress(ids, map(var.__eq__, lits)))
-        high = list(compress(ids, map((-var).__eq__, lits)))
-        if len(low) + len(high) != len(ids):
-            raise GuidedScriptError("uncolored first literals disagree on the variable")
-        work.append(var)
-        work.append((high, p + 1, 0))
-        work.append((low, p + 1, 0))
+        raise GuidedScriptError("uncolored first literals disagree on the variable")
 
     store.freeze()
     return Circuit(store, results[0], guided.num_vars)

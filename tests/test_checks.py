@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 import dpllc.store as store
 from dpllc.checks import (
+    SCRIPT_BUDGET,
     GuidedCnf,
     GuidedScriptError,
+    GuidedScriptTooLarge,
+    _script_size,
     check_decision_dnnf,
     check_fbdd,
     check_obdd,
@@ -30,6 +33,7 @@ from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable, stats
 
 from util import (
     brute_force_count,
+    compiled_family,
     oracle_circuit_to_cnf,
     oracle_compile_guided,
     oracle_isomorphic,
@@ -447,6 +451,21 @@ def test_guided_script_errors_match_the_reference(clauses):
     assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
 
 
+OUT_OF_UNIVERSE_SCRIPTS = [
+    # a variable above the universe
+    ((((5, ()),),), 5),
+    ((((1, ()), (-3, (1,))),), -3),
+    # the zero literal
+    ((((1, ()),), ((1, ()), (0, ()))), 0),
+]
+
+
+@pytest.mark.parametrize("clauses, lit", OUT_OF_UNIVERSE_SCRIPTS)
+def test_guided_script_literals_lie_in_the_universe(clauses, lit):
+    with pytest.raises(GuidedScriptError, match=r"^literal %d outside universe 1\.\.2$" % lit):
+        compile_guided(GuidedCnf(clauses, 2))
+
+
 def test_empty_clause_takes_precedence_over_a_malformed_step():
     guided = GuidedCnf(((), ((1, ()),), ((2, (3,)),)), 2)
     assert compile_guided(guided).root == FALSE
@@ -473,6 +492,51 @@ LOW_CHILD_ERROR_FIRST = (((1, ()), (2, ())), ((1, ()), (3, ())), ((-1, ()), (2, 
 def test_compile_guided_matches_the_reference_on_any_script(clauses):
     guided = GuidedCnf(clauses, 3)
     assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
+
+
+@st.composite
+def _scripts_with_shared_prefixes(draw):
+    """Scripts over variables 1..3 whose clauses also repeat and cut short
+    other clauses of the script, down to the empty clause."""
+    clauses = draw(st.lists(st.lists(_script_literal, max_size=4).map(tuple), max_size=6))
+    for i, length, at in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 6)), max_size=4)):
+        if clauses:
+            clauses.insert(at % (len(clauses) + 1), clauses[i % len(clauses)][:length])
+    return tuple(clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scripts_with_shared_prefixes(), _scripts_with_shared_prefixes())
+def test_guided_cnf_keeps_any_clause_sequence(clauses, other):
+    guided = GuidedCnf(clauses, 3)
+    assert guided.clauses == clauses
+    again = GuidedCnf(list(clauses), 3)
+    assert guided == again and hash(guided) == hash(again)
+    assert (guided == GuidedCnf(other, 3)) == (clauses == other)
+    assert guided != GuidedCnf(clauses, 4)
+    assert _outcome(compile_guided, guided) == _outcome(oracle_compile_guided, guided)
+
+
+def test_circuit_to_cnf_emits_the_interned_trie_of_its_predicted_size():
+    rng = random.Random(127)
+    for _ in range(30):
+        for circuit in compiled_family(rng):
+            guided = circuit_to_cnf(circuit)
+            clauses = guided.clauses
+            trie_nodes = len(guided._trie[0]) - 1
+            literals = sum(map(len, clauses))
+            assert _script_size(circuit.store.nodes, circuit.order) == (trie_nodes, len(clauses), literals)
+            top = max([abs(lit) for clause in clauses for lit, _ in clause], default=0)
+            if top <= circuit.universe:
+                again = GuidedCnf(clauses, circuit.universe)
+                assert guided == again and hash(guided) == hash(again)
+            else:
+                # A conditioned circuit's universe is a count that its
+                # variables may exceed: its script replays, but interning
+                # the same clauses over that universe is refused.
+                with pytest.raises(GuidedScriptError, match="outside universe"):
+                    GuidedCnf(clauses, circuit.universe)
+                assert GuidedCnf(clauses, top)._trie == guided._trie
 
 
 # --- deep and wide circuits ------------------------------------------------------
@@ -549,3 +613,52 @@ def test_compile_guided_of_one_long_clause_is_its_decision_chain():
         node = s.get_node(lit, node, TRUE) if lit > 0 else s.get_node(-lit, TRUE, node)
     assert replay.root == node
     assert replay.store.nodes == s.nodes
+
+
+def test_guided_roundtrip_of_a_chain_a_hundred_thousand_deep():
+    # The false sink beside each of 100,000 nested decisions: the script has
+    # 100,000 clauses of 5 * 10^9 literals in all, but 199,999 trie nodes.
+    # The root decides the last variable, which keeps the variable masks
+    # that annotate holds per node (bits 1..v below variable v) near 650 MB.
+    n = 100_000
+    assert sys.getrecursionlimit() < n
+    s = NodeStore()
+    node = TRUE
+    for v in range(1, n + 1):
+        node = s.get_node(v, FALSE, node) if v % 2 else s.get_node(v, node, FALSE)
+    circuit = Circuit(s, node, n)
+    start = time.perf_counter()
+    guided = circuit_to_cnf(circuit)
+    again = compile_guided(guided)
+    elapsed = time.perf_counter() - start
+    assert elapsed < REPLAY_BUDGET_S, "round trip took %.2f s" % elapsed
+    with pytest.raises(GuidedScriptTooLarge, match="hold %d literals in %d clauses" % (n * (n + 1) // 2, n)):
+        guided.clauses
+    with pytest.raises(GuidedScriptTooLarge):
+        guided.base
+    assert isomorphic(again, circuit)
+    count = model_count(circuit)
+    # Free the source's masks before the replay's are built.
+    del s, circuit, guided
+    assert model_count(again) == count == 1
+
+
+def test_guided_script_of_parity_is_refused_before_it_is_built():
+    # The parity OBDD over 30 variables has 61 nodes, and a script of 2^29
+    # clauses of 30 literals on about 1.6 * 10^9 trie nodes.
+    n = 30
+    s = NodeStore()
+    even, odd = TRUE, FALSE
+    for v in range(n, 0, -1):
+        even, odd = s.get_node(v, even, odd), s.get_node(v, odd, even)
+    circuit = Circuit(s, even, n)
+    assert len(circuit.order) == 61
+    start = time.perf_counter()
+    with pytest.raises(GuidedScriptTooLarge) as err:
+        circuit_to_cnf(circuit)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, "refusal took %.2f s" % elapsed
+    assert str(err.value) == (
+        "the guided script has %d trie nodes, %d clauses and %d literals, over the budget of %d"
+        % (3 * 2**29 - 2, 2**29, n * 2**29, SCRIPT_BUDGET)
+    )
