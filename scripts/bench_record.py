@@ -72,11 +72,19 @@ def parse_run(workload: str, seed: int, trace: int, exit_code: int | None, stdou
 
 
 def run_once(root: str, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run of the checkout at root, which builds its own copy."""
+    """One perfbench run of the checkout at root, which builds its own copy.
+
+    The child writes no bytecode, so no `__pycache__` appears under the
+    checkout's `src/` and moves the digest that perfbench checks during
+    the run.
+    """
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        proc = subprocess.run(
+            cmd, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+        )
     except subprocess.TimeoutExpired as exc:
         out = exc.stdout.decode() if isinstance(exc.stdout, bytes) else exc.stdout or ""
         return parse_run(workload, seed, trace, None, out, "timed out after %d s" % RUN_TIMEOUT_S)

@@ -146,7 +146,8 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
 
     With an explicit order, every decision edge must descend in its ranks;
     without one, a consistent total order is recovered from the observed
-    edges (smallest-index-first among the unconstrained) and reported.
+    edges (smallest-index-first among the unconstrained), completed over
+    1..num_vars, and reported.
     """
     witness = _fbdd_witness(circuit)
     if witness is not None:
@@ -204,12 +205,8 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
             "obdd",
             witness="variables %s appear in conflicting orders" % (cyc,),
         )
-    # A conditioned circuit's universe is a count that its surviving
-    # decision variables may exceed; complete over both so that the
-    # result is a permutation VarOrder accepts.
     placed = set(recovered)
-    top = max(circuit.universe, max(vars_seen, default=0))
-    full = recovered + [v for v in range(1, top + 1) if v not in placed]
+    full = recovered + [v for v in range(1, circuit.num_vars + 1) if v not in placed]
     return MembershipReport(True, "obdd", order=tuple(full))
 
 
@@ -386,7 +383,9 @@ def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
     a decision on x prepends x to its low part's clauses and -x to its
     high part's; a conjunction unions its parts, tagging each part's
     clauses with a fresh color on their first literal.  Literal leaves are
-    treated as their two-sink decision expansion.
+    treated as their two-sink decision expansion.  The script is over
+    1..num_vars without the fixed set: a conditioned circuit replays to an
+    isomorphic circuit over 1..num_vars with none fixed.
 
     Colors are numbered per conjunction edge in topological order.  The
     clauses come out as their prefix trie: one iterative depth-first walk
@@ -455,7 +454,7 @@ def circuit_to_cnf(circuit: Circuit) -> GuidedCnf:
             stack.append((FALSE, at, node[1], cols))
         elif kind == "F":
             ends.append(at)
-    return GuidedCnf._of_trie((lits, colors, parent, children, ends), circuit.universe)
+    return GuidedCnf._of_trie((lits, colors, parent, children, ends), circuit.num_vars)
 
 
 def compile_guided(guided: GuidedCnf) -> Circuit:

@@ -127,15 +127,14 @@ def _require_ddnnf(circuit) -> None:
 def cmd_query(args) -> int:
     circuit = _read(args.circuit, parse_nnf)
     if args.universe is not None:
-        if args.universe < circuit.universe:
+        if args.universe < circuit.num_vars:
             raise SystemExit("error: --universe below the circuit's own universe")
-        circuit = Circuit(circuit.store, circuit.root, args.universe)
+        circuit = Circuit(circuit.store, circuit.root, args.universe, circuit.fixed)
     _require_ddnnf(circuit)
     try:
         _answer_query(args, circuit)
     except ValueError as exc:
-        # A term wider than the universe, or a universe below the variables
-        # the circuit mentions.
+        # A term on a variable above the universe or already fixed.
         raise SystemExit("error: %s" % exc)
     return 0
 
@@ -338,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--enumerate", action="store_true")
     g.add_argument("--condition", metavar="LITS", help="term to condition on")
     p.add_argument("--limit", type=int, help="cap on enumerated terms")
-    p.add_argument("--universe", type=int, help="override the variable universe")
+    p.add_argument("--universe", type=int, help="raise the variable bound N of the header")
     p.add_argument("-o", "--output", help="output circuit for --condition")
     p.add_argument("circuit", metavar="CIRCUIT.nnf")
     p.set_defaults(func=cmd_query)

@@ -5,7 +5,8 @@ a probabilistic equivalence test.
 Counting does not require smooth circuits.  Each node is annotated with the
 set of variables occurring at or below it (a bitmask); a child missing g of
 the parent's variables contributes its count times 2^g, and the root count
-scales by 2^(universe - |vars(root)|).
+scales by 2^(universe - |vars(root)|), the universe counting the free
+variables: those of 1..num_vars that conditioning has not fixed.
 
 Costs, for a circuit of |C| reachable nodes and edges over n variables:
 
@@ -72,11 +73,10 @@ def annotate(circuit: Circuit) -> tuple[list[int], list[int]]:
     return circuit.order, masks
 
 
-def _check_universe(universe: int, mentioned: int) -> None:
-    if universe < mentioned:
-        raise ValueError(
-            "universe %d smaller than the %d variables mentioned" % (universe, mentioned)
-        )
+def _check_universe(circuit: Circuit, mask: int) -> None:
+    stray = mask & circuit.fixed | mask >> circuit.num_vars << circuit.num_vars
+    if stray:
+        raise ValueError("variable %d below the root is not free" % stray.bit_length())
 
 
 def model_count(circuit: Circuit) -> int:
@@ -100,16 +100,17 @@ def model_count(circuit: Circuit) -> int:
             counts[nid] = acc
         elif kind != "F":
             counts[nid] = 1
-    mentioned = masks[circuit.root].bit_count()
-    _check_universe(circuit.universe, mentioned)
-    return counts[circuit.root] << (circuit.universe - mentioned)
+    mask = masks[circuit.root]
+    _check_universe(circuit, mask)
+    return counts[circuit.root] << (circuit.universe - mask.bit_count())
 
 
-def _assignment(term: frozenset[int], universe: int) -> dict[int, bool]:
-    """Variable -> value for a normalized term that must fit the universe."""
+def _assignment(term: frozenset[int], circuit: Circuit) -> dict[int, bool]:
+    """Variable -> value for a normalized term over free variables."""
     assigned = {abs(l): l > 0 for l in term}
-    if len(assigned) > universe:
-        raise ValueError("term assigns more variables than the universe holds")
+    for var in sorted(assigned):
+        if var > circuit.num_vars or circuit.fixed >> (var - 1) & 1:
+            raise ValueError("term variable %d is outside 1..%d or fixed" % (var, circuit.num_vars))
     return assigned
 
 
@@ -158,7 +159,7 @@ def is_consistent(circuit: Circuit) -> bool:
 def is_valid(circuit: Circuit) -> bool:
     """True iff every assignment over the universe satisfies the circuit."""
     order, masks = annotate(circuit)
-    _check_universe(circuit.universe, masks[circuit.root].bit_count())
+    _check_universe(circuit, masks[circuit.root])
     return _decide_under(circuit, order, {}, validity=True)
 
 
@@ -176,12 +177,11 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
     from the result's root; a conjunction that collapses to false can
     still leave the conjuncts built before it.
 
-    The universe shrinks by one per assigned variable, whether or not it
-    occurs in the circuit.  It reads the source's order but not its masks,
-    so it accepts circuits outside decision-DNNF.
+    The term's variables join `fixed`, occurring or not, so the universe
+    shrinks by the term's size.  It reads the source's order but not its
+    masks, so it accepts circuits outside decision-DNNF.
     """
-    t = as_term(term)
-    assigned = _assignment(t, circuit.universe)
+    assigned = _assignment(as_term(term), circuit)
     nodes = circuit.store.nodes
     value = assigned.get
     live = bytearray(len(nodes))
@@ -229,7 +229,8 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
             if FALSE not in kids:
                 remap[nid] = out.get_and_node(kids)
     out.freeze()
-    return Circuit(out, remap[circuit.root], circuit.universe - len(assigned))
+    fixed = circuit.fixed | sum(1 << (var - 1) for var in assigned)  # distinct free bits
+    return Circuit(out, remap[circuit.root], circuit.num_vars, fixed)
 
 
 def entails_clause(circuit: Circuit, clause: Iterable[int]) -> bool:
@@ -244,7 +245,7 @@ def entails_clause(circuit: Circuit, clause: Iterable[int]) -> bool:
     lits = list(clause)
     if any(-l in lits for l in lits):
         return True
-    assigned = _assignment(as_term([-l for l in lits]), circuit.universe)
+    assigned = _assignment(as_term([-l for l in lits]), circuit)
     order, _ = annotate(circuit)
     return not _decide_under(circuit, order, assigned, validity=False)
 
@@ -252,25 +253,17 @@ def entails_clause(circuit: Circuit, clause: Iterable[int]) -> bool:
 def is_implicant(term: Iterable[int], circuit: Circuit) -> bool:
     """Does the term imply the circuit?
 
-    One validity sweep under the term.  Inconsistent terms imply
-    everything.  On a decision-DNNF circuit, answers and errors are those
-    of `is_valid` on `condition_circuit(circuit, term)`, whose universe
-    shrinks by the term's size.
+    One validity sweep under the term, which must assign free variables
+    only.  Inconsistent terms imply everything.  On a decision-DNNF
+    circuit whose variables are free, answers and errors are those of
+    `is_valid` on `condition_circuit(circuit, term)`.
     """
     try:
         t = as_term(term)
     except ValueError:
         return True
-    assigned = _assignment(t, circuit.universe)
-    order, masks = annotate(circuit)
-    free = masks[circuit.root]
-    for var in assigned:
-        free &= ~(1 << (var - 1))
-    if circuit.universe - len(assigned) < free.bit_count():
-        # The term assigns variables the circuit never mentions, beyond the
-        # universe's slack.  Whether the conditioned circuit still fits its
-        # universe depends on what its reduction drops, so build it.
-        return is_valid(condition_circuit(circuit, t))
+    assigned = _assignment(t, circuit)
+    order, _ = annotate(circuit)
     return _decide_under(circuit, order, assigned, validity=True)
 
 
@@ -443,8 +436,6 @@ def prob_equiv(
         raise ValueError("universe mismatch: %d vs %d" % (a.universe, b.universe))
     order_a, masks_a = annotate(a)
     order_b, masks_b = annotate(b)
-    # Conditioned circuits can mention indices above their count-universe,
-    # so the point is indexed up to the largest variable that occurs.
     occurring = masks_a[a.root] | masks_b[b.root]
     variables = [v for v, bit in enumerate(bin(occurring)[:1:-1], 1) if bit == "1"]
     width = occurring.bit_length() + 1

@@ -169,11 +169,10 @@ class NodeStore:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """A root in a node store plus the variable universe it ranges over.
+    """A root in a node store plus the variables it ranges over.
 
-    For freshly compiled circuits every variable mentioned below the root
-    is <= universe; conditioning shrinks the universe to a plain count of
-    unassigned variables, so treat universe as a count, not an index bound.
+    Those are 1..num_vars outside `fixed`, a bitmask (bit v - 1 for v) of
+    the variables that conditioning assigned; `universe` counts them.
 
     `order` and `masks` are computed on first use and kept, since the ids
     reachable from a root never change in the append-only arena.  Callers
@@ -182,12 +181,17 @@ class Circuit:
 
     store: NodeStore
     root: int
-    universe: int
+    num_vars: int
+    fixed: int = 0
 
     def __post_init__(self):
         self.store._check_id(self.root)
-        if self.universe < 0:
+        if self.num_vars < 0:
             raise ValueError("negative universe")
+
+    @property
+    def universe(self) -> int:
+        return self.num_vars - self.fixed.bit_count()
 
     @cached_property
     def order(self) -> list[int]:
@@ -280,12 +284,13 @@ def stats(circuit: Circuit) -> tuple[int, int]:
 def serialize(circuit: Circuit) -> str:
     """Render a circuit in the plain-text nnf format.
 
-    Header `nnf V E N`, then one node line per row, children before
-    parents: `L lit`, `A k c1 .. ck`, `O var 2 a b`; the false and true
-    sinks are `O 0 0` and `A 0`.  Decision nodes are expanded: child a is
-    the conjunction of the negative branch literal with the low child,
-    child b the positive literal with the high child.  Shared structure is
-    emitted once, so a line may serve several parents.
+    Header `nnf V E N` (N is num_vars; `c fixed v1 .. vk` follows if any
+    are fixed), then one node line per row, children before parents:
+    `L lit`, `A k c1 .. ck`, `O var 2 a b`; the false and true sinks are
+    `O 0 0` and `A 0`.  Decision nodes are expanded: child a is the
+    conjunction of the negative branch literal with the low child, child b
+    the positive literal with the high child.  Shared structure is emitted
+    once, so a line may serve several parents.
 
     One iterative pass over the reachable nodes; a line's text is built
     only when it is first emitted, so time and memory are linear in the
@@ -345,7 +350,9 @@ def serialize(circuit: Circuit) -> str:
             got = len(lines)
             lines.append("O 0 0" if kind == "F" else "A 0")
         line_of[nid] = got
-    lines.insert(0, "nnf %d %d %d" % (len(lines), edges, circuit.universe))
+    fixed = [v for v, bit in enumerate(bin(circuit.fixed)[:1:-1], 1) if bit == "1"]
+    header = "nnf %d %d %d" % (len(lines), edges, circuit.num_vars)
+    lines.insert(0, (header + "\nc fixed " + " ".join(map(str, fixed))) if fixed else header)
     lines.append("")
     return "\n".join(lines)
 
@@ -354,21 +361,24 @@ def serialize(circuit: Circuit) -> str:
 _L, _A, _O, _F = range(4)
 
 
-def _parse_records(text: str) -> tuple[int, bytearray, list, array]:
+def _parse_records(text: str) -> tuple[int, int, bytearray, list, array]:
     """Validate every line of an nnf text.
 
-    Returns (universe, kinds, data, linenos): for node line i, kinds[i] is
+    Returns (N, fixed, kinds, data, linenos): for node line i, kinds[i] is
     _L, _A, _O or _F; data[i] its literal, its tuple of child lines, its
     (var, a, b), or None; linenos[i] its 1-based line in the text.
     """
     header = None
+    n = fixed = 0
     kinds = bytearray()
     data: list = []
     linenos = array("i")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "c":
-            continue
+            if fields[:2] != ["c", "fixed"]:
+                continue
+            del fields[1]  # read below as kind "c"
         if header is None:
             if fields[0] != "nnf" or len(fields) != 4:
                 raise NnfFormatError("expected header 'nnf V E N', got %r" % raw.strip(), lineno)
@@ -376,6 +386,7 @@ def _parse_records(text: str) -> tuple[int, bytearray, list, array]:
                 header = tuple(int(f) for f in fields[1:])
             except ValueError:
                 raise NnfFormatError("non-numeric header field", lineno) from None
+            n = header[2]
             continue
         try:
             args = tuple(map(int, fields[1:]))
@@ -394,6 +405,7 @@ def _parse_records(text: str) -> tuple[int, bytearray, list, array]:
         elif kind == "L":
             if len(args) != 1 or args[0] == 0:
                 raise NnfFormatError("malformed literal line %r" % raw.strip(), lineno)
+            _check_variable(abs(args[0]), n, fixed, lineno)
             kinds.append(_L)
             data.append(args[0])
         elif kind == "O":
@@ -403,22 +415,36 @@ def _parse_records(text: str) -> tuple[int, bytearray, list, array]:
             else:
                 if len(args) != 4 or args[1] != 2 or args[0] <= 0:
                     raise NnfFormatError("malformed decision line %r" % raw.strip(), lineno)
-                _, _, a, b = args
+                var, _, a, b = args
+                _check_variable(var, n, fixed, lineno)
                 if not (0 <= a < idx and 0 <= b < idx):
                     _bad_reference((a, b), idx, lineno)
                 kinds.append(_O)
-                data.append((args[0], a, b))
+                data.append((var, a, b))
+        elif kind == "c":  # `c fixed`: once, before the node lines, ascending in 1..N
+            if data or fixed or not args or args[0] < 1 or args[-1] > n or (
+                list(args) != sorted(set(args))
+            ):
+                raise NnfFormatError("malformed fixed line %r" % raw.strip(), lineno)
+            fixed = sum(1 << (v - 1) for v in args)
+            continue
         else:
             raise NnfFormatError("unknown node kind %r" % kind, lineno)
         linenos.append(lineno)
     if header is None:
         raise NnfFormatError("missing header")
-    declared_v, _, universe = header
-    if len(data) != declared_v:
-        raise NnfFormatError("header declares %d nodes, found %d" % (declared_v, len(data)))
-    if universe < 0:
+    if len(data) != header[0]:
+        raise NnfFormatError("header declares %d nodes, found %d" % (header[0], len(data)))
+    if n < 0:
         raise NnfFormatError("negative universe in header")
-    return universe, kinds, data, linenos
+    return n, fixed, kinds, data, linenos
+
+
+def _check_variable(var: int, n: int, fixed: int, lineno: int) -> None:
+    if var > n:
+        raise NnfFormatError("variable %d exceeds declared universe %d" % (var, n), lineno)
+    if fixed >> (var - 1) & 1:
+        raise NnfFormatError("variable %d is fixed" % var, lineno)
 
 
 def _bad_reference(refs, idx: int, lineno: int) -> None:
@@ -430,23 +456,22 @@ def _bad_reference(refs, idx: int, lineno: int) -> None:
 def parse_nnf(text: str) -> Circuit:
     """Parse the nnf format back into a circuit (fresh store, frozen).
 
-    `O var 2 a b` lines are folded back into decision nodes by looking
-    inside their children for the branch literal; everything else is
-    rebuilt through the store constructors, so reduction re-fires and the
-    result is reduced no matter who produced the file.
+    The header's N is num_vars and a `c fixed` line gives the fixed set;
+    every `L` and `O` variable must be in 1..N and not fixed.  Each `O`
+    line is folded back into a decision node by looking inside its
+    children for the branch literal; everything else is rebuilt through
+    the store constructors, so reduction re-fires and the result is
+    reduced no matter who produced the file.
 
     Two iterative passes, each linear in the text: validate every line;
     then walk once from the root (the last line), children first, checking
     each reached decision's branches and each conjunction's children and
     building each reached line as the walk leaves it.
     """
-    universe, kinds, data, linenos = _parse_records(text)
+    num_vars, fixed, kinds, data, linenos = _parse_records(text)
     n = len(kinds)
     if not n:
         raise NnfFormatError("empty node section")
-    # No bound check of variables against the universe: circuits produced by
-    # conditioning keep their variable indices while the universe shrinks to
-    # a count of unassigned variables.
 
     def branch(line: int, want: int, at: int) -> tuple[int, ...]:
         # Lines a decision child needs built: all but the branch literal.
@@ -509,4 +534,4 @@ def parse_nnf(text: str) -> Circuit:
             lo = fold(stack.pop())
             built[i] = store.get_node(data[i][0], lo, fold(hi))
     store.freeze()
-    return Circuit(store, built[n - 1], universe)
+    return Circuit(store, built[n - 1], num_vars, fixed)

@@ -3,6 +3,7 @@ per-metric summary, on canned run lines (no benchmark is launched)."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -166,3 +167,21 @@ def test_a_traced_group_records_each_layer_over_the_compile(monkeypatch):
     # The raw seconds still swing.
     raw = rec["groups"]["ddnnf-pipeline/trace1"]["metrics"]["store.parse_nnf.s"]
     assert raw["values"] == {"101": 0.05, "102": 0.1, "103": 0.1}
+
+
+def test_a_run_writes_no_bytecode_into_the_checkout(monkeypatch):
+    seen = {}
+
+    def fake_subprocess_run(cmd, **kwargs):
+        seen.update(kwargs, cmd=cmd)
+        return subprocess.CompletedProcess(cmd, 0, _stdout(101, 0.4), "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_subprocess_run)
+    run = bench_record.run_once("CHECKOUT", "query-mix", 101, 0)
+    assert run["correct"] and run["metrics"]["post_compile_s"]["value"] == 0.4
+    assert seen["cwd"] == "CHECKOUT"
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["cmd"][1:] == [
+        "perfbench/run.py", "--workload", "query-mix", "--seed", "101", "--trace", "0"
+    ]

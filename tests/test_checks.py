@@ -156,9 +156,8 @@ def test_obdd_recovers_an_order():
 
 
 def test_obdd_recovered_order_of_a_conditioned_circuit_reads_back():
-    # Conditioning shrinks the universe to a count (here 2) while the
-    # surviving decisions keep their variables (4 and 5), so the order
-    # must be completed past the universe to stay a permutation.
+    # Conditioning fixes 1, 2 and 3 and keeps the bound 5, so the order
+    # of the surviving decisions (4 and 5) is completed over 1..5.
     cnf = Cnf.from_clauses([[1, 2], [3, 4], [4, 5], [-1, 5]], 5)
     circuit = condition_circuit(compile_ordered(cnf, VarOrder.identity(5)), [1, 2, -3])
     report = check_obdd(circuit)
@@ -526,17 +525,9 @@ def test_circuit_to_cnf_emits_the_interned_trie_of_its_predicted_size():
             trie_nodes = len(guided._trie[0]) - 1
             literals = sum(map(len, clauses))
             assert _script_size(circuit.store.nodes, circuit.order) == (trie_nodes, len(clauses), literals)
-            top = max([abs(lit) for clause in clauses for lit, _ in clause], default=0)
-            if top <= circuit.universe:
-                again = GuidedCnf(clauses, circuit.universe)
-                assert guided == again and hash(guided) == hash(again)
-            else:
-                # A conditioned circuit's universe is a count that its
-                # variables may exceed: its script replays, but interning
-                # the same clauses over that universe is refused.
-                with pytest.raises(GuidedScriptError, match="outside universe"):
-                    GuidedCnf(clauses, circuit.universe)
-                assert GuidedCnf(clauses, top)._trie == guided._trie
+            # Conditioned circuits too: the script is over 1..num_vars.
+            again = GuidedCnf(clauses, circuit.num_vars)
+            assert guided == again and hash(guided) == hash(again)
 
 
 # --- deep and wide circuits ------------------------------------------------------

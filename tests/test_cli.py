@@ -127,23 +127,35 @@ ERROR_CASES = {
     ),
     "entails-wider-than-universe": (
         ["query", "--entails", "1 2 3", "{d}/a.nnf"],
-        "error: term assigns more variables than the universe holds",
+        "error: term variable 3 is outside 1..2 or fixed",
     ),
     "implicant-wider-than-universe": (
         ["query", "--implicant", "1 2 3", "{d}/a.nnf"],
-        "error: term assigns more variables than the universe holds",
+        "error: term variable 3 is outside 1..2 or fixed",
     ),
     "count-universe-below-mentioned": (
         ["query", "--count", "{d}/low.nnf"],
-        "error: universe 1 smaller than the 2 variables mentioned",
+        "error: {d}/low.nnf: line 3: variable 2 exceeds declared universe 1",
     ),
     "valid-universe-below-mentioned": (
         ["query", "--valid", "{d}/low.nnf"],
-        "error: universe 1 smaller than the 2 variables mentioned",
+        "error: {d}/low.nnf: line 3: variable 2 exceeds declared universe 1",
     ),
     "implicant-universe-below-mentioned": (
         ["query", "--implicant", "1", "{d}/low.nnf"],
-        "error: universe 0 smaller than the 1 variables mentioned",
+        "error: {d}/low.nnf: line 3: variable 2 exceeds declared universe 1",
+    ),
+    "node-on-fixed-variable": (
+        ["query", "--count", "{d}/on-fixed.nnf"],
+        "error: {d}/on-fixed.nnf: line 4: variable 2 is fixed",
+    ),
+    "malformed-fixed-line": (
+        ["query", "--count", "{d}/bad-fixed.nnf"],
+        "error: {d}/bad-fixed.nnf: line 2: malformed fixed line 'c fixed 3'",
+    ),
+    "condition-on-fixed-variable": (
+        ["query", "--condition", "-2", "{d}/cond.nnf"],
+        "error: term variable 2 is outside 1..3 or fixed",
     ),
     "contradictory-condition": (
         ["query", "--condition", "1 -1", "{d}/a.nnf"],
@@ -193,6 +205,12 @@ def test_error_messages_are_pinned(workdir, capsys, case):
     (workdir / "huge.nnf").write_text("nnf 3 2 2000000000\nL 1\nL 2\nA 2 0 1\n")
     # Declares a universe of 1 but mentions variables 1 and 2.
     (workdir / "low.nnf").write_text("nnf 3 2 1\nL 1\nL 2\nA 2 0 1\n")
+    # Fixes variable 2, then mentions it.
+    (workdir / "on-fixed.nnf").write_text("nnf 3 2 2\nc fixed 2\nL 1\nL 2\nA 2 0 1\n")
+    # Fixes variable 3 of a 2-variable bound.
+    (workdir / "bad-fixed.nnf").write_text("nnf 1 0 2\nc fixed 3\nA 0\n")
+    # Variable 2 of 1..3 already conditioned away.
+    (workdir / "cond.nnf").write_text("nnf 1 0 3\nc fixed 2\nL 1\n")
     (workdir / "no-cnf").mkdir()
     argv, expected = ERROR_CASES[case]
     d = str(workdir)

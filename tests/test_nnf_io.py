@@ -17,13 +17,13 @@ from util import compiled_family, oracle_parse_nnf, oracle_serialize
 
 
 def _parsed(parse, text):
-    """What a reader makes of text: its store, root and universe, or the
-    type, message and line of its error."""
+    """What a reader makes of text: its store, root, bound and fixed set,
+    or the type, message and line of its error."""
     try:
         c = parse(text)
     except Exception as exc:
         return (type(exc), str(exc), getattr(exc, "line", None))
-    return ("ok", c.store.nodes, c.root, c.universe)
+    return ("ok", c.store.nodes, c.root, c.num_vars, c.fixed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,10 +38,40 @@ def test_io_matches_the_reference_reader_and_writer(seed):
         assert serialize(parse_nnf(text)) == text
 
 
+# Texts around the `c fixed` line and the variables it fixes.
+FIXED_LINE_TEXTS = {
+    "read": "nnf 1 0 4\nc fixed 1 3\nL -2\n",
+    "among-comments": "c x\nnnf 1 0 4\n\nc y\nc fixed 4\nc fixed_not 1\nL -2\n",
+    "before-header": "c fixed 1\nnnf 1 0 2\nA 0\n",
+    "empty": "nnf 1 0 2\nc fixed\nA 0\n",
+    "zero": "nnf 1 0 2\nc fixed 0 1\nA 0\n",
+    "above-bound": "nnf 1 0 2\nc fixed 1 3\nA 0\n",
+    "descending": "nnf 1 0 2\nc fixed 2 1\nA 0\n",
+    "repeated": "nnf 1 0 2\nc fixed 2 2\nA 0\n",
+    "non-numeric": "nnf 1 0 2\nc fixed 1 +x\nA 0\n",
+    "twice": "nnf 1 0 3\nc fixed 1\nc fixed 2\nA 0\n",
+    "after-a-node": "nnf 2 0 3\nA 0\nc fixed 1\nO 0 0\n",
+    "negative-bound": "nnf 1 0 -1\nc fixed 1\nA 0\n",
+    "literal-on-fixed": "nnf 3 2 3\nc fixed 2\nL 1\nL -2\nA 2 0 1\n",
+    "decision-on-fixed": "nnf 5 4 3\nc fixed 1\nL -2\nL 2\nA 0\nO 1 2 0 1\nA 1 3\n",
+    "literal-above-bound": "nnf 3 2 2\nL 1\nL 3\nA 2 0 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_LINE_TEXTS))
+def test_fixed_lines_read_like_the_reference_reader(name):
+    text = FIXED_LINE_TEXTS[name]
+    got = _parsed(parse_nnf, text)
+    assert got == _parsed(oracle_parse_nnf, text)
+    assert (got[0] == "ok") == (name in ("read", "among-comments"))
+
+
 # --- single-fault mutations -------------------------------------------------
 #
-# Each takes the header fields and the node lines (as field lists) of a
-# serialized circuit and returns the mutated text.
+# Each takes the header fields and the other lines (as field lists: a
+# conditioned circuit's `c fixed` line keeps its fields as text, node lines
+# have int fields after the kind) of a serialized circuit and returns the
+# mutated text.  Node line references count node lines only.
 
 
 def _text(header, body):
@@ -115,10 +145,12 @@ def _missing_branch_literal(rng, header, body):
 
 
 def _false_sink_under_conjunction(rng, header, body):
-    # A new false sink in line 0 (every reference shifts by one), then one
-    # conjunction gains it as a child.
-    body = [["O", 0, 0]] + [
-        [f + 1 if j in _refs(fields) else f for j, f in enumerate(fields)] for fields in body
+    # A new false sink as node line 0, after the `c fixed` line (every
+    # reference shifts by one), then one conjunction gains it as a child.
+    first = sum(1 for f in body if f[0] == "c")
+    body = body[:first] + [["O", 0, 0]] + [
+        [f + 1 if j in _refs(fields) else f for j, f in enumerate(fields)]
+        for fields in body[first:]
     ]
     header[1] += 1
     branches = {f[j] for f in body if f[0] == "O" and len(f) == 5 for j in (3, 4)}
@@ -147,6 +179,25 @@ def _bad_header(rng, header, body):
     return _text(header, body)
 
 
+def _bad_variable(rng, header, body):
+    # A node line's variable moves above N or into the fixed set; without
+    # a fixed set, a new `c fixed` line may fix a variable that occurs.
+    nodes = [i for i, f in enumerate(body) if f[0] == "L" or f[0] == "O" and len(f) == 5]
+    if not nodes:
+        return _text(header, body + [["L", header[3] + 1]])
+    i = rng.choice(nodes)
+    var = abs(body[i][1])
+    fixed = [int(v) for f in body if f[0] == "c" for v in f[2:]]
+    if not fixed and rng.random() < 0.5:
+        return _text(header, [["c", "fixed", var]] + body)
+    if fixed and rng.random() < 0.5:
+        new = rng.choice(fixed)
+    else:
+        new = header[3] + rng.randint(1, 3)
+    body[i][1] = new if body[i][1] > 0 else -new
+    return _text(header, body)
+
+
 def _noise(rng, header, body):
     # Comments, blank lines, extra spacing and CRLF line ends: no fault.
     out = []
@@ -167,6 +218,7 @@ MUTATIONS = {
     "missing-branch-literal": _missing_branch_literal,
     "false-sink-under-conjunction": _false_sink_under_conjunction,
     "bad-header": _bad_header,
+    "bad-variable": _bad_variable,
     "noise": _noise,
 }
 
@@ -179,13 +231,18 @@ def test_mutated_texts_fail_like_the_reference_reader(name, seed):
     for circuit in compiled_family(rng)[:: rng.randint(1, 3)]:
         header, *body = [line.split() for line in serialize(circuit).splitlines()]
         header = header[:1] + [int(f) for f in header[1:]]
-        body = [f[:1] + [int(x) for x in f[1:]] for f in body]
+        body = [f if f[0] == "c" else f[:1] + [int(x) for x in f[1:]] for f in body]
+        comments = [list(f) for f in body if f[0] == "c"]
         text = MUTATIONS[name](rng, header, body)
         got = _parsed(parse_nnf, text)
         assert got == _parsed(oracle_parse_nnf, text), text
         if name == "noise":
             assert got == _parsed(parse_nnf, serialize(circuit))
-        elif name in ("non-numeric", "count-mismatch"):
+        elif name == "non-numeric":
+            # A mutated `c` line may have become a plain comment.
+            if comments == [f for f in body if f[0] == "c"]:
+                assert got[0] != "ok"
+        elif name in ("count-mismatch", "bad-variable"):
             assert got[0] != "ok"
 
 

@@ -260,6 +260,72 @@ def test_condition_preserves_order():
         assert check_obdd(conditioned, order).verdict
 
 
+def _conditioned_obdd():
+    cnf = Cnf.from_clauses([[1, 2], [3, 4], [4, 5], [-1, 5]], 5)
+    return condition_circuit(compile_ordered(cnf, VarOrder.identity(5)), [1, 2])
+
+
+def test_a_conditioned_circuit_round_trips_with_its_fixed_set():
+    from dpllc.checks import circuit_to_cnf, compile_guided
+    from dpllc.store import parse_nnf, serialize
+
+    conditioned = _conditioned_obdd()
+    assert (conditioned.num_vars, conditioned.fixed, conditioned.universe) == (5, 0b11, 3)
+    text = serialize(conditioned)
+    assert text.splitlines()[:2] == ["nnf 17 18 5", "c fixed 1 2"]
+    again = parse_nnf(text)
+    assert (again.num_vars, again.fixed, again.universe) == (5, 0b11, 3)
+    assert model_count(again) == model_count(conditioned) == 3
+    assert serialize(again) == text
+    guided = circuit_to_cnf(conditioned)
+    assert guided.num_vars == 5
+    base = guided.base
+    assert isinstance(base, Cnf) and base.num_vars == 5
+    replay = compile_guided(guided)
+    assert isomorphic(replay, conditioned)
+    assert (replay.num_vars, replay.fixed) == (5, 0)
+
+
+@pytest.mark.parametrize(
+    "fix, term, bad",
+    [([], [7], 7), ([], [2, 7], 7), ([-1], [1], 1), ([-1], [-3, 1], 1), ([-1], [7, -1], 1)],
+)
+def test_term_queries_refuse_a_variable_that_is_not_free(fix, term, bad):
+    # A d-DNNF over 1..3, with variable 1 conditioned away when fix says so.
+    d = condition_circuit(compile_decomposed(Cnf.from_clauses([[1, 2], [-2, 3]], 3)), fix)
+    message = "term variable %d is outside 1..3 or fixed" % bad
+    for query in (
+        lambda: condition_circuit(d, term),
+        lambda: entails_clause(d, term),
+        lambda: is_implicant(term, d),
+    ):
+        with pytest.raises(ValueError) as err:
+            query()
+        assert str(err.value) == message
+
+
+def test_conditioning_twice_is_conditioning_on_both():
+    rng = random.Random(83)
+    for _ in range(20):
+        cnf = random_cnf(rng, max_vars=7, max_clauses=10)
+        if cnf.num_vars < 3:
+            continue
+        a, b = rng.sample(range(1, cnf.num_vars + 1), 2)
+        a, b = rng.choice((a, -a)), rng.choice((b, -b))
+        for circuit in _modes(cnf):
+            twice = condition_circuit(condition_circuit(circuit, [a]), [b])
+            once = condition_circuit(circuit, [a, b])
+            assert isomorphic(twice, once)
+            assert (twice.num_vars, twice.fixed) == (once.num_vars, once.fixed)
+            assert twice.universe == once.universe == cnf.num_vars - 2
+            assert model_count(twice) == model_count(once)
+    circuit = compile_ordered(running_cnf(), VarOrder.identity(3))
+    twice = condition_circuit(condition_circuit(circuit, [1]), [3])
+    once = condition_circuit(circuit, [1, 3])
+    assert isomorphic(twice, once) and twice.universe == once.universe == 1
+    assert model_count(twice) == model_count(once)
+
+
 # --- probabilistic equivalence ----------------------------------------------
 
 

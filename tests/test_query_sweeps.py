@@ -75,7 +75,7 @@ def _lits(rng, bound, size):
 
 
 def _assert_term_queries_match(rng, circuit, rounds=6):
-    bound = max(circuit.universe, 1) + 2
+    bound = max(circuit.num_vars, 1) + 2
     assert _outcome(entails_clause, circuit, []) == _outcome(oracle_entails_clause, circuit, [])
     assert _outcome(is_implicant, [], circuit) == _outcome(oracle_is_implicant, [], circuit)
     for _ in range(rounds):
@@ -123,7 +123,7 @@ def test_wide_conjunctions_match_the_oracles(seed, width):
 def test_condition_rebuilds_only_what_the_full_rebuild_reaches(seed):
     rng = random.Random(seed)
     for circuit in compiled_family(rng):
-        lits = _lits(rng, max(circuit.universe, 1) + 2, rng.randint(1, 5))
+        lits = _lits(rng, max(circuit.num_vars, 1) + 2, rng.randint(1, 5))
         try:
             want = oracle_condition_circuit(circuit, lits)
         except ValueError as exc:
@@ -158,13 +158,18 @@ def test_term_query_edge_cases_match():
             )
         for term in terms:
             assert _outcome(is_implicant, term, c) == _outcome(oracle_is_implicant, term, c)
-    # The cases above do reach both errors.
-    assert _outcome(is_implicant, [1, 2, 3, 4], circuit)[0] is ValueError
+    # The cases above do reach the term check, which names the least
+    # variable outside 1..num_vars or fixed.
+    assert _outcome(is_implicant, [1, 2, 3, 4], circuit) == (
+        ValueError,
+        "term variable 4 is outside 1..3 or fixed",
+    )
     assert _outcome(is_implicant, [4], circuit) == (
         ValueError,
-        "universe 2 smaller than the 3 variables mentioned",
+        "term variable 4 is outside 1..3 or fixed",
     )
-    assert _outcome(is_implicant, [2, 1, 4], dropping) == ("ok", True)
+    assert _outcome(is_implicant, [2, 1, 4], dropping) == _outcome(is_implicant, [4], circuit)
+    assert _outcome(is_implicant, [2, 1], dropping) == ("ok", True)
 
 
 def test_term_queries_reject_a_circuit_outside_the_class():

@@ -223,6 +223,19 @@ def test_parse_errors():
         ),
         ("nnf 4 3 2\nO 0 0\nA 0\nL -1\nO 1 2 2 0\n", "decision child is not a conjunction", 5),
         ("nnf 3 2 2\nO 0 0\nL 1\nA 2 0 1\n", "false sink under a conjunction", 4),
+        ("nnf 1 0 1\nL -2\n", "variable 2 exceeds declared universe 1", 2),
+        ("nnf 2 0 2\nA 0\nO 3 2 0 0\n", "variable 3 exceeds declared universe 2", 3),
+        ("nnf 1 0 2\nc fixed 1\nL -1\n", "variable 1 is fixed", 3),
+        ("nnf 2 0 2\nc fixed 2\nA 0\nO 2 2 0 0\n", "variable 2 is fixed", 4),
+        ("nnf 1 0 2\nc fixed\nA 0\n", "malformed fixed line 'c fixed'", 2),
+        ("nnf 1 0 2\nc fixed 0\nA 0\n", "malformed fixed line 'c fixed 0'", 2),
+        ("nnf 1 0 2\nc fixed 3\nA 0\n", "malformed fixed line 'c fixed 3'", 2),
+        ("nnf 1 0 2\nc fixed 2 1\nA 0\n", "malformed fixed line 'c fixed 2 1'", 2),
+        ("nnf 1 0 2\nc fixed 1 1\nA 0\n", "malformed fixed line 'c fixed 1 1'", 2),
+        ("nnf 1 0 2\nc fixed 1\nc fixed 2\nA 0\n", "malformed fixed line 'c fixed 2'", 3),
+        ("nnf 1 0 2\nA 0\nc fixed 1\n", "malformed fixed line 'c fixed 1'", 3),
+        ("nnf 1 0 2\nc fixed 1 x\nA 0\n", "non-numeric field in 'c fixed 1 x'", 2),
+        ("c fixed 1\nnnf 1 0 2\nA 0\n", "expected header 'nnf V E N', got 'c fixed 1'", 1),
     ],
 )
 def test_parse_errors_name_the_fault(text, message, line):
@@ -230,6 +243,12 @@ def test_parse_errors_name_the_fault(text, message, line):
         parse_nnf(text)
     assert info.value.line == line
     assert str(info.value) == (message if line is None else "line %d: %s" % (line, message))
+
+
+def test_parse_reads_the_fixed_set_and_skips_other_comments():
+    c = parse_nnf("c made by hand\nnnf 1 0 4\nc note\nc fixed 1 3\ncfixed 2\nL -2\n")
+    assert (c.num_vars, c.fixed, c.universe) == (4, 0b101, 2)
+    assert serialize(c) == "nnf 1 0 4\nc fixed 1 3\nL -2\n"
 
 
 def test_parse_header_edge_count_is_not_trusted():

@@ -13,7 +13,6 @@ from dpllc.checks import GuidedCnf, GuidedScriptError, _iso_view, check_decision
 from dpllc.cnf import Cnf, as_term
 from dpllc.queries import (
     LanguageError,
-    _assignment,
     annotate,
     condition_circuit,
     is_consistent,
@@ -171,8 +170,8 @@ def random_3cnf(rng: random.Random, n: int, ratio: float) -> Cnf:
 
 def compiled_family(rng: random.Random) -> list[Circuit]:
     """Free, ordered and decomposed compiles of one random formula, plus
-    copies conditioned on a random term, whose variable indices exceed
-    their shrunken universe."""
+    copies conditioned on a random term, which keep num_vars and fix the
+    term's variables."""
     if rng.random() < 0.8:
         cnf = random_3cnf(rng, rng.randint(3, 10), rng.uniform(0.5, 4.0))
     else:
@@ -485,7 +484,7 @@ def oracle_circuit_to_cnf(circuit):
                     (lit, colors), rest = cl[0], cl[1:]
                     out.append(((lit, (color,) + colors),) + rest)
             delta[nid] = tuple(out)
-    return GuidedCnf(delta[circuit.root], circuit.universe)
+    return GuidedCnf(delta[circuit.root], circuit.num_vars)
 
 
 def oracle_compile_guided(guided):
@@ -593,7 +592,12 @@ def oracle_isomorphic(a, b) -> bool:
 
 
 def oracle_condition_circuit(circuit: Circuit, term) -> Circuit:
-    assigned = _assignment(as_term(term), circuit.universe)
+    assigned = {abs(lit): lit > 0 for lit in as_term(term)}
+    bad = [v for v in assigned if v > circuit.num_vars or circuit.fixed & (1 << (v - 1))]
+    if bad:
+        raise ValueError(
+            "term variable %d is outside 1..%d or fixed" % (min(bad), circuit.num_vars)
+        )
     src = circuit.store
     out = NodeStore()
     remap = [FALSE] * len(src.nodes)
@@ -621,7 +625,10 @@ def oracle_condition_circuit(circuit: Circuit, term) -> Circuit:
             if FALSE not in kids:
                 remap[nid] = out.get_and_node(kids)
     out.freeze()
-    return Circuit(out, remap[circuit.root], circuit.universe - len(assigned))
+    fixed = circuit.fixed
+    for var in assigned:
+        fixed |= 1 << (var - 1)
+    return Circuit(out, remap[circuit.root], circuit.num_vars, fixed)
 
 
 def oracle_entails_clause(circuit, clause) -> bool:
@@ -680,12 +687,13 @@ def oracle_enumerate_models(circuit) -> Iterator[frozenset[int]]:
 def oracle_serialize(circuit: Circuit) -> str:
     """Render a circuit in the plain-text nnf format.
 
-    Header `nnf V E N`, then one node line per row, children before
-    parents: `L lit`, `A k c1 .. ck`, `O var 2 a b`; the false and true
-    sinks are `O 0 0` and `A 0`.  Decision nodes are expanded: child a is
-    the conjunction of the negative branch literal with the low child,
-    child b the positive literal with the high child.  Shared structure is
-    emitted once, so a line may serve several parents.
+    Header `nnf V E N` with N the circuit's num_vars, followed by
+    `c fixed v1 .. vk` when it has fixed variables, then one node line per
+    row, children before parents: `L lit`, `A k c1 .. ck`, `O var 2 a b`;
+    the false and true sinks are `O 0 0` and `A 0`.  Decision nodes are
+    expanded: child a is the conjunction of the negative branch literal
+    with the low child, child b the positive literal with the high child.
+    Shared structure is emitted once, so a line may serve several parents.
     """
     store = circuit.store
     lines: list[str] = []
@@ -725,19 +733,33 @@ def oracle_serialize(circuit: Circuit) -> str:
 
     # Each memo key is one emitted line; its edges are its children.
     edges = sum(len(key[1]) if key[0] == "A" else 2 if key[0] == "O" else 0 for key in memo)
-    out = ["nnf %d %d %d" % (len(lines), edges, circuit.universe)]
+    out = ["nnf %d %d %d" % (len(lines), edges, circuit.num_vars)]
+    fixed = [v for v in range(1, circuit.num_vars + 1) if circuit.fixed & (1 << (v - 1))]
+    if fixed:
+        out.append("c fixed " + " ".join(str(v) for v in fixed))
     out.extend(lines)
     return "\n".join(out) + "\n"
 
 
-def _oracle_parse_records(text: str) -> tuple[int, int, int, list[tuple]]:
+def _oracle_parse_records(text: str) -> tuple[int, int, int, set[int], list[tuple]]:
     header = None
+    fixed = None  # the set of fixed variables, once read
     records: list[tuple] = []
+
+    def variable(var: int, lineno: int) -> None:
+        if var > header[2]:
+            raise NnfFormatError(
+                "variable %d exceeds declared universe %d" % (var, header[2]), lineno
+            )
+        if fixed and var in fixed:
+            raise NnfFormatError("variable %d is fixed" % var, lineno)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
         fields = line.split()
+        is_fixed = fields[:2] == ["c", "fixed"]
+        if not line or (line.startswith("c") and not is_fixed):
+            continue
         if header is None:
             if fields[0] != "nnf" or len(fields) != 4:
                 raise NnfFormatError("expected header 'nnf V E N', got %r" % line, lineno)
@@ -747,13 +769,21 @@ def _oracle_parse_records(text: str) -> tuple[int, int, int, list[tuple]]:
                 raise NnfFormatError("non-numeric header field", lineno) from None
             continue
         try:
-            args = [int(f) for f in fields[1:]]
+            args = [int(f) for f in fields[2 if is_fixed else 1 :]]
         except ValueError:
             raise NnfFormatError("non-numeric field in %r" % line, lineno) from None
         idx = len(records)
-        if fields[0] == "L":
+        if is_fixed:
+            # One line, before every node line, of distinct variables of
+            # 1..N in increasing order.
+            ok = not records and fixed is None and args and all(1 <= v <= header[2] for v in args)
+            if not ok or any(a >= b for a, b in zip(args, args[1:])):
+                raise NnfFormatError("malformed fixed line %r" % line, lineno)
+            fixed = set(args)
+        elif fields[0] == "L":
             if len(args) != 1 or args[0] == 0:
                 raise NnfFormatError("malformed literal line %r" % line, lineno)
+            variable(abs(args[0]), lineno)
             records.append(("L", args[0], lineno))
         elif fields[0] == "A":
             if not args or args[0] != len(args) - 1:
@@ -770,6 +800,7 @@ def _oracle_parse_records(text: str) -> tuple[int, int, int, list[tuple]]:
                 continue
             if len(args) != 4 or args[1] != 2 or args[0] <= 0:
                 raise NnfFormatError("malformed decision line %r" % line, lineno)
+            variable(args[0], lineno)
             for ref in args[2:]:
                 if not 0 <= ref < idx:
                     raise NnfFormatError(
@@ -787,24 +818,25 @@ def _oracle_parse_records(text: str) -> tuple[int, int, int, list[tuple]]:
         )
     if universe < 0:
         raise NnfFormatError("negative universe in header")
-    return declared_v, declared_e, universe, records
+    return declared_v, declared_e, universe, fixed or set(), records
 
 
 def oracle_parse_nnf(text: str) -> Circuit:
     """Parse the nnf format back into a circuit (fresh store, frozen).
+
+    The header's N is the circuit's num_vars and a `c fixed` line between
+    the header and the node lines its fixed variables; every literal and
+    decision variable must be one of 1..N that is not fixed.
 
     `O var 2 a b` lines are folded back into decision nodes by looking
     inside their children for the branch literal; everything else is
     rebuilt through the store constructors, so reduction re-fires and the
     result is reduced no matter who produced the file.
     """
-    _, _, universe, records = _oracle_parse_records(text)
+    _, _, num_vars, fixed, records = _oracle_parse_records(text)
     if not records:
         raise NnfFormatError("empty node section")
     store = NodeStore()
-    # No bound check of variables against the universe: circuits produced by
-    # conditioning keep their variable indices while the universe shrinks to
-    # a count of unassigned variables.
 
     def branch_deps(rec, want_lit: int, lineno: int) -> list[int]:
         # Lines a decision child needs built: everything except the branch
@@ -872,4 +904,4 @@ def oracle_parse_nnf(text: str) -> Circuit:
             work.pop()
 
     store.freeze()
-    return Circuit(store, built[root_line], universe)
+    return Circuit(store, built[root_line], num_vars, sum(1 << (v - 1) for v in fixed))
