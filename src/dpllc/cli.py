@@ -52,7 +52,9 @@ _COUNT_LEAF_BITS = 4096  # about 1,233 digits, well inside str's limit
 # count has up to universe * log10(2) digits.  At this cap a two-variable
 # circuit's count is 3,010,300 digits, counted and converted in 0.85 s at
 # 31 MB peak RSS (CPython 3.11, one core of a 2-vCPU VM); at 2*10^9 it
-# would take minutes and gigabytes.
+# would take minutes and gigabytes.  `check --language obdd` without
+# `--order` refuses a larger bound N the same way, since it prints an
+# order completed over all of 1..N.
 MAX_COUNT_UNIVERSE = 10**7
 
 
@@ -192,6 +194,11 @@ def cmd_check(args) -> int:
         report = checks.check_fbdd(circuit)
     elif args.language == "obdd":
         order = _read(args.order, VarOrder.from_text) if args.order else None
+        if order is None and circuit.num_vars > MAX_COUNT_UNIVERSE:
+            raise SystemExit(
+                "error: --language obdd without --order serves at most %d variables, not %d"
+                % (MAX_COUNT_UNIVERSE, circuit.num_vars)
+            )
         report = checks.check_obdd(circuit, order)
     else:
         report = checks.check_decision_dnnf(circuit)

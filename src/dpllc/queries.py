@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 from .cnf import as_term
 # `reachable` stays importable here because the benchmark's tracer rebinds it.
-from .store import FALSE, TRUE, Circuit, NodeStore, reachable
+from .store import FALSE, TRUE, Circuit, NodeStore, mask_bits, reachable
 
 # 2^61 - 1, a Mersenne prime; field for the polynomial identity test.
 EQ_PRIME = (1 << 61) - 1
@@ -437,7 +437,7 @@ def prob_equiv(
     order_a, masks_a = annotate(a)
     order_b, masks_b = annotate(b)
     occurring = masks_a[a.root] | masks_b[b.root]
-    variables = [v for v, bit in enumerate(bin(occurring)[:1:-1], 1) if bit == "1"]
+    variables = mask_bits(occurring)
     width = occurring.bit_length() + 1
     rng = random.Random(seed)
     done = 0

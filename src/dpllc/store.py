@@ -13,11 +13,17 @@ Reduction is an invariant, not a post-pass: the unique table never stores
 two structurally identical nodes, get_node never creates a decision with
 equal children, and conjunctions are flattened, de-duplicated, constant
 free and at least binary.
+
+Circuits are stored as nnf text by `serialize` and read back by
+`parse_nnf`.  Both are iterative and linear in the text: in the common
+case a node line costs one dispatch and no helper call in each direction,
+and neither depends on the bound N, since fixed variables are listed off
+their mask by `mask_bits` and checked against a set while reading.
 """
 
 from __future__ import annotations
 
-from array import array
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -281,6 +287,39 @@ def stats(circuit: Circuit) -> tuple[int, int]:
     return len(circuit.order), edges
 
 
+# A nonzero byte, and the 1-based set bits of each byte value.
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+_BYTE_BITS = [tuple(k + 1 for k in range(8) if b >> k & 1) for b in range(256)]
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The variables of a bitmask (bit v - 1 for v), ascending.
+
+    A regular expression finds the nonzero bytes of the mask in C, so the
+    cost is one pass over its bytes plus one Python step per nonzero
+    byte, not one per variable below the highest.
+    """
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    out: list[int] = []
+    for hit in _NONZERO_BYTE.finditer(raw):
+        pos = hit.start()
+        out.extend([8 * pos + k for k in _BYTE_BITS[raw[pos]]])
+    return out
+
+
+def _mask_of(variables) -> int:
+    """The bitmask of a collection of positive variables, built in one pass."""
+    buf = bytearray((max(variables, default=0) + 7) // 8)
+    for v in variables:
+        buf[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
+    return int.from_bytes(buf, "little")
+
+
+# serialize joins its lines once per block of this many nodes, so a large
+# circuit's lines are never all held as separate strings.
+_BLOCK = 4096
+
+
 def serialize(circuit: Circuit) -> str:
     """Render a circuit in the plain-text nnf format.
 
@@ -292,165 +331,234 @@ def serialize(circuit: Circuit) -> str:
     the positive literal with the high child.  Shared structure is emitted
     once, so a line may serve several parents.
 
-    One iterative pass over the reachable nodes; a line's text is built
-    only when it is first emitted, so time and memory are linear in the
-    text.
+    One iterative pass over the reachable nodes.  A node costs one
+    dispatch and a few dict probes, and a line's text is built only when
+    it is first emitted, so time and memory are linear in the text; the
+    `c fixed` line is read off the mask by `mask_bits`, so neither
+    depends on N.
     """
     nodes = circuit.store.nodes
-    lines: list[str] = []
-    # Line of each literal (int key) and conjunction (sorted tuple key);
-    # decisions and sinks need no memo, since reachable lists each id once
-    # and the store is hash-consed.
-    memo: dict = {}
+    order = circuit.order
+    # Line of each literal, and of each conjunction: a two-part one (every
+    # decision branch) keyed by the int x * span + y of its sorted child
+    # lines x < y, any other by its sorted tuple.  A node emits at most
+    # five lines, so span exceeds every line index.  Decisions and sinks
+    # need no memo, since reachable lists each id once and the store is
+    # hash-consed.
+    span = 5 * len(order) + 1
+    lit_line: dict[int, int] = {}
+    and_line: dict = {}
     line_of = [0] * len(nodes)
-    edges = 0
-
-    def emit(key, text: str, degree: int) -> int:
-        nonlocal edges
-        got = memo[key] = len(lines)
-        lines.append(text)
-        edges += degree
-        return got
-
-    for nid in circuit.order:
-        node = nodes[nid]
-        kind = node[0]
-        if kind == "D":
-            _, var, low, high = node
-            neg = memo.get(-var)
-            if neg is None:
-                neg = emit(-var, "L %d" % -var, 0)
-            pos = memo.get(var)
-            if pos is None:
-                pos = emit(var, "L %d" % var, 0)
-            lo = line_of[low]
-            part = (neg, lo) if neg < lo else (lo, neg)
-            a = memo.get(part)
-            if a is None:
-                a = emit(part, "A 2 %d %d" % part, 2)
-            hi = line_of[high]
-            part = (pos, hi) if pos < hi else (hi, pos)
-            b = memo.get(part)
-            if b is None:
-                b = emit(part, "A 2 %d %d" % part, 2)
-            got = len(lines)
-            lines.append("O %d 2 %d %d" % (var, a, b))
-            edges += 2
-        elif kind == "A":
-            parts = tuple(sorted([line_of[c] for c in node[1]]))
-            got = memo.get(parts)
-            if got is None:
-                text = "A %d %s" % (len(parts), " ".join(map(str, parts)))
-                got = emit(parts, text, len(parts))
-        elif kind == "L":
-            got = memo.get(node[1])
-            if got is None:
-                got = emit(node[1], "L %d" % node[1], 0)
-        else:
-            got = len(lines)
-            lines.append("O 0 0" if kind == "F" else "A 0")
-        line_of[nid] = got
-    fixed = [v for v, bit in enumerate(bin(circuit.fixed)[:1:-1], 1) if bit == "1"]
-    header = "nnf %d %d %d" % (len(lines), edges, circuit.num_vars)
-    lines.insert(0, (header + "\nc fixed " + " ".join(map(str, fixed))) if fixed else header)
-    lines.append("")
-    return "\n".join(lines)
+    blocks: list[str] = []
+    count = edges = 0
+    for start in range(0, len(order), _BLOCK):
+        lines: list[str] = []
+        emit = lines.append
+        for nid in order[start : start + _BLOCK]:
+            node = nodes[nid]
+            kind = node[0]
+            if kind == "D":
+                _, var, low, high = node
+                neg = lit_line.get(-var)
+                if neg is None:
+                    neg = lit_line[-var] = count
+                    count += 1
+                    emit(f"L {-var}")
+                pos = lit_line.get(var)
+                if pos is None:
+                    pos = lit_line[var] = count
+                    count += 1
+                    emit(f"L {var}")
+                lo = line_of[low]
+                key = lo * span + neg if lo < neg else neg * span + lo
+                a = and_line.get(key)
+                if a is None:
+                    a = and_line[key] = count
+                    count += 1
+                    emit(f"A 2 {lo} {neg}" if lo < neg else f"A 2 {neg} {lo}")
+                    edges += 2
+                hi = line_of[high]
+                key = hi * span + pos if hi < pos else pos * span + hi
+                b = and_line.get(key)
+                if b is None:
+                    b = and_line[key] = count
+                    count += 1
+                    emit(f"A 2 {hi} {pos}" if hi < pos else f"A 2 {pos} {hi}")
+                    edges += 2
+                got = count
+                count += 1
+                emit(f"O {var} 2 {a} {b}")
+                edges += 2
+            elif kind == "A":
+                kids = node[1]
+                if len(kids) == 2:
+                    x = line_of[kids[0]]
+                    y = line_of[kids[1]]
+                    key = x * span + y if x < y else y * span + x
+                    got = and_line.get(key)
+                    if got is None:
+                        got = and_line[key] = count
+                        count += 1
+                        emit(f"A 2 {x} {y}" if x < y else f"A 2 {y} {x}")
+                        edges += 2
+                else:
+                    parts = tuple(sorted([line_of[c] for c in kids]))
+                    got = and_line.get(parts)
+                    if got is None:
+                        got = and_line[parts] = count
+                        count += 1
+                        emit("A %d %s" % (len(parts), " ".join(map(str, parts))))
+                        edges += len(parts)
+            elif kind == "L":
+                got = lit_line.get(node[1])
+                if got is None:
+                    got = lit_line[node[1]] = count
+                    count += 1
+                    emit(f"L {node[1]}")
+            else:
+                got = count
+                count += 1
+                emit("O 0 0" if kind == "F" else "A 0")
+            line_of[nid] = got
+        if lines:
+            blocks.append("\n".join(lines))
+    header = "nnf %d %d %d" % (count, edges, circuit.num_vars)
+    if circuit.fixed:
+        header += "\nc fixed " + " ".join(map(str, mask_bits(circuit.fixed)))
+    return "\n".join([header, *blocks, ""])
 
 
 # Kinds of parsed node lines.
 _L, _A, _O, _F = range(4)
 
 
-def _parse_records(text: str) -> tuple[int, int, bytearray, list, array]:
+def _parse_records(text: str) -> tuple[int, int, bytearray, list]:
     """Validate every line of an nnf text.
 
-    Returns (N, fixed, kinds, data, linenos): for node line i, kinds[i] is
-    _L, _A, _O or _F; data[i] its literal, its tuple of child lines, its
-    (var, a, b), or None; linenos[i] its 1-based line in the text.
+    Returns (N, fixed, kinds, data): for node line i, kinds[i] is _L, _A,
+    _O or _F, and data[i] its literal, its tuple of child lines, its
+    fields (var, 2, a, b), or None.  `A` lines, the most frequent, take
+    the first test and `O` lines the next after one comment test, each
+    with its checks inline; fixed variables are tested against a set, and
+    their mask is built once at the end.
     """
-    header = None
-    n = fixed = 0
+    numbered = enumerate(text.splitlines(), start=1)
+    for lineno, raw in numbered:
+        fields = raw.split()
+        if fields and (fields[0][0] != "c" or fields[:2] == ["c", "fixed"]):
+            break
+    else:
+        raise NnfFormatError("missing header")
+    if fields[0] != "nnf" or len(fields) != 4:
+        raise NnfFormatError("expected header 'nnf V E N', got %r" % raw.strip(), lineno)
+    try:
+        declared, _, n = map(int, fields[1:])
+    except ValueError:
+        raise NnfFormatError("non-numeric header field", lineno) from None
+    fixed: set[int] = set()
     kinds = bytearray()
     data: list = []
-    linenos = array("i")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    add_kind = kinds.append
+    add_data = data.append
+    for lineno, raw in numbered:  # the lines after the header
         fields = raw.split()
-        if not fields or fields[0][0] == "c":
-            if fields[:2] != ["c", "fixed"]:
-                continue
-            del fields[1]  # read below as kind "c"
-        if header is None:
-            if fields[0] != "nnf" or len(fields) != 4:
-                raise NnfFormatError("expected header 'nnf V E N', got %r" % raw.strip(), lineno)
-            try:
-                header = tuple(int(f) for f in fields[1:])
-            except ValueError:
-                raise NnfFormatError("non-numeric header field", lineno) from None
-            n = header[2]
+        if not fields:
             continue
+        kind = fields[0]
+        idx = len(data)
+        if kind == "A":
+            try:
+                if len(fields) == 4:  # `A 2 x y`, as every decision branch
+                    count = int(fields[1])
+                    refs = (int(fields[2]), int(fields[3]))
+                else:
+                    refs = tuple(map(int, fields[2:]))
+                    count = int(fields[1])
+            except ValueError:
+                raise NnfFormatError("non-numeric field in %r" % raw.strip(), lineno) from None
+            except IndexError:
+                count = -1  # a bare `A`
+            if count != len(refs):
+                raise NnfFormatError("child count mismatch in %r" % raw.strip(), lineno)
+            if count == 2:
+                x, y = refs
+                if not (0 <= x < idx and 0 <= y < idx):
+                    _bad_reference(refs, idx, lineno)
+            elif refs and (min(refs) < 0 or max(refs) >= idx):
+                _bad_reference(refs, idx, lineno)
+            add_kind(_A)
+            add_data(refs)
+            continue
+        if kind[0] == "c":
+            if kind != "c" or fields[1:2] != ["fixed"]:
+                continue  # a comment
+            # `c fixed`: once, before the node lines, ascending in 1..N.
+            del fields[1]
         try:
             args = tuple(map(int, fields[1:]))
         except ValueError:
             raise NnfFormatError("non-numeric field in %r" % raw.strip(), lineno) from None
-        idx = len(data)
-        kind = fields[0]
-        if kind == "A":
-            refs = args[1:]
-            if not args or args[0] != len(refs):
-                raise NnfFormatError("child count mismatch in %r" % raw.strip(), lineno)
-            if refs and (min(refs) < 0 or max(refs) >= idx):
-                _bad_reference(refs, idx, lineno)
-            kinds.append(_A)
-            data.append(refs)
+        if kind == "O":
+            if len(args) == 4 and args[1] == 2 and args[0] > 0:
+                var, _, a, b = args
+                if var > n or var in fixed:
+                    _bad_variable(var, n, lineno)
+                if not (0 <= a < idx and 0 <= b < idx):
+                    _bad_reference((a, b), idx, lineno)
+                add_kind(_O)
+                add_data(args)
+            elif args == (0, 0):
+                add_kind(_F)
+                add_data(None)
+            else:
+                raise NnfFormatError("malformed decision line %r" % raw.strip(), lineno)
         elif kind == "L":
             if len(args) != 1 or args[0] == 0:
                 raise NnfFormatError("malformed literal line %r" % raw.strip(), lineno)
-            _check_variable(abs(args[0]), n, fixed, lineno)
-            kinds.append(_L)
-            data.append(args[0])
-        elif kind == "O":
-            if args == (0, 0):
-                kinds.append(_F)
-                data.append(None)
-            else:
-                if len(args) != 4 or args[1] != 2 or args[0] <= 0:
-                    raise NnfFormatError("malformed decision line %r" % raw.strip(), lineno)
-                var, _, a, b = args
-                _check_variable(var, n, fixed, lineno)
-                if not (0 <= a < idx and 0 <= b < idx):
-                    _bad_reference((a, b), idx, lineno)
-                kinds.append(_O)
-                data.append((var, a, b))
-        elif kind == "c":  # `c fixed`: once, before the node lines, ascending in 1..N
+            var = abs(args[0])
+            if var > n or var in fixed:
+                _bad_variable(var, n, lineno)
+            add_kind(_L)
+            add_data(args[0])
+        elif kind == "c":
             if data or fixed or not args or args[0] < 1 or args[-1] > n or (
                 list(args) != sorted(set(args))
             ):
                 raise NnfFormatError("malformed fixed line %r" % raw.strip(), lineno)
-            fixed = sum(1 << (v - 1) for v in args)
-            continue
+            fixed = set(args)
         else:
             raise NnfFormatError("unknown node kind %r" % kind, lineno)
-        linenos.append(lineno)
-    if header is None:
-        raise NnfFormatError("missing header")
-    if len(data) != header[0]:
-        raise NnfFormatError("header declares %d nodes, found %d" % (header[0], len(data)))
+    if len(data) != declared:
+        raise NnfFormatError("header declares %d nodes, found %d" % (declared, len(data)))
     if n < 0:
         raise NnfFormatError("negative universe in header")
-    return n, fixed, kinds, data, linenos
+    return n, _mask_of(fixed), kinds, data
 
 
-def _check_variable(var: int, n: int, fixed: int, lineno: int) -> None:
+def _bad_variable(var: int, n: int, lineno: int) -> None:
     if var > n:
         raise NnfFormatError("variable %d exceeds declared universe %d" % (var, n), lineno)
-    if fixed >> (var - 1) & 1:
-        raise NnfFormatError("variable %d is fixed" % var, lineno)
+    raise NnfFormatError("variable %d is fixed" % var, lineno)
 
 
 def _bad_reference(refs, idx: int, lineno: int) -> None:
     for ref in refs:
         if not 0 <= ref < idx:
             raise NnfFormatError("reference %d not to an earlier line" % ref, lineno)
+
+
+def _record_line(text: str, record: int) -> int:
+    """The 1-based line of node line `record` in a text that
+    `_parse_records` accepted: every line after the header that is not
+    blank and not a comment (`c fixed` included) is a node line."""
+    seen = -1  # the header
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and fields[0][0] != "c":
+            if seen == record:
+                return lineno
+            seen += 1
+    raise ValueError("no node line %d" % record)
 
 
 def parse_nnf(text: str) -> Circuit:
@@ -463,12 +571,16 @@ def parse_nnf(text: str) -> Circuit:
     the store constructors, so reduction re-fires and the result is
     reduced no matter who produced the file.
 
-    Two iterative passes, each linear in the text: validate every line;
-    then walk once from the root (the last line), children first, checking
-    each reached decision's branches and each conjunction's children and
-    building each reached line as the walk leaves it.
+    Two iterative passes, each linear in the text and independent of N:
+    validate every line; then walk once from the root (the last line),
+    children first, checking each reached decision's branches and each
+    conjunction's children and building each reached line as the walk
+    leaves it.  In the common case a line costs one dispatch in each
+    pass: the record pass tests `A` and `O` lines first with their checks
+    inline, and the walk resolves a branch of the shape `serialize`
+    writes, a two-child `A` line holding the branch literal, inline.
     """
-    num_vars, fixed, kinds, data, linenos = _parse_records(text)
+    num_vars, fixed, kinds, data = _parse_records(text)
     n = len(kinds)
     if not n:
         raise NnfFormatError("empty node section")
@@ -486,8 +598,8 @@ def parse_nnf(text: str) -> Circuit:
                 if kinds[r] == _L and data[r] == want:
                     return refs[:k] + refs[k + 1 :]
         else:
-            raise NnfFormatError("decision child is not a conjunction", linenos[at])
-        raise NnfFormatError("decision child lacks branch literal", linenos[at])
+            raise NnfFormatError("decision child is not a conjunction", _record_line(text, at))
+        raise NnfFormatError("decision child lacks branch literal", _record_line(text, at))
 
     def fold(deps: tuple[int, ...]) -> int:
         # One decision branch: the conjunction of its dependencies' nodes.
@@ -498,40 +610,66 @@ def parse_nnf(text: str) -> Circuit:
 
     # built[i] is line i's node id once the walk has left it, else -1.
     # Leaves are built on entry; a conjunction at its exit frame ~i, and a
-    # decision at its exit frame, which sits on top of its two dependency
-    # tuples.
+    # decision at its exit frame, which sits on top of its two branches'
+    # dependencies: one line each in the shape serialize writes, resolved
+    # inline, else the tuples branch returns.
     store = NodeStore()
     built = [-1] * n
     stack: list = [n - 1]
+    push = stack.append
+    pop = stack.pop
     while stack:
-        i = stack.pop()
+        i = pop()
         if i >= 0:
             if built[i] >= 0:
                 continue
             kind = kinds[i]
-            if kind == _A:
-                stack.append(~i)
+            if kind == _O:
+                var, _, a, b = data[i]
+                lo = hi = -1
+                if kinds[a] == _A:
+                    refs = data[a]
+                    if len(refs) == 2:
+                        x, y = refs
+                        if kinds[x] == _L and data[x] == -var:
+                            lo = y
+                        elif kinds[y] == _L and data[y] == -var:
+                            lo = x
+                if kinds[b] == _A:
+                    refs = data[b]
+                    if len(refs) == 2:
+                        x, y = refs
+                        if kinds[x] == _L and data[x] == var:
+                            hi = y
+                        elif kinds[y] == _L and data[y] == var:
+                            hi = x
+                if lo >= 0 and hi >= 0:
+                    stack += (lo, hi, ~i, lo, hi)
+                else:
+                    lo = branch(a, -var, i)
+                    hi = branch(b, var, i)
+                    stack += (lo, hi, ~i)
+                    stack.extend(lo)
+                    stack.extend(hi)
+            elif kind == _A:
+                push(~i)
                 stack.extend(data[i])
-            elif kind == _O:
-                var, a, b = data[i]
-                lo = branch(a, -var, i)
-                hi = branch(b, var, i)
-                stack += (lo, hi, ~i)
-                stack.extend(lo)
-                stack.extend(hi)
             else:
                 built[i] = FALSE if kind == _F else store.literal(data[i])
             continue
         i = ~i
         if kinds[i] == _A:
-            refs = data[i]
-            ids = [built[r] for r in refs]
+            ids = [built[r] for r in data[i]]
             if FALSE in ids:
-                raise NnfFormatError("false sink under a conjunction", linenos[i])
+                raise NnfFormatError("false sink under a conjunction", _record_line(text, i))
             built[i] = store.get_and_node(ids)
         else:
-            hi = stack.pop()
-            lo = fold(stack.pop())
-            built[i] = store.get_node(data[i][0], lo, fold(hi))
+            hi = pop()
+            lo = pop()
+            built[i] = store.get_node(
+                data[i][0],
+                built[lo] if lo.__class__ is int else fold(lo),
+                built[hi] if hi.__class__ is int else fold(hi),
+            )
     store.freeze()
     return Circuit(store, built[n - 1], num_vars, fixed)

@@ -117,6 +117,10 @@ ERROR_CASES = {
         ["query", "--count", "{d}/huge.nnf"],
         "error: --count serves a universe of at most 10000000 variables, not 2000000000",
     ),
+    "obdd-order-universe-too-large": (
+        ["check", "--language", "obdd", "{d}/huge.nnf"],
+        "error: --language obdd without --order serves at most 10000000 variables, not 2000000000",
+    ),
     "count-universe-raised-too-far": (
         ["query", "--count", "--universe", "10000001", "{d}/a.nnf"],
         "error: --count serves a universe of at most 10000000 variables, not 10000001",

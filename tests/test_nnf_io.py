@@ -246,29 +246,58 @@ def test_mutated_texts_fail_like_the_reference_reader(name, seed):
             assert got[0] != "ok"
 
 
+def _noisy(rng, text):
+    """text with its lines' fields kept and noise around and between them."""
+    header, *body = [line.split() for line in text.splitlines()]
+    return _noise(rng, header, body)
+
+
+@pytest.mark.parametrize("name", sorted(set(MUTATIONS) - {"noise"}))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 1 << 32))
+def test_faults_behind_noise_fail_like_the_reference_reader(name, seed):
+    # Comments, blank lines and CRLF ends shift every line number after
+    # them, so an error must name the line of the text it was read from.
+    rng = random.Random(seed)
+    for circuit in compiled_family(rng)[:: rng.randint(1, 3)]:
+        header, *body = [line.split() for line in serialize(circuit).splitlines()]
+        header = header[:1] + [int(f) for f in header[1:]]
+        body = [f if f[0] == "c" else f[:1] + [int(x) for x in f[1:]] for f in body]
+        text = _noisy(rng, MUTATIONS[name](rng, header, body))
+        assert _parsed(parse_nnf, text) == _parsed(oracle_parse_nnf, text), text
+
+
 # --- large circuits -------------------------------------------------------------
 
 IO_BUDGET_S = 5.0
 
 
-@pytest.mark.parametrize("shape", ["deep", "wide"])
+@pytest.mark.parametrize("shape", ["deep", "wide", "fixed"])
 def test_large_circuits_round_trip_within_budget(shape):
     # A 40,000-deep decision chain and a 40,000-wide literal conjunction,
-    # at the default recursion limit.
+    # at the default recursion limit; and the chain in a bound of 10^7
+    # with every 500th variable above it fixed, 19,920 of them, so that a
+    # cost per line or per fixed variable that grows with N shows.
     n = 40_000
     assert sys.getrecursionlimit() < n
     s = NodeStore()
-    if shape == "deep":
+    if shape == "wide":
+        root = s.get_and_node([s.literal(v if v % 3 else -v) for v in range(1, n + 1)])
+    else:
         root = TRUE
         for v in range(n, 0, -1):
             root = s.get_node(v, FALSE, root)
+    if shape == "fixed":
+        # Bits n + 499, n + 999, ..., 10^7 - 1: variables n + 500k.
+        fixed = int(("1" + "0" * 499) * 19_920 + "0" * n, 2)
+        circuit = Circuit(s, root, 10**7, fixed)
     else:
-        root = s.get_and_node([s.literal(v if v % 3 else -v) for v in range(1, n + 1)])
-    circuit = Circuit(s, root, n)
+        circuit = Circuit(s, root, n)
     start = time.perf_counter()
     text = serialize(circuit)
     again = parse_nnf(text)
     elapsed = time.perf_counter() - start
     assert elapsed < IO_BUDGET_S, "round trip took %.2f s" % elapsed
     assert stats(again) == stats(circuit)
+    assert (again.num_vars, again.fixed) == (circuit.num_vars, circuit.fixed)
     assert serialize(again) == text

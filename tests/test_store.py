@@ -11,6 +11,7 @@ from dpllc.store import (
     NnfFormatError,
     NodeStore,
     StoreError,
+    mask_bits,
     parse_nnf,
     reachable,
     serialize,
@@ -139,6 +140,15 @@ def test_reachable_is_topological():
     order = reachable(s, b)
     assert order.index(a) < order.index(b)
     assert set(order) == {FALSE, TRUE, a, b}
+
+
+def test_mask_bits_lists_the_set_bits_in_order():
+    rng = random.Random(3)
+    masks = [0, 1, 1 << 7, 1 << 8, (1 << 55) - 1, 1 << 10**6 | 1 << 999]
+    masks += [rng.getrandbits(rng.randint(1, 3000)) for _ in range(50)]
+    for mask in masks:
+        want = [v for v, bit in enumerate(reversed(bin(mask)[2:]), 1) if bit == "1"]
+        assert mask_bits(mask) == want
 
 
 # --- serialization ----------------------------------------------------------
