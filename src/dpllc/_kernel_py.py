@@ -41,13 +41,17 @@ few C-level int operations; only on a settled input whose two masks are
 wider than _MASK_KEY_BYTES is it the sorted ids of the residual's clauses
 and variables behind a tag byte 1, when those are shorter.
 
-The byte layout is the root's input format and the layout of the
-single-step operations below `key` (`condition` to `split_components`),
-which the search does not call; `root` settles the input with them and
-their helpers.  They stay as the tests' reference for both kernels'
-`root` and `branch`, and as the names the benchmark's tracer looks up on
-this kernel; the compiled kernel does not have them.  The layout holds
-one native int32 record per surviving clause, in increasing
+The byte layout is the root's input format.  `encode` writes it (for
+`compiler.compute_key` too) and `_read` is the one walk over its
+records: it finds the empty ones and runs unit propagation with a heap
+of record positions, as `branch` does; `_components` groups what
+survives by union-find.  `root` settles the input with those two.  The
+single-step operations below them (`has_empty` to `split_components`),
+which the search does not call, are each a few lines over the same
+helpers.  They stay as the tests' reference for both kernels' `root`
+and `branch`, and as the names the benchmark's tracer looks up on this
+kernel; the compiled kernel does not have them.  The layout holds one
+native int32 record per surviving clause, in increasing
 original-clause-index order,
 
     idx, k, lit_1, ..., lit_k
@@ -75,12 +79,13 @@ _MASK_KEY_BYTES = 64
 
 
 class _Table:
-    """The clauses `clauses` (lists of the formula's literals, sorted by
-    variable) over the formula's variables `xs` (sorted), numbered 0..m-1
-    and 1..n: `cvars[c]` the mask of c's variables, `occ[lit]` the mask
-    of the clauses holding lit (a negative literal indexes from the end)
-    and `vocc[x]` of those holding x or -x.  `idx` holds the original
-    clause indices and `gvar` the formula's variables.  The settled input
+    """The clauses of `records` ((original clause index, literals) pairs,
+    the literals sorted by variable) over the formula's variables `xs`
+    (sorted), numbered 0..m-1 and 1..n: `cvars[c]` the mask of c's
+    variables, `occ[lit]` the mask of the clauses holding lit (a negative
+    literal indexes from the end) and `vocc[x]` of those holding x or -x.
+    `idx` holds the original clause indices and `gvar` the formula's
+    variables.  The settled input
     numbers the table's clauses from `coff` and its variables from `voff`
     + 1, in increasing order; `widths` are its key's: the mask key's
     length `kbytes`, with S at bit `sshift` and V at bit `vshift`, and the
@@ -90,11 +95,11 @@ class _Table:
     __slots__ = ("idx", "cvars", "occ", "vocc", "gvar", "coff", "voff",
                  "sshift", "vshift", "kbytes", "ids", "idw")
 
-    def __init__(self, idx, clauses, xs, coff, voff, widths):
+    def __init__(self, records, xs, coff, voff, widths):
         local = dict(zip(xs, range(1, len(xs) + 1)))
         cvars = []
         occ = [0] * (2 * len(xs) + 1)
-        for c, clause in enumerate(clauses):
+        for c, (_, clause) in enumerate(records):
             bit = 1 << c
             mask = 0
             for lit in clause:
@@ -102,7 +107,7 @@ class _Table:
                 occ[i] |= bit
                 mask |= 1 << (i if i > 0 else -i)
             cvars.append(mask)
-        self.idx = idx
+        self.idx = [i for i, _ in records]
         self.cvars = cvars
         self.occ = occ
         self.vocc = [occ[x] | occ[-x] for x in range(len(xs) + 1)]
@@ -137,54 +142,28 @@ def root(res: bytes, split: bool, propagate: bool):
     otherwise `implied` in derivation order and `parts` the rest's
     components (with `split`), or the rest alone, or [] when nothing is
     left, each a residual over a table of its own."""
-    v = _decode(res)
-    implied: tuple[int, ...] = ()
-    if propagate:
-        conflict, found = _unit_pass(v)
-        if conflict:
-            return [], (), True
-        if found is not None:
-            starts, counts, true, derived = found
-            v = _rebuild(v, starts, counts, true)
-            implied = tuple(derived)
-    elif has_empty(res):
+    records, implied, conflict = _read(res, propagate)
+    if conflict:
         return [], (), True
-    if not v:
+    if not records:
         return [], implied, False
-    idx: list[int] = []
-    clauses: list[list[int]] = []
-    i = 0
-    while i < len(v):
-        k = v[i + 1]
-        idx.append(v[i])
-        clauses.append(v[i + 2 : i + 2 + k])
-        i += 2 + k
-    xs = sorted({lit if lit > 0 else -lit for clause in clauses for lit in clause})
-    m, n = len(clauses), len(xs)
+    parts = [[records[c] for c in cs] for cs in _components(records)] if split else [records]
+    xss = [sorted({lit if lit > 0 else -lit for _, lits in part for lit in lits}) for part in parts]
+    m, n = len(records), sum(map(len, xss))
     sbytes, vbytes = (m + 7) // 8, (n + 8) // 8
     if sbytes + vbytes <= _MASK_KEY_BYTES:
         widths = sbytes, 1 + sbytes + vbytes, None, 0
     else:
         ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
         widths = sbytes, 1 + sbytes + vbytes, ids, array(ids).itemsize
-    members: dict[int, list[int]] = {}
-    if split:
-        group = _labels(v)
-        for c, clause in enumerate(clauses):
-            lit = clause[0]
-            members.setdefault(group[lit if lit > 0 else -lit], []).append(c)
-    if len(members) < 2:
-        return [_residual(_Table(idx, clauses, xs, 0, 0, widths), propagate)], implied, False
     # The settled input numbers its clauses and variables part by part.
-    parts = []
+    out = []
     coff = voff = 0
-    for cs in members.values():
-        part = [clauses[c] for c in cs]
-        ys = sorted({lit if lit > 0 else -lit for clause in part for lit in clause})
-        parts.append(_residual(_Table([idx[c] for c in cs], part, ys, coff, voff, widths), propagate))
-        coff += len(cs)
-        voff += len(ys)
-    return parts, implied, False
+    for part, xs in zip(parts, xss):
+        out.append(_residual(_Table(part, xs, coff, voff, widths), propagate))
+        coff += len(part)
+        voff += len(xs)
+    return out, implied, False
 
 
 def _residual(t, settled):
@@ -374,83 +353,60 @@ def key(res) -> bytes:
     return (S << t.sshift | V << t.vshift).to_bytes(t.kbytes, "little")
 
 
-# --- the byte layout's single-step operations ---------------------------------
+# --- the byte layout ---------------------------------------------------------
 
 
-def _decode(res: bytes) -> list[int]:
-    return memoryview(res).cast("i").tolist()
-
-
-def has_empty(res: bytes) -> bool:
-    v = memoryview(res).cast("i")
-    i, n = 0, len(v)
-    while i < n:
-        k = v[i + 1]
-        if k == 0:
-            return True
-        i += 2 + k
-    return False
-
-
-def condition(res: bytes, lit: int) -> bytes:
-    """Residual after assigning `lit` true: drop satisfied clauses, strip -lit."""
-    v = _decode(res)
+def encode(records) -> bytes:
+    """The byte layout of (clause index, literals) records, in their order."""
     out: list[int] = []
-    neg = -lit
-    i, n = 0, len(v)
-    while i < n:
-        k = v[i + 1]
-        end = i + 2 + k
-        lits = v[i + 2 : end]
-        if neg in lits:
-            lits.remove(neg)
-            out.append(v[i])
-            out.append(k - 1)
-            out += lits
-        elif lit not in lits:
-            out += v[i:end]
-        i = end
+    for idx, lits in records:
+        out.append(idx)
+        out.append(len(lits))
+        out += lits
     return array("i", out).tobytes()
 
 
-def _index(v: list[int]):
-    """(starts, units, counts, occ) of the decoded residual `v` in one pass:
-    the record offsets, the positions of its unit records, each record's
-    literal count, and for each literal the positions of the records
-    holding it, in increasing order; None when a record is empty."""
+def _read(res: bytes, propagate: bool):
+    """(records, implied, conflict) of the layout `res`.
+
+    `conflict` says that a record is empty or (with `propagate`) that unit
+    propagation empties one; it stops at the first implied literal that
+    does.  `implied` lists the literals propagation derived, in order, and
+    `records` the (clause index, literals) pairs it left unsatisfied, each
+    without its false literals: all of `res` when nothing was implied.
+    """
+    v = memoryview(res).cast("i").tolist()
     starts: list[int] = []
     units: list[int] = []
-    counts: list[int] = []
     occ: dict[int, list[int]] = {}
+    conflict = False
     i, n = 0, len(v)
     while i < n:
         k = v[i + 1]
-        if k == 0:
-            return None
         c = len(starts)
-        if k == 1:
-            units.append(c)
-        starts.append(i)
-        counts.append(k)
-        for lit in v[i + 2 : i + 2 + k]:
-            clauses = occ.get(lit)
-            if clauses is None:
-                occ[lit] = [c]
+        if k < 2:
+            if k == 0:
+                conflict = True
             else:
-                clauses.append(c)
+                units.append(c)
+        starts.append(i)
+        if propagate:
+            for lit in v[i + 2 : i + 2 + k]:
+                clauses = occ.get(lit)
+                if clauses is None:
+                    occ[lit] = [c]
+                else:
+                    clauses.append(c)
         i += 2 + k
-    return starts, units, counts, occ
-
-
-def _fixpoint(v, starts, counts, occ, heap, true, implied) -> bool:
-    """Unit propagation from the unit records in `heap`; True on a conflict.
-
-    `counts` holds each record's count of literals not yet false, -1 once
-    it is satisfied, and `true` the literals made true so far; both are
-    updated, and each implied literal is appended to `implied`.  The pass
-    stops at the first implied literal that empties a record.
-    """
-    while heap:
+    if not propagate or conflict or not units:
+        return [(v[s], v[s + 2 : s + 2 + v[s + 1]]) for s in starts], (), conflict
+    # counts[c] is record c's count of literals not yet false, -1 once it is
+    # satisfied; `units` lists the unit records in position order, a heap.
+    counts = [v[s + 1] for s in starts]
+    true: set[int] = set()
+    implied: list[int] = []
+    heap = units
+    while heap and not conflict:
         c = heappop(heap)
         if counts[c] < 0:
             continue
@@ -462,55 +418,79 @@ def _fixpoint(v, starts, counts, occ, heap, true, implied) -> bool:
         true.add(unit)
         for d in occ.get(unit, ()):
             counts[d] = -1
-        conflict = False
         for d in occ.get(-unit, ()):
             k = counts[d]
             if k > 0:
-                k -= 1
-                counts[d] = k
+                counts[d] = k = k - 1
                 if k == 1:
                     heappush(heap, d)
                 elif k == 0:
                     conflict = True
-        if conflict:
-            return True
-    return False
-
-
-def _rebuild(v, starts, counts, true) -> list[int]:
-    """The records of `v` not yet satisfied, without their false literals."""
-    out: list[int] = []
+    records = []
     for c, s in enumerate(starts):
         left = counts[c]
-        if left < 0:
-            continue
-        k = v[s + 1]
-        if left == k:
-            out += v[s : s + 2 + k]
-        else:
-            out.append(v[s])
-            out.append(left)
-            out += [lit for lit in v[s + 2 : s + 2 + k] if -lit not in true]
-    return out
+        if left >= 0:
+            lits = v[s + 2 : s + 2 + v[s + 1]]
+            if left < len(lits):
+                lits = [lit for lit in lits if -lit not in true]
+            records.append((v[s], lits))
+    return records, tuple(implied), conflict
 
 
-def _unit_pass(v: list[int]):
-    """Unit propagation over the decoded residual `v`: (conflict, found).
+def _components(records) -> list[list[int]]:
+    """The positions of `records` per variable-disjoint component, each
+    component's in increasing order and the components in order of their
+    first record; an empty record raises ValueError."""
+    up: dict[int, int] = {}
 
-    `found` is None when `v` holds an empty clause or no unit record, and
-    otherwise (starts, counts, true, implied) as `_fixpoint` leaves them.
-    """
-    index = _index(v)
-    if index is None:
-        return True, None
-    starts, units, counts, occ = index
-    if not units:
-        return False, None
-    true: set[int] = set()
-    implied: list[int] = []
-    # `units` lists the unit records in position order, which is a heap.
-    conflict = _fixpoint(v, starts, counts, occ, units, true, implied)
-    return conflict, (starts, counts, true, implied)
+    def find(x):
+        # The representative of x's variables, halving the path to it.
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for _, lits in records:
+        if not lits:
+            raise ValueError("cannot split a residual containing an empty clause")
+        head = None
+        for lit in lits:
+            x = lit if lit > 0 else -lit
+            r = find(up.setdefault(x, x))
+            if head is None:
+                head = r
+            elif r != head:
+                up[r] = head
+    parts: dict[int, list[int]] = {}
+    for c, (_, lits) in enumerate(records):
+        lit = lits[0]
+        parts.setdefault(find(lit if lit > 0 else -lit), []).append(c)
+    return list(parts.values())
+
+
+def _occurrences(res: bytes) -> dict[int, int]:
+    """The variables of `res` in order of first occurrence, each with the
+    number of records holding it."""
+    counts: dict[int, int] = {}
+    for _, lits in _read(res, False)[0]:
+        for lit in lits:
+            x = lit if lit > 0 else -lit
+            counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
+# --- the byte layout's single-step operations ---------------------------------
+
+
+def has_empty(res: bytes) -> bool:
+    return _read(res, False)[2]
+
+
+def condition(res: bytes, lit: int) -> bytes:
+    """Residual after assigning `lit` true: drop satisfied clauses, strip -lit."""
+    neg = -lit
+    records = _read(res, False)[0]
+    return encode((idx, [x for x in lits if x != neg]) for idx, lits in records if lit not in lits)
 
 
 def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
@@ -519,149 +499,38 @@ def propagate(res: bytes) -> tuple[bytes, tuple[int, ...], bool]:
     Returns (residual, implied, conflict); implied is in derivation order
     and conflict means an empty clause is present in the residual.
     """
-    v = _decode(res)
-    conflict, found = _unit_pass(v)
-    if found is None:
-        return res, (), conflict
-    starts, counts, true, implied = found
-    return array("i", _rebuild(v, starts, counts, true)).tobytes(), tuple(implied), conflict
+    records, implied, conflict = _read(res, True)
+    return encode(records), implied, conflict
 
 
 def propagate_conflict(res: bytes) -> bool:
-    """True iff unit propagation derives the empty clause.
-
-    Same fixpoint as propagate(), but the residual and the implied literals
-    are not materialized; this is the cheap conflict lookahead.
-    """
-    return _unit_pass(_decode(res))[0]
+    """True iff unit propagation derives the empty clause: the cheap
+    conflict lookahead."""
+    return _read(res, True)[2]
 
 
 def first_unit_var(res: bytes) -> int:
-    v = memoryview(res).cast("i")
-    i, n = 0, len(v)
-    while i < n:
-        k = v[i + 1]
-        if k == 1:
-            return abs(v[i + 2])
-        i += 2 + k
-    return 0
+    return next((abs(lits[0]) for _, lits in _read(res, False)[0] if len(lits) == 1), 0)
 
 
 def select_var(res: bytes, heuristic: int) -> int:
     """Deterministic branch-variable choice; 0 when the residual has no variables."""
-    v = memoryview(res).cast("i")
-    n = len(v)
+    counts = _occurrences(res)
     if heuristic == HEUR_MIN_INDEX:
-        best = 0
-        i = 0
-        while i < n:
-            k = v[i + 1]
-            for j in range(i + 2, i + 2 + k):
-                var = abs(v[j])
-                if best == 0 or var < best:
-                    best = var
-            i += 2 + k
-        return best
-    counts: dict[int, int] = {}
-    i = 0
-    while i < n:
-        k = v[i + 1]
-        for j in range(i + 2, i + 2 + k):
-            var = abs(v[j])
-            counts[var] = counts.get(var, 0) + 1
-        i += 2 + k
-    best = 0
-    best_count = -1
-    for var, c in counts.items():
-        if c > best_count or (c == best_count and var < best):
-            best, best_count = var, c
-    return best
+        return min(counts, default=0)
+    return min(counts, key=lambda x: (-counts[x], x), default=0)
 
 
 def min_rank_var(res: bytes, ranks: bytes) -> int:
     """Variable of minimum rank occurring in res; ranks is int32, indexed by var."""
-    v = memoryview(res).cast("i")
-    r = memoryview(ranks).cast("i")
-    best = 0
-    best_rank = -1
-    i, n = 0, len(v)
-    while i < n:
-        k = v[i + 1]
-        for j in range(i + 2, i + 2 + k):
-            var = abs(v[j])
-            rank = r[var]
-            if best == 0 or rank < best_rank:
-                best, best_rank = var, rank
-        i += 2 + k
-    return best
+    return min(_occurrences(res), key=memoryview(ranks).cast("i").__getitem__, default=0)
 
 
 def split_components(res: bytes) -> list[bytes]:
     """Finest variable-disjoint partition of the clauses.
 
-    Parts come out ordered by smallest original clause index (clauses are
-    scanned in index order) and must not contain empty clauses.
+    Parts come out ordered by smallest original clause index and must not
+    contain empty clauses.
     """
-    return _split(_decode(res), res)
-
-
-def _split(v: list[int], res: bytes) -> list[bytes]:
-    """split_components of `res`, whose decoded records are `v`."""
-    if not v:
-        return []
-    group = _labels(v)
-    parts: dict[int, list[bytes]] = {}
-    i, n = 0, len(v)
-    while i < n:
-        end = i + 2 + v[i + 1]
-        lit = v[i + 2]
-        part = parts.setdefault(group[lit if lit > 0 else -lit], [])
-        part.append(res[4 * i : 4 * end])
-        i = end
-    if len(parts) == 1:
-        return [res]
-    return [b"".join(part) for part in parts.values()]
-
-
-def _labels(v: list[int]) -> dict[int, int]:
-    """group[x] for each variable x of the decoded residual `v`, a label
-    that the variables of one component share."""
-    # members[g] lists the variables of group g.  A record joins all
-    # groups its variables are in, and the smaller group is relabelled
-    # into the larger.
-    group: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    i, n = 0, len(v)
-    while i < n:
-        k = v[i + 1]
-        if k == 0:
-            raise ValueError("cannot split a residual containing an empty clause")
-        joined: set[int] = set()
-        fresh: list[int] = []
-        for lit in v[i + 2 : i + 2 + k]:
-            x = lit if lit > 0 else -lit
-            g = group.get(x)
-            if g is None:
-                fresh.append(x)
-            else:
-                joined.add(g)
-        if joined:
-            target = joined.pop()
-            into = members[target]
-            for g in joined:
-                other = members.pop(g)
-                if len(other) > len(into):
-                    members[g] = other
-                    del members[target]
-                    target, into, other = g, other, into
-                for x in other:
-                    group[x] = target
-                into += other
-            into += fresh
-        else:
-            target = i
-            members[i] = fresh
-        for x in fresh:
-            group[x] = target
-        i += 2 + k
-    return group
+    records = _read(res, False)[0]
+    return [encode(records[c] for c in cs) for cs in _components(records)]

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import _kernel
+from ._kernel_py import encode
 from .cnf import Cnf
 from .store import FALSE, TRUE, Circuit, NodeStore
 
@@ -52,12 +53,7 @@ def compute_key(delta: Cnf) -> bytes:
     the Python kernel keys a residual by its clause and variable sets
     instead (see _kernel_py.key).
     """
-    arr = array("i")
-    for idx, lits in delta.clauses:
-        arr.append(idx)
-        arr.append(len(lits))
-        arr.extend(sorted(lits, key=abs))
-    return arr.tobytes()
+    return encode((idx, sorted(lits, key=abs)) for idx, lits in delta.clauses)
 
 
 @dataclass(frozen=True)

@@ -377,9 +377,10 @@ class EqVerdict:
         return self.outcome == "equivalent-probably"
 
 
-def _poly_eval(circuit: Circuit, order: list[int], point: list[int], p: int) -> int:
-    """Evaluate the circuit's network polynomial at a point modulo p,
-    sweeping the reachable ids in `order` (topological, as from annotate).
+def _poly_eval(circuit: Circuit, order: list[int], point, p: int) -> int:
+    """Evaluate the circuit's network polynomial modulo p at `point`, which
+    maps each variable that occurs to its value, sweeping the reachable
+    ids in `order` (topological, as from annotate).
 
     p need not be prime: modulo a product of primes the result is, by the
     Chinese remainder theorem, the evaluations modulo each of them at the
@@ -438,15 +439,12 @@ def prob_equiv(
     order_b, masks_b = annotate(b)
     occurring = masks_a[a.root] | masks_b[b.root]
     variables = mask_bits(occurring)
-    width = occurring.bit_length() + 1
     rng = random.Random(seed)
     done = 0
     while done < rounds:
         lanes = LANE_PRIMES[: 1 if done == 0 else rounds - done]
         m = math.prod(lanes)
-        point = [0] * width
-        for v in variables:
-            point[v] = rng.randrange(m)
+        point = {v: rng.randrange(m) for v in variables}
         va = _poly_eval(a, order_a, point, m)
         vb = _poly_eval(b, order_b, point, m)
         if va != vb:

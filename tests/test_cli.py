@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from dpllc import checks
 from dpllc.cli import MAX_COUNT_UNIVERSE, _count_text, main
+from dpllc.queries import LanguageError
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, parse_nnf, serialize
 
 from util import RUNNING_DIMACS
@@ -313,6 +315,39 @@ def test_eq_command(workdir, capsys):
     assert "equivalent-probably" in capsys.readouterr().out
     assert run("eq", a, b, "--seed", "7") == 0
     assert "equivalent-probably" in capsys.readouterr().out
+
+
+def test_eq_prints_the_refuting_round(workdir, capsys):
+    (workdir / "x.nnf").write_text("nnf 1 0 1\nL 1\n")
+    (workdir / "not-x.nnf").write_text("nnf 1 0 1\nL -1\n")
+    assert run("eq", workdir / "x.nnf", workdir / "not-x.nnf") == 0
+    assert capsys.readouterr().out == "not-equivalent round=1\n"
+
+
+def test_check_ddnnf_reports_a_verdict_and_a_witness(workdir, capsys):
+    good, bad = workdir / "d.nnf", workdir / "shared.nnf"
+    run("compile", "--lang", "ddnnf", workdir / "run.cnf", "-o", good)
+    # A conjunction of x1 and -x1.
+    bad.write_text("nnf 3 2 1\nL 1\nL -1\nA 2 0 1\n")
+    capsys.readouterr()
+    assert run("check", "--language", "ddnnf", good) == 0
+    assert capsys.readouterr().out == "verdict=true language=decision-dnnf witness=-\n"
+    assert run("check", "--language", "ddnnf", bad) == 0
+    out = capsys.readouterr().out
+    assert out == "verdict=false language=decision-dnnf witness=conjuncts of node 4 share variable 1\n"
+
+
+def test_a_language_error_ends_in_one_error_line(workdir, capsys, monkeypatch):
+    # Every command turns the language errors of its own queries into an
+    # `error:` line; main does so for one that escapes a command.
+    def refuse(circuit):
+        raise LanguageError("conjuncts of node 4 share variable 1")
+
+    monkeypatch.setattr(checks, "check_decision_dnnf", refuse)
+    (workdir / "a.nnf").write_text("nnf 1 0 2\nA 0\n")
+    assert run("check", "--language", "ddnnf", workdir / "a.nnf") == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: conjuncts of node 4 share variable 1\n")
 
 
 def _str_unlimited(n: int) -> str:

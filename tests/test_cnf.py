@@ -103,6 +103,13 @@ def test_cnf_rejects_bad_clauses():
         Cnf.from_clauses([[1, 1]], 3)
 
 
+def test_cnf_rejects_a_negative_universe_and_a_repeated_index():
+    with pytest.raises(ValueError, match="^negative variable universe$"):
+        Cnf(-1, ())
+    with pytest.raises(ValueError, match="^duplicate clause index 0$"):
+        Cnf(3, ((0, (1,)), (0, (2,))))
+
+
 # --- conditioning ----------------------------------------------------------
 
 

@@ -100,6 +100,19 @@ def test_config_validation():
         CompileConfig(heuristic="vsids").validate()
 
 
+def test_compile_entry_points_check_their_mode_and_order():
+    cnf = running_cnf()
+    order, other = VarOrder.identity(3), VarOrder((3, 2, 1))
+    with pytest.raises(ValueError, match="^compile_free needs mode='free'$"):
+        compile_free(cnf, CompileConfig(mode="decomposed"))
+    with pytest.raises(ValueError, match="^cfg.order disagrees with the order argument$"):
+        compile_ordered(cnf, order, CompileConfig(mode="ordered", order=other))
+    with pytest.raises(ValueError, match="^an order is required exactly when mode='ordered'$"):
+        compile_ordered(cnf, order, CompileConfig(mode="free"))
+    # An ordered config without an order takes the argument's.
+    assert isomorphic(compile_ordered(cnf, order, CompileConfig(mode="ordered")), compile_ordered(cnf, order))
+
+
 def test_bandwidth_order_is_permutation():
     rng = random.Random(47)
     for _ in range(20):

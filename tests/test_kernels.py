@@ -24,6 +24,7 @@ from util import (
     decode,
     decode_child,
     oracle_branch,
+    oracle_child,
     oracle_root,
     random_cnf,
     unit_propagate,
@@ -256,21 +257,6 @@ def test_split_matches_components(kernel, cnf):
         assert kernel.split_components(res) == [compute_key(p) for p in components(cnf)]
 
 
-def _composed(res, lit, split, prop):
-    """One child of `branch`, by _kernel_py's single-step operations."""
-    child = kernel_py.condition(res, lit)
-    if kernel_py.has_empty(child):
-        return [], (), True
-    implied = ()
-    if prop:
-        child, implied, conflict = kernel_py.propagate(child)
-        if conflict:
-            return [], (), True
-    if not child:
-        return [], implied, False
-    return (kernel_py.split_components(child) if split else [child]), implied, False
-
-
 def _records(*records):
     """Residual bytes of (clause index, literals) records."""
     return array("i", [x for idx, lits in records for x in (idx, len(lits), *lits)]).tobytes()
@@ -327,8 +313,8 @@ def test_branch_matches_composition(kernel, rng):
                 y, low, high = kernel.branch(res, 0, ranks, split, prop)
                 assert y == (x if x in occurring else kernel_py.min_rank_var(layout, ranks))
                 assert (decode_child(low), decode_child(high)) == (
-                    _composed(layout, -y, split, prop),
-                    _composed(layout, y, split, prop),
+                    oracle_child(layout, -y, split, prop),
+                    oracle_child(layout, y, split, prop),
                 )
 
 

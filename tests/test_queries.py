@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,18 @@ def test_count_rejects_repeated_branch_variable():
     bad = Circuit(s, s.get_node(1, inner, TRUE), 1)
     with pytest.raises(LanguageError):
         model_count(bad)
+
+
+@pytest.mark.parametrize("fixed, var", [(0, 3), (0b1, 1)])
+def test_count_and_validity_refuse_a_variable_outside_the_universe(fixed, var):
+    # Built by hand: the reader and condition_circuit never make a circuit
+    # that mentions a variable above its bound or a fixed one.
+    s = NodeStore()
+    circuit = Circuit(s, s.literal(var), 2, fixed)
+    for query in (model_count, is_valid):
+        with pytest.raises(ValueError) as err:
+            query(circuit)
+        assert str(err.value) == "variable %d below the root is not free" % var
 
 
 def test_consistency():
@@ -457,6 +470,23 @@ def test_eq_reports_the_first_lane_that_differs(monkeypatch):
     verdict = prob_equiv(a, b, rounds=2 * LANES + 3)
     assert not verdict.equivalent and verdict.rounds == 1 + LANES + 3
     assert moduli == [EQ_PRIME] * 2 + [math.prod(LANE_PRIMES)] * 4
+
+
+def test_eq_point_holds_only_the_occurring_variables():
+    # Two one-literal circuits on variable 10^7 draw one value per round;
+    # a point with a slot for every index up to the highest variable
+    # would take 80 MB per round.
+    x = 10**7
+    s, t = NodeStore(), NodeStore()
+    a, b = Circuit(s, s.literal(x), x), Circuit(t, t.literal(x), x)
+    tracemalloc.start()
+    try:
+        verdict = prob_equiv(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.equivalent
+    assert peak < 20_000_000, "peak %d bytes" % peak
 
 
 def test_eq_is_deterministic_under_seed():

@@ -80,6 +80,26 @@ def test_and_rejects_false():
         NodeStore().get_and_node([FALSE])
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda s: s.literal(0), StoreError, "0 is not a literal"),
+        (lambda s: s.get_node(0, FALSE, TRUE), StoreError, "decision variable must be positive, got 0"),
+        (lambda s: s.get_node(1, 2, TRUE), StoreError, "invalid node id 2"),
+        (lambda s: s.get_node(1, FALSE, -1), StoreError, "invalid node id -1"),
+        (lambda s: s.get_and_node([TRUE, 5]), StoreError, "invalid node id 5"),
+        (lambda s: Circuit(s, 2, 1), StoreError, "invalid node id 2"),
+        (lambda s: Circuit(s, TRUE, -1), ValueError, "negative universe"),
+    ],
+)
+def test_constructors_reject_bad_arguments(build, error, message):
+    s = NodeStore()
+    with pytest.raises(error) as info:
+        build(s)
+    assert str(info.value) == message
+    assert len(s) == 2
+
+
 def test_literal_hash_conses():
     s = NodeStore()
     assert s.literal(-4) == s.literal(-4)
@@ -215,6 +235,7 @@ def test_parse_errors():
         ("nnf 1 0 2\nL 1 2\n", "malformed literal line 'L 1 2'", 2),
         ("nnf 1 0 2\nL 0\n", "malformed literal line 'L 0'", 2),
         ("nnf 2 1 2\nL 1\nA 2 0\n", "child count mismatch in 'A 2 0'", 3),
+        ("nnf 1 0 2\nA\n", "child count mismatch in 'A'", 2),
         ("nnf 2 1 2\nA 1 1\nL 1\n", "reference 1 not to an earlier line", 2),
         ("nnf 2 0 2\nO 1 2 0\n", "malformed decision line 'O 1 2 0'", 2),
         ("nnf 1 0 2\nO 0 2 0 0\n", "malformed decision line 'O 0 2 0 0'", 2),
