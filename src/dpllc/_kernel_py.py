@@ -17,7 +17,9 @@ formula its masks are as wide as the component, not the formula.
 
 `branch` is one decision of the search.  It picks the variable from the
 masks (max-occurrence is one bit_count per variable of V, ties to the
-smaller variable; min-index is V's lowest bit; ordered the least rank),
+smaller variable; min-index is V's lowest bit, which the ordered search
+also takes, on a formula renamed by the order; a rank table, which only
+the tests pass, walks V for the least rank),
 and derives both children: conditioning drops the clauses the literal
 satisfies from S and its variable from V, and then visits only the
 clauses of S that hold the opposite literal.  Unit propagation goes on in

@@ -14,12 +14,16 @@ under:
 
 So a discipline is a branch picker, whether components are split and
 where implied literals go; `compile_cnf` derives all three from a
-CompileConfig.  The kernel (KERNEL) holds the residual formulas: the
-input goes in once, in the byte layout of `compute_key`, and every
-residual after that is the kernel's own, which it keys for the cache.
-Formula caching memoizes the compilation of residual formulas under
-those keys, which are equal exactly when the residuals are (in ordered
-mode with the implied literals still waiting for their turn appended).
+CompileConfig.  The ordered discipline needs no picker of its own: its
+input goes in with each variable renamed to its rank in the order, and
+there the first variable of the order that occurs is the least one, the
+min-index pick; variables are mapped back only where a node is built.
+The kernel (KERNEL) holds the residual formulas: the input goes in once,
+in the byte layout of `compute_key`, and every residual after that is
+the kernel's own, which it keys for the cache.  Formula caching memoizes
+the compilation of residual formulas under those keys, which are equal
+exactly when the residuals are (in ordered mode with the implied
+literals still waiting for their turn appended, in renamed space).
 The search runs on an explicit work stack, so formulas with very many
 variables cannot overflow the call stack.
 """
@@ -102,12 +106,29 @@ def bandwidth_order(delta: Cnf) -> VarOrder:
     degree, then reverse.  Keeps interacting variables close together,
     which is what ordered compilation wants from a static order; variables
     outside every clause follow in index order.  Deterministic.
+
+    Each neighbor list is sorted once, and the components start in one
+    pass over the vertices by ascending (degree, variable): the first
+    vertex of that pass no component holds yet is the least one left.  So
+    the order costs about what the graph holds, however many components
+    it has.
     """
     adj: dict[int, set[int]] = {}
     for _, lits in delta.clauses:
         vs = [abs(l) for l in lits]
         for v in vs:
-            adj.setdefault(v, set()).update(w for w in vs if w != v)
+            ws = adj.get(v)
+            if ws is None:
+                adj[v] = set(vs)
+            else:
+                ws.update(vs)
+    for v, ws in adj.items():
+        ws.discard(v)
+
+    def by_degree(v: int) -> tuple[int, int]:
+        return len(adj[v]), v
+
+    nbrs = {v: sorted(ws, key=by_degree) for v, ws in adj.items()}
 
     def bfs(start: int) -> list[int]:
         seen = {start}
@@ -116,7 +137,7 @@ def bandwidth_order(delta: Cnf) -> VarOrder:
         while frontier:
             nxt: list[int] = []
             for v in frontier:
-                for w in sorted(adj[v], key=lambda u: (len(adj[u]), u)):
+                for w in nbrs[v]:
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -126,16 +147,15 @@ def bandwidth_order(delta: Cnf) -> VarOrder:
 
     order: list[int] = []
     placed: set[int] = set()
-    remaining = set(adj)
-    while remaining:
-        start = min(remaining, key=lambda v: (len(adj[v]), v))
+    for start in sorted(adj, key=by_degree):
+        if start in placed:
+            continue
         for _ in range(2):  # double sweep toward a pseudo-peripheral vertex
             start = bfs(start)[-1]
         component = bfs(start)
         component.reverse()
         order.extend(component)
         placed.update(component)
-        remaining -= placed
     order.extend(v for v in range(1, delta.num_vars + 1) if v not in placed)
     return VarOrder(tuple(order))
 
@@ -153,7 +173,9 @@ class CompileConfig:
                   out of order on an implied variable would break the
                   ordering property, so the implied literals wait until
                   the order reaches them and then become forced decisions
-                  whose violating branch is the false sink.  A conflict
+                  whose violating branch is the false sink.  The search
+                  runs on the formula renamed by the order, where the
+                  waiting literals are kept sorted by variable.  A conflict
                   makes the residual the false sink at once.  Neither
                   changes the canonical trace; an unsatisfiable subtree
                   reduces to the false sink either way.
@@ -206,12 +228,17 @@ def _chain(store: NodeStore, lits, node: int) -> int:
     return node
 
 
+def _renamed(table, lits) -> list[int]:
+    """`lits` with each variable x renamed to table[x]."""
+    return [table[lit] if lit > 0 else -table[-lit] for lit in lits]
+
+
 def _search(
     res0: bytes,
     store: NodeStore,
     cache: Cache | None,
     heuristic: int,
-    ranks: bytes | None,
+    names: tuple[int, ...] | None,
     decompose: bool,
     propagate: bool,
 ) -> int:
@@ -219,9 +246,8 @@ def _search(
 
     The input res0 (in the byte layout) is settled by one K.root call,
     and every decision below it is one K.branch call on a residual of the
-    kernel's, which picks the decision variable (by `heuristic`, or with
-    the order's rank table `ranks` the first variable of the order that
-    occurs) and returns it with both children settled, as `_KID` frames
+    kernel's, which picks the decision variable by `heuristic` and
+    returns it with both children settled, as `_KID` frames
     holding (parts, implied, conflict) and the literals still waiting:
     with `propagate` each residual is unit-propagated to fixpoint, and
     with `decompose` the rest is split into components; both kernels
@@ -230,10 +256,17 @@ def _search(
 
       decomposed  literal leaves conjoined with the component traces;
       free        a chain of forced decisions above the rest's trace;
-      ordered     they wait, sorted by rank, until the order reaches
-                  them: the waiting literals ranked before the variable
+      ordered     they wait, sorted by `abs`, until the order reaches
+                  them: the waiting literals before the variable
                   branch returns become forced decisions above it, and
                   the others go down to both children.
+
+    In ordered mode (`names` given) res0 is the input with each variable
+    renamed to its 1-based rank in the order, and `heuristic` is
+    min-index, so the least variable that occurs is the order's first:
+    the search runs wholly in renamed space, waiting literals included,
+    and `names` maps a renamed variable back (variable x is names[x])
+    only where a node is built.
 
     A propagated rest shares no variable with its implied literals, so
     the rest and the waiting literals together are the conditioned
@@ -248,8 +281,6 @@ def _search(
     prefix to chain above the node.
     """
     K = KERNEL
-    rank = None if ranks is None else memoryview(ranks).cast("i")
-    byrank = None if rank is None else (lambda lit: rank[lit if lit > 0 else -lit])
     work: list[tuple] = [(_KID, K.root(res0, decompose, propagate), ())]
     vals: list[int] = []
     while work:
@@ -260,9 +291,9 @@ def _search(
             if conflict:
                 vals.append(FALSE)
                 continue
-            if rank is not None:
+            if names is not None:
                 if implied:
-                    waiting = tuple(sorted(waiting + implied, key=byrank))
+                    waiting = tuple(sorted(waiting + implied, key=abs))
                 res = parts[0] if parts else None
                 if not (res or waiting):
                     vals.append(TRUE)
@@ -309,16 +340,19 @@ def _search(
                 vals.append(hit)
                 continue
         if not res:
-            node = _chain(store, waiting, TRUE)
+            # Only ordered mode leaves waiting literals without a residual.
+            node = _chain(store, _renamed(names, waiting), TRUE)
             if key is not None:
                 cache.insert(key, node)
             vals.append(node)
             continue
-        x, low, high = K.branch(res, heuristic, ranks, decompose, propagate)
+        x, low, high = K.branch(res, heuristic, None, decompose, propagate)
         forced = ()
-        if waiting:
-            cut = bisect_left(waiting, rank[x], key=byrank)
-            forced, waiting = waiting[:cut], waiting[cut:]
+        if names is not None:
+            if waiting:
+                cut = bisect_left(waiting, x, key=abs)
+                forced, waiting = _renamed(names, waiting[:cut]), waiting[cut:]
+            x = names[x]
         work.append((_DEC, x, key, forced))
         work.append((_KID, high, waiting))
         work.append((_KID, low, waiting))
@@ -361,19 +395,29 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     cfg.validate()
     K = KERNEL
     code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
-    ranks = None
+    names = None
     if cfg.mode == "ordered":
-        if cfg.order.n < delta.num_vars:
-            raise ValueError("order covers %d of %d variables" % (cfg.order.n, delta.num_vars))
-        ranks = cfg.order.rank_bytes
+        order = cfg.order.order
+        if len(order) < delta.num_vars:
+            raise ValueError("order covers %d of %d variables" % (len(order), delta.num_vars))
+        # Each variable renamed to its rank, 1-based: min-index branching
+        # then follows the order.
+        names = (0, *order)
+        rank = [0] * len(names)
+        for r, var in enumerate(order, 1):
+            rank[var] = r
+        res0 = encode((idx, sorted(_renamed(rank, lits), key=abs)) for idx, lits in delta.clauses)
+        code = K.HEUR_MIN_INDEX
+    else:
+        res0 = compute_key(delta)
     store = NodeStore()
     cache = Cache() if cfg.caching else None
     root = _search(
-        compute_key(delta),
+        res0,
         store,
         cache,
         code,
-        ranks,
+        names,
         decompose=cfg.mode == "decomposed",
         propagate=cfg.unit_propagation,
     )

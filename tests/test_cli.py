@@ -473,6 +473,28 @@ def test_bench_csv(workdir, tmp_path, capsys):
         float(rows[0]["%s_time" % lang])
 
 
+def test_bench_time_counts_the_order_it_computes(workdir, monkeypatch):
+    # The time limit counts the RCM order bench computes, so the reported
+    # obdd time must too.
+    import multiprocessing
+
+    from dpllc import cli
+
+    real = cli.bandwidth_order
+
+    def slow_order(cnf):
+        time.sleep(0.2)
+        return real(cnf)
+
+    monkeypatch.setattr(cli, "bandwidth_order", slow_order)
+    parent, child = multiprocessing.Pipe(duplex=False)
+    cli._bench_worker(str(workdir / "run.cnf"), "obdd", None, None, child)
+    status, models, _, elapsed = parent.recv()
+    parent.close()
+    assert (status, models) == ("ok", "4")
+    assert elapsed >= 0.2
+
+
 def test_bench_timeout_renders_dashes(workdir, tmp_path):
     import random
 

@@ -4,8 +4,11 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpllc.compiler as compiler
+from dpllc import _kernel
 from dpllc.checks import check_decision_dnnf, check_fbdd, check_obdd, isomorphic
 from dpllc.cnf import Cnf
 from dpllc.compiler import (
@@ -22,7 +25,18 @@ from dpllc.compiler import (
 from dpllc.queries import model_count
 from dpllc.store import FALSE, TRUE, serialize, stats
 
-from util import brute_force_count, condition, random_3cnf, random_cnf, running_cnf, select_variable
+from util import (
+    brute_force_count,
+    condition,
+    model_set,
+    oracle_bandwidth_order,
+    random_3cnf,
+    random_cnf,
+    renamed,
+    running_cnf,
+    select_variable,
+    shannon_obdd_stats,
+)
 
 ALL_SETTINGS = [
     CompileConfig(caching=c, unit_propagation=u, heuristic=h)
@@ -121,6 +135,47 @@ def test_bandwidth_order_is_permutation():
         assert sorted(order.order) == list(range(1, cnf.num_vars + 1))
 
 
+@st.composite
+def rcm_formulas(draw):
+    """Formulas whose clauses each lie in a window of `width` consecutive
+    variables, so a narrow window gives many small components; plus unit
+    clauses, and declared variables no clause holds."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(1, n))
+    clauses = []
+    for _ in range(draw(st.integers(0, 30))):
+        lo = draw(st.integers(1, n - width + 1))
+        vs = draw(st.lists(st.integers(lo, lo + width - 1), min_size=1, max_size=min(width, 3), unique=True))
+        clauses.append([v if draw(st.booleans()) else -v for v in vs])
+    for v in draw(st.lists(st.integers(1, n), max_size=6)):
+        clauses.insert(draw(st.integers(0, len(clauses))), [v if draw(st.booleans()) else -v])
+    return Cnf.from_clauses(clauses, n + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf=rcm_formulas())
+@example(cnf=Cnf.from_clauses([[3], [-1], [2]], 5))
+@example(cnf=Cnf.from_clauses([[1, 2], [3, 4], [2, -3], [5]], 6))
+@example(cnf=Cnf.from_clauses([], 3))
+def test_bandwidth_order_matches_oracle(cnf):
+    assert bandwidth_order(cnf) == oracle_bandwidth_order(cnf)
+
+
+def _disjoint_pairs(k: int) -> Cnf:
+    return Cnf.from_clauses([[2 * i + 1, -(2 * i + 2)] for i in range(k)], 2 * k)
+
+
+def test_bandwidth_order_is_near_linear_in_components():
+    # Scanning every vertex left for each component's start took 3.6 s on
+    # 4,000 such clauses, and that grows with the square of their number.
+    cnf = _disjoint_pairs(20_000)
+    start = time.perf_counter()
+    order = bandwidth_order(cnf)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, "took %.2f s" % elapsed
+    assert sorted(order.order) == list(range(1, cnf.num_vars + 1))
+
+
 # --- free mode ---------------------------------------------------------------
 
 
@@ -210,6 +265,21 @@ def test_ordered_places_an_implied_last_variable_below_every_path(kernel, monkey
         nodes = [circuit.store.node(n) for n in range(len(circuit.store))]
         assert [n for n in nodes if n[0] == "D" and TRUE in n[2:]] == [("D", 4, FALSE, TRUE)]
         assert sorted(n[1] for n in nodes if n[0] == "D") == [1, 2, 3, 4]
+
+
+def test_ordered_under_any_order_is_the_renamed_shannon_obdd(kernel, monkeypatch):
+    # Ordered mode branches by index on the formula renamed by the order,
+    # so under every order its trace has the size of the reduced OBDD of
+    # the renamed formula under 1 < 2 < ... < n.
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
+    rng = random.Random(67)
+    for _ in range(30):
+        cnf = random_cnf(rng, max_vars=8, max_clauses=14)
+        order = VarOrder(tuple(rng.sample(range(1, cnf.num_vars + 1), cnf.num_vars)))
+        expected = shannon_obdd_stats(model_set(renamed(cnf, order)), cnf.num_vars)
+        for circuit in _ordered_settings(cnf, order):
+            assert stats(circuit) == expected
+            assert check_obdd(circuit, order).verdict
 
 
 def test_ordered_requires_covering_order():
@@ -324,6 +394,21 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
         elapsed = time.perf_counter() - start
         assert elapsed < DEEP_BUDGET_S, "%s took %.2f s" % (cfg, elapsed)
         assert model_count(circuit) == 1
+
+
+def test_wide_ordered_compile_under_rcm(monkeypatch):
+    # 4,000 variable-disjoint clauses in one residual: a pick that looks
+    # at every variable left, or an order that scans every vertex left per
+    # component, made this take about 29 s.
+    monkeypatch.setattr(compiler, "KERNEL", _kernel.load("py"))
+    k = 4_000
+    cnf = _disjoint_pairs(k)
+    start = time.perf_counter()
+    circuit = compile_ordered(cnf, bandwidth_order(cnf))
+    elapsed = time.perf_counter() - start
+    assert elapsed < DEEP_BUDGET_S, "took %.2f s" % elapsed
+    assert stats(circuit) == (2 * k + 2, 4 * k)
+    assert model_count(circuit) == 3**k
 
 
 # What the cache may still hold at the end of the wide compile below:

@@ -157,6 +157,57 @@ def shannon_obdd_stats(models: set[int], n: int) -> tuple[int, int]:
     return decisions + len(sinks_used), 2 * decisions
 
 
+def oracle_bandwidth_order(delta: Cnf) -> "compiler.VarOrder":
+    """compiler.bandwidth_order as first written: neighbors sorted by
+    (degree, variable) at every visit, and each component started from the
+    least (degree, variable) vertex left, found by a scan of all of them;
+    quadratic in the number of components."""
+    adj: dict[int, set[int]] = {}
+    for _, lits in delta.clauses:
+        vs = [abs(l) for l in lits]
+        for v in vs:
+            adj.setdefault(v, set()).update(w for w in vs if w != v)
+
+    def bfs(start: int) -> list[int]:
+        seen = {start}
+        frontier = [start]
+        out = [start]
+        while frontier:
+            nxt: list[int] = []
+            for v in frontier:
+                for w in sorted(adj[v], key=lambda u: (len(adj[u]), u)):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            out.extend(nxt)
+            frontier = nxt
+        return out
+
+    order: list[int] = []
+    placed: set[int] = set()
+    remaining = set(adj)
+    while remaining:
+        start = min(remaining, key=lambda v: (len(adj[v]), v))
+        for _ in range(2):  # double sweep toward a pseudo-peripheral vertex
+            start = bfs(start)[-1]
+        component = bfs(start)
+        component.reverse()
+        order.extend(component)
+        placed.update(component)
+        remaining -= placed
+    order.extend(v for v in range(1, delta.num_vars + 1) if v not in placed)
+    return compiler.VarOrder(tuple(order))
+
+
+def renamed(delta: Cnf, order: "compiler.VarOrder") -> Cnf:
+    """delta with each variable renamed to its 1-based position in order,
+    over the order's variables."""
+    rank = {var: r for r, var in enumerate(order.order, 1)}
+    return Cnf.from_clauses(
+        [[rank[l] if l > 0 else -rank[-l] for l in lits] for _, lits in delta.clauses], order.n
+    )
+
+
 def random_3cnf(rng: random.Random, n: int, ratio: float) -> Cnf:
     """int(ratio*n) clauses over 3 distinct variables, each sign negative
     with probability 1/2."""
