@@ -6,13 +6,12 @@
    Here a residual stays in the int32 record layout that _kernel_py
    documents, and it is its own cache key: `root` settles the input (what
    _kernel_py's has_empty, propagate and split_components do in turn),
-   `branch` picks a decision's variable (pick_var, what _kernel_py's
-   select_var or min_rank_var picks) and conditions, propagates and
-   splits both its children in one call, and `key` returns the residual
-   itself.  The single-step byte-layout operations live in _kernel_py
-   only.  Residuals come from compiler.compute_key or from this kernel,
-   so record lengths are trusted; only a rank table, which belongs to the
-   caller's order, is bounds-checked.
+   `branch(res, heuristic, split, propagate)` picks a decision's
+   variable (pick_var, what _kernel_py's select_var picks) and
+   conditions, propagates and splits both its children in one call, and
+   `key` returns the residual itself.  The single-step byte-layout
+   operations live in _kernel_py only.  Residuals come from _kernel_py's
+   encode or from this kernel, so record lengths are trusted.
 
    Build in place (the package falls back to _kernel_py without it):
 
@@ -151,36 +150,14 @@ unit_fixpoint(const int *v, Py_ssize_t n, int *a, int *b, int *implied,
     }
 }
 
-/* The decision variable of v[0..n): with a rank table r of nr entries the
-   occurring variable of least rank, else by heuristic the smallest
-   occurring variable or the one in the most records, ties to the
-   smaller; 0 when v has no variable, and -1 with an exception set when a
-   variable has no rank or memory runs out. */
+/* The decision variable of v[0..n) by heuristic: the smallest occurring
+   variable or the one in the most records, ties to the smaller; 0 when v
+   has no variable, and -1 with MemoryError set when memory runs out. */
 static int
-pick_var(const int *v, Py_ssize_t n, int heuristic, const int *r, Py_ssize_t nr)
+pick_var(const int *v, Py_ssize_t n, int heuristic)
 {
     Py_ssize_t i = 0, j;
     int var, best = 0, best_count = -1;
-    if (r != NULL) {
-        int best_rank = 0;
-        while (i < n) {
-            int k = v[i + 1];
-            for (j = i + 2; j < i + 2 + k; j++) {
-                var = VAR(v[j]);
-                if (var >= nr) {
-                    PyErr_Format(PyExc_IndexError, "variable %d has no rank (%zd ranks)",
-                                 var, nr);
-                    return -1;
-                }
-                if (best == 0 || r[var] < best_rank) {
-                    best = var;
-                    best_rank = r[var];
-                }
-            }
-            i += 2 + k;
-        }
-        return best;
-    }
     if (heuristic == HEUR_MIN_INDEX) {
         while (i < n) {
             int k = v[i + 1];
@@ -337,14 +314,13 @@ done:
 static PyObject *
 branch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    const int *v, *r = NULL;
-    Py_ssize_t n, nr = 0;
+    const int *v;
+    Py_ssize_t n;
     int heuristic, split, prop, x;
-    if (expect_args("branch", nargs, 5) < 0 || residual(args[0], &v, &n) < 0
+    if (expect_args("branch", nargs, 4) < 0 || residual(args[0], &v, &n) < 0
         || as_int(args[1], &heuristic) < 0
-        || (args[2] != Py_None && residual(args[2], &r, &nr) < 0)
-        || (split = PyObject_IsTrue(args[3])) < 0 || (prop = PyObject_IsTrue(args[4])) < 0
-        || (x = pick_var(v, n, heuristic, r, nr)) < 0)
+        || (split = PyObject_IsTrue(args[2])) < 0 || (prop = PyObject_IsTrue(args[3])) < 0
+        || (x = pick_var(v, n, heuristic)) < 0)
         return NULL;
     int *buf = malloc((4 * n + 1) * sizeof(int));
     if (buf == NULL)
@@ -392,9 +368,8 @@ static PyMethodDef methods[] = {
      "formula res, settled as branch settles a child; see _kernel_py.root."},
     {"key", key, METH_O, "The cache key of a residual: the residual itself."},
     {"branch", (PyCFunction)(void (*)(void))branch, METH_FASTCALL,
-     "branch(res, heuristic, ranks, split, propagate): one decision, (x, low, "
-     "high).\n\nx is what _kernel_py.select_var(res, heuristic) picks, or with "
-     "a rank table what _kernel_py.min_rank_var(res, ranks) picks; each child "
+     "branch(res, heuristic, split, propagate): one decision, (x, low, high)."
+     "\n\nx is what _kernel_py.select_var(res, heuristic) picks; each child "
      "is (parts, implied, conflict), what _kernel_py's condition, has_empty, "
      "propagate (with `propagate`) and split_components (with `split`) give "
      "in turn; see _kernel_py.branch."},

@@ -18,11 +18,10 @@ formula its masks are as wide as the component, not the formula.
 `branch` is one decision of the search.  It picks the variable from the
 masks (max-occurrence is one bit_count per variable of V, ties to the
 smaller variable; min-index is V's lowest bit, which the ordered search
-also takes, on a formula renamed by the order; a rank table, which only
-the tests pass, walks V for the least rank),
-and derives both children: conditioning drops the clauses the literal
-satisfies from S and its variable from V, and then visits only the
-clauses of S that hold the opposite literal.  Unit propagation goes on in
+also takes, on a formula renamed by the order), and derives both
+children: conditioning drops the clauses the literal satisfies from S
+and its variable from V, and then visits only the clauses of S that
+hold the opposite literal.  Unit propagation goes on in
 the manner of Chaff's counters (Moskewicz et al., DAC 2001): a clause's
 count of not-yet-false literals is the bit_count of its variables within
 V, a clause whose count reaches one enters a heap keyed by its position,
@@ -52,9 +51,9 @@ single-step operations below them (`has_empty` to `split_components`),
 which the search does not call, are each a few lines over the same
 helpers.  They stay as the tests' reference for both kernels' `root`
 and `branch`, and as the names the benchmark's tracer looks up on this
-kernel; the compiled kernel does not have them.  The layout holds one
-native int32 record per surviving clause, in increasing
-original-clause-index order,
+kernel (`min_rank_var` for the tracer only); the compiled kernel does
+not have them.  The layout holds one native int32 record per surviving
+clause, in increasing original-clause-index order,
 
     idx, k, lit_1, ..., lit_k
 
@@ -78,6 +77,8 @@ HEUR_MAX_OCCURRENCE = 1
 # inputs take 17 to 28 bytes.  Above the bound a small residual's ids are
 # kept when they are shorter, so that a wide input's keys stay small.
 _MASK_KEY_BYTES = 64
+
+_INT32_MAX = 2**31 - 1
 
 
 class _Table:
@@ -173,18 +174,17 @@ def _residual(t, settled):
     return t, (1 << len(t.cvars)) - 1, (1 << len(t.gvar)) - 2, settled
 
 
-def branch(res, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
+def branch(res, heuristic: int, split: bool, propagate: bool):
     """One decision: (x, low, high), its variable and its children on -x
     and on x.
 
     `x` is the occurring variable in the most clauses (HEUR_MAX_OCCURRENCE,
-    ties to the smaller) or the smallest one (HEUR_MIN_INDEX), or with the
-    int32 rank table `ranks` the one of least rank.  Each child is
-    (parts, implied, conflict) as `root` gives it for the residual
+    ties to the smaller) or the smallest one (HEUR_MIN_INDEX).  Each child
+    is (parts, implied, conflict) as `root` gives it for the residual
     conditioned on the literal.
     """
     t, S, V, settled = res
-    x = _pick(t, S, V, heuristic, ranks)
+    x = _pick(t, S, V, heuristic)
     units = ()
     if propagate and not settled:
         cvars = t.cvars
@@ -193,19 +193,7 @@ def branch(res, heuristic: int, ranks: bytes | None, split: bool, propagate: boo
     high = _child(t, S, V, x, split, propagate, units)
     return t.gvar[x], low, high
 
-def _pick(t, S, V, heuristic, ranks) -> int:
-    if ranks is not None:
-        r = memoryview(ranks).cast("i")
-        g = t.gvar
-        best = best_rank = 0
-        while V:
-            low = V & -V
-            V ^= low
-            x = low.bit_length() - 1
-            rank = r[g[x]]
-            if best == 0 or rank < best_rank:
-                best, best_rank = x, rank
-        return best
+def _pick(t, S, V, heuristic) -> int:
     if heuristic == HEUR_MIN_INDEX:
         return (V & -V).bit_length() - 1
     vocc = t.vocc
@@ -359,13 +347,23 @@ def key(res) -> bytes:
 
 
 def encode(records) -> bytes:
-    """The byte layout of (clause index, literals) records, in their order."""
+    """The byte layout of (clause index, literals) records, in their order;
+    ValueError when a variable exceeds the int32 bound."""
     out: list[int] = []
     for idx, lits in records:
         out.append(idx)
         out.append(len(lits))
         out += lits
-    return array("i", out).tobytes()
+    try:
+        layout = array("i", out)
+    except OverflowError:
+        layout = None
+    # The literal -2^31 fits its int32, but its variable does not.
+    if layout is None or (layout and min(layout) < -_INT32_MAX):
+        raise ValueError(
+            "variable %d exceeds the int32 bound %d of the kernels' layout" % (max(map(abs, out)), _INT32_MAX)
+        )
+    return layout.tobytes()
 
 
 def _read(res: bytes, propagate: bool):

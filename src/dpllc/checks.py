@@ -167,9 +167,9 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
             if cnode[0] == "D":
                 edges.add((node[1], cnode[1]))
     if order is not None:
-        rank = {var: i for i, var in enumerate(order.order)}
+        rank = order.rank
         for var in vars_seen:
-            if var not in rank:
+            if var > order.n:
                 return MembershipReport(
                     False, "obdd", witness="variable %d missing from the order" % var
                 )

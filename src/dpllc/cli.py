@@ -8,6 +8,7 @@ import decimal
 import io
 import itertools
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -17,7 +18,6 @@ from pathlib import Path
 from . import checks, compiler, queries
 from .cnf import parse_dimacs
 from .compiler import CompileConfig, VarOrder, bandwidth_order
-from .queries import LanguageError
 from .store import Circuit, parse_nnf, serialize, stats
 
 LANG_MODES = {"fbdd": "free", "obdd": "ordered", "ddnnf": "decomposed"}
@@ -294,9 +294,19 @@ def cmd_bench(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise SystemExit("error: %s is not a directory" % directory)
-    time_limit = args.time_limit
+    time_limit, source = args.time_limit, "--time-limit"
     if time_limit is None:
-        time_limit = float(os.environ.get(TIME_LIMIT_ENV, DEFAULT_TIME_LIMIT))
+        text, source = os.environ.get(TIME_LIMIT_ENV, DEFAULT_TIME_LIMIT), TIME_LIMIT_ENV
+        try:
+            time_limit = float(text)
+        except ValueError:
+            raise SystemExit("error: %s must be a number of seconds, got %r" % (source, text))
+    # Otherwise every run would time out at once, or wait forever, or run
+    # uncapped.
+    if not 0 < time_limit < math.inf:
+        raise SystemExit("error: %s must be positive and finite, got %s" % (source, time_limit))
+    if args.memory_mb is not None and args.memory_mb <= 0:
+        raise SystemExit("error: --memory-mb must be positive, got %d" % args.memory_mb)
     order = _read(args.order, VarOrder.from_text) if args.order else None
     paths = sorted(directory.glob("*.cnf"))
     rows = []
@@ -391,9 +401,6 @@ def main(argv=None) -> int:
         parser.exit(2, "error: --rounds must be at least 1, got %d\n" % args.rounds)
     try:
         return args.func(args)
-    except LanguageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

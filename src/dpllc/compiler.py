@@ -76,12 +76,12 @@ class VarOrder:
         return len(self.order)
 
     @cached_property
-    def rank_bytes(self) -> bytes:
-        # rank_bytes[var] = position of var in the order; slot 0 unused.
-        rank = array("i", bytes(4 * (self.n + 1)))
-        for pos, var in enumerate(self.order):
+    def rank(self) -> tuple[int, ...]:
+        """rank[var] is var's 1-based position in the order; rank[0] is unused."""
+        rank = [0] * (self.n + 1)
+        for pos, var in enumerate(self.order, 1):
             rank[var] = pos
-        return rank.tobytes()
+        return tuple(rank)
 
     @classmethod
     def identity(cls, n: int) -> "VarOrder":
@@ -164,7 +164,9 @@ def bandwidth_order(delta: Cnf) -> VarOrder:
 class CompileConfig:
     """Knobs the search disciplines leave open.
 
-    What unit_propagation does depends on the mode:
+    `heuristic` picks the branch variable in the free and decomposed modes
+    only; the ordered mode branches by its order.  What unit_propagation
+    does depends on the mode:
 
       free        propagate to fixpoint before branching; each implied
                   literal becomes a forced decision whose violating branch
@@ -346,7 +348,7 @@ def _search(
                 cache.insert(key, node)
             vals.append(node)
             continue
-        x, low, high = K.branch(res, heuristic, None, decompose, propagate)
+        x, low, high = K.branch(res, heuristic, decompose, propagate)
         forced = ()
         if names is not None:
             if waiting:
@@ -397,16 +399,13 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
     names = None
     if cfg.mode == "ordered":
-        order = cfg.order.order
-        if len(order) < delta.num_vars:
-            raise ValueError("order covers %d of %d variables" % (len(order), delta.num_vars))
-        # Each variable renamed to its rank, 1-based: min-index branching
-        # then follows the order.
-        names = (0, *order)
-        rank = [0] * len(names)
-        for r, var in enumerate(order, 1):
-            rank[var] = r
-        res0 = encode((idx, sorted(_renamed(rank, lits), key=abs)) for idx, lits in delta.clauses)
+        order = cfg.order
+        if order.n < delta.num_vars:
+            raise ValueError("order covers %d of %d variables" % (order.n, delta.num_vars))
+        # Each variable renamed to its rank: min-index branching then
+        # follows the order.
+        names = (0, *order.order)
+        res0 = encode((idx, sorted(_renamed(order.rank, lits), key=abs)) for idx, lits in delta.clauses)
         code = K.HEUR_MIN_INDEX
     else:
         res0 = compute_key(delta)

@@ -5,9 +5,7 @@ import time
 
 import pytest
 
-from dpllc import checks
 from dpllc.cli import MAX_COUNT_UNIVERSE, _count_text, main
-from dpllc.queries import LanguageError
 from dpllc.store import FALSE, TRUE, Circuit, NodeStore, parse_nnf, serialize
 
 from util import RUNNING_DIMACS
@@ -195,12 +193,46 @@ ERROR_CASES = {
         ["bench", "{d}/no-cnf", "--order", "{d}/bad.ord"],
         "error: {d}/bad.ord: invalid literal for int() with base 10: 'x'",
     ),
+    "bench-time-limit-nan": (
+        ["bench", "{d}/no-cnf", "--time-limit", "nan"],
+        "error: --time-limit must be positive and finite, got nan",
+    ),
+    "bench-time-limit-inf": (
+        ["bench", "{d}/no-cnf", "--time-limit", "inf"],
+        "error: --time-limit must be positive and finite, got inf",
+    ),
+    "bench-time-limit-zero": (
+        ["bench", "{d}/no-cnf", "--time-limit", "0"],
+        "error: --time-limit must be positive and finite, got 0.0",
+    ),
+    "bench-time-limit-negative": (
+        ["bench", "{d}/no-cnf", "--time-limit", "-1"],
+        "error: --time-limit must be positive and finite, got -1.0",
+    ),
+    "bench-memory-zero": (
+        ["bench", "{d}/no-cnf", "--memory-mb", "0"],
+        "error: --memory-mb must be positive, got 0",
+    ),
+    "bench-memory-negative": (
+        ["bench", "{d}/no-cnf", "--memory-mb", "-5"],
+        "error: --memory-mb must be positive, got -5",
+    ),
+    # Beyond the kernels' int32 layout, in every mode that takes no order.
+    "huge-variable-fbdd": (
+        ["compile", "--lang", "fbdd", "{d}/huge-var.cnf", "-o", "{d}/x.nnf"],
+        "error: variable 3000000000 exceeds the int32 bound 2147483647 of the kernels' layout",
+    ),
+    "huge-variable-ddnnf": (
+        ["compile", "--lang", "ddnnf", "{d}/huge-var.cnf", "-o", "{d}/x.nnf"],
+        "error: variable 3000000000 exceeds the int32 bound 2147483647 of the kernels' layout",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_error_messages_are_pinned(workdir, capsys, case):
     (workdir / "bad.cnf").write_text("p cnf 1 1\n2 0\n")
+    (workdir / "huge-var.cnf").write_text("p cnf 3000000000 1\n3000000000 0\n")
     (workdir / "binary.cnf").write_bytes(b"\xff\xfe\n")
     (workdir / "bad.ord").write_text("1 x\n")
     (workdir / "dup.ord").write_text("1 1 2\n")
@@ -335,19 +367,6 @@ def test_check_ddnnf_reports_a_verdict_and_a_witness(workdir, capsys):
     assert run("check", "--language", "ddnnf", bad) == 0
     out = capsys.readouterr().out
     assert out == "verdict=false language=decision-dnnf witness=conjuncts of node 4 share variable 1\n"
-
-
-def test_a_language_error_ends_in_one_error_line(workdir, capsys, monkeypatch):
-    # Every command turns the language errors of its own queries into an
-    # `error:` line; main does so for one that escapes a command.
-    def refuse(circuit):
-        raise LanguageError("conjuncts of node 4 share variable 1")
-
-    monkeypatch.setattr(checks, "check_decision_dnnf", refuse)
-    (workdir / "a.nnf").write_text("nnf 1 0 2\nA 0\n")
-    assert run("check", "--language", "ddnnf", workdir / "a.nnf") == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: conjuncts of node 4 share variable 1\n")
 
 
 def _str_unlimited(n: int) -> str:
@@ -513,3 +532,30 @@ def test_bench_timeout_renders_dashes(workdir, tmp_path):
     assert rows[0]["status"] != "ok"
     assert "timeout" in rows[0]["status"]
     assert rows[0]["obdd_size"] == "-" or rows[0]["fbdd_size"] == "-"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("soon", "error: DPLLC_TIME_LIMIT must be a number of seconds, got 'soon'"),
+        ("nan", "error: DPLLC_TIME_LIMIT must be positive and finite, got nan"),
+        ("-1", "error: DPLLC_TIME_LIMIT must be positive and finite, got -1.0"),
+    ],
+    ids=["not-a-number", "nan", "negative"],
+)
+def test_bench_refuses_a_time_limit_from_the_environment(workdir, capsys, monkeypatch, value, message):
+    (workdir / "no-cnf").mkdir()
+    monkeypatch.setenv("DPLLC_TIME_LIMIT", value)
+    assert run("bench", workdir / "no-cnf") == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize("lang", ["fbdd", "ddnnf"])
+def test_a_huge_universe_with_small_variables_compiles(workdir, capsys, lang):
+    # Only the variables that occur meet the kernels' int32 bound, not N.
+    (workdir / "wide.cnf").write_text("p cnf 3000000000 1\n1 0\n")
+    out = workdir / "wide.nnf"
+    assert run("compile", "--lang", lang, workdir / "wide.cnf", "-o", out) == 0
+    assert capsys.readouterr().out.startswith("nodes=")
+    assert parse_nnf(out.read_text()).num_vars == 3000000000

@@ -287,6 +287,24 @@ def test_ordered_requires_covering_order():
         compile_ordered(running_cnf(), VarOrder.identity(2))
 
 
+def test_variables_beyond_the_int32_bound_are_refused(kernel, monkeypatch):
+    # The kernels' layout holds a literal as an int32: a variable above
+    # 2^31 - 1 is a ValueError, also as the literal -2^31, which fits its
+    # int32 while its variable does not.  A huge universe whose variables
+    # are small compiles.
+    monkeypatch.setattr(compiler, "KERNEL", kernel)
+    n = 3_000_000_000
+    for mode in ("free", "decomposed"):
+        cfg = CompileConfig(mode=mode)
+        for clause, var in (([n], n), ([1, -(2**31)], 2**31)):
+            message = "^variable %d exceeds the int32 bound 2147483647 of the kernels' layout$" % var
+            with pytest.raises(ValueError, match=message):
+                compile_cnf(Cnf.from_clauses([clause], n), cfg)
+        circuit = compile_cnf(Cnf.from_clauses([[1]], n), cfg)
+        assert circuit.num_vars == n
+        assert stats(circuit) == stats(compile_cnf(Cnf.from_clauses([[1]], 1), cfg))
+
+
 # --- decomposed mode -----------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from util import (
     oracle_child,
     oracle_root,
     random_cnf,
+    renamed,
     unit_propagate,
 )
 
@@ -73,26 +74,31 @@ def test_kernel_matches_cnf_ops(kernel):
         assert kernel.propagate_conflict(res) == conflict
 
 
-def _first(x, n):
-    """Rank table of an order on 1..n that puts x first."""
-    return compiler.VarOrder((x, *(v for v in range(1, n + 1) if v != x))).rank_bytes
+def _first(cnf, x):
+    """cnf renamed by the order on 1..n that puts x first, so that x is 1:
+    branching min-index on it decides x first when x occurs, as the
+    ordered search does."""
+    return renamed(cnf, compiler.VarOrder((x, *(v for v in range(1, cnf.num_vars + 1) if v != x))))
+
+
+def _rank_table(order):
+    """The int32 rank table of `order` that _kernel_py.min_rank_var takes."""
+    return array("i", order.rank).tobytes()
 
 
 def test_backends_agree(kernel_cy):
     for cnf, _ in _cases(count=200, seed=29):
-        res = compute_key(cnf)
-        picks = [(code, None) for code in (0, 1)]
-        picks += [(0, _first(x, cnf.num_vars)) for x in range(1, cnf.num_vars + 1)]
-        for split in (False, True):
-            for settle in (False, True):
-                py_root, cy_root = kernel_py.root(res, split, settle), kernel_cy.root(res, split, settle)
-                assert decode_child(py_root) == cy_root
-                for py_part, cy_part in zip(py_root[0], cy_root[0]):
-                    for (code, ranks), prop in product(picks, (False, True)):
-                        x, low, high = kernel_py.branch(py_part, code, ranks, split, prop)
-                        assert (x, decode_child(low), decode_child(high)) == kernel_cy.branch(
-                            cy_part, code, ranks, split, prop
-                        )
+        inputs = [(compute_key(cnf), (0, 1))]
+        inputs += [(compute_key(_first(cnf, x)), (0,)) for x in range(1, cnf.num_vars + 1)]
+        for (res, codes), split, settle in product(inputs, (False, True), (False, True)):
+            py_root, cy_root = kernel_py.root(res, split, settle), kernel_cy.root(res, split, settle)
+            assert decode_child(py_root) == cy_root
+            for py_part, cy_part in zip(py_root[0], cy_root[0]):
+                for code, prop in product(codes, (False, True)):
+                    x, low, high = kernel_py.branch(py_part, code, split, prop)
+                    assert (x, decode_child(low), decode_child(high)) == kernel_cy.branch(
+                        cy_part, code, split, prop
+                    )
 
 
 def test_each_kernel_exposes_what_its_callers_use(kernel_cy):
@@ -139,14 +145,20 @@ def test_select_var_semantics(kernel):
     assert kernel.select_var(b"", kernel.HEUR_MAX_OCCURRENCE) == 0
 
 
+def test_branch_takes_no_rank_table(kernel):
+    # The search passes no rank table, and neither backend takes one: a
+    # stale fifth argument is refused on both.
+    (res,), _, _ = kernel.root(compute_key(Cnf.from_clauses([[2, 1]], 2)), False, False)
+    assert kernel.branch(res, kernel.HEUR_MIN_INDEX, False, False)[0] == 1
+    with pytest.raises(TypeError):
+        kernel.branch(res, kernel.HEUR_MIN_INDEX, None, False, False)
+
+
+@byte_layout
 def test_min_rank_var_rejects_a_variable_without_rank(kernel):
     res = compute_key(Cnf.from_clauses([[5000, 4000]], 5000))
-    ranks = compiler.VarOrder.identity(3).rank_bytes
     with pytest.raises(IndexError):
-        kernel_py.min_rank_var(res, ranks)
-    (part,), _, _ = kernel.root(res, False, True)
-    with pytest.raises(IndexError):
-        kernel.branch(part, 0, ranks, False, True)
+        kernel.min_rank_var(res, _rank_table(compiler.VarOrder.identity(3)))
 
 
 # --- differential tests against the Cnf-level oracles ------------------------
@@ -226,15 +238,17 @@ def test_branch_children_share_no_variable_with_their_implied_literals(kernel, r
     # What ordered search relies on when it keys a child by its rest and
     # the literals still waiting: neither the branch variable nor an
     # implied literal's variable occurs in the rest.
+    # Every variable is decided first once, as 1 of the formula renamed
+    # to put it first.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
-    for res in kernel.root(compute_key(cnf), False, True)[0]:
-        for x in sorted({abs(lit) for lit in _literals(decode(res))}):
-            y, *children = kernel.branch(res, 0, _first(x, cnf.num_vars), False, True)
-            assert y == x
+    for x in range(1, cnf.num_vars + 1):
+        for res in kernel.root(compute_key(_first(cnf, x)), False, True)[0]:
+            y, *children = kernel.branch(res, kernel.HEUR_MIN_INDEX, False, True)
+            assert y == min(abs(lit) for lit in _literals(decode(res)))
             for parts, implied, _ in children:
                 rest = {abs(lit) for part in parts for lit in _literals(decode(part))}
                 assert len({abs(lit) for lit in implied}) == len(implied)
-                assert not rest & ({abs(lit) for lit in implied} | {x})
+                assert not rest & ({abs(lit) for lit in implied} | {y})
 
 
 def _literals(res):
@@ -262,8 +276,8 @@ def _records(*records):
     return array("i", [x for idx, lits in records for x in (idx, len(lits), *lits)]).tobytes()
 
 
-# (clauses, low child, high child) of branching on x = 1 with split and
-# propagation; between them the cases cover every kind of child.
+# (clauses, low child, high child) of branching min-index, on x = 1, with
+# split and propagation; between them the cases cover every kind of child.
 BRANCH_CASES = [
     # -x itself empties a clause; x leaves the rest as it is.
     ([[1], [2, 3]], ([], (), True), ([_records((1, [2, 3]))], (), False)),
@@ -285,7 +299,7 @@ BRANCH_CASES = [
 @pytest.mark.parametrize("clauses, low, high", BRANCH_CASES)
 def test_branch_child_kinds(kernel, clauses, low, high):
     (res,), _, _ = kernel.root(compute_key(Cnf.from_clauses(clauses, 7)), False, False)
-    x, got_low, got_high = kernel.branch(res, 0, _first(1, 7), True, True)
+    x, got_low, got_high = kernel.branch(res, kernel.HEUR_MIN_INDEX, True, True)
     assert (x, decode_child(got_low), decode_child(got_high)) == (1, low, high)
 
 
@@ -297,21 +311,20 @@ def test_branch_matches_composition(kernel, rng):
     # with propagation) and on the unsettled input, which free and
     # decomposed search without propagation branch on; with propagation
     # branch must also propagate the unit clauses an unsettled parent
-    # holds.  A rank table that puts x first makes branch decide x when x
-    # occurs, and the first occurring variable of that order when it
-    # does not.
+    # holds.  Min-index on the formula renamed to put x first decides x,
+    # as 1, when x occurs, and the first occurring variable of that order
+    # when it does not.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
-    raw = compute_key(cnf)
-    roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
-    parents = [(res, prop) for res in roots for prop in (False, True)]
-    for res, prop in parents:
-        layout = decode(res)
-        occurring = {abs(lit) for lit in _literals(layout)}
-        for x in range(1, cnf.num_vars + 1):
-            ranks = _first(x, cnf.num_vars)
+    for x in range(1, cnf.num_vars + 1):
+        raw = compute_key(_first(cnf, x))
+        roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
+        parents = [(res, prop) for res in roots for prop in (False, True)]
+        for res, prop in parents:
+            layout = decode(res)
+            occurring = {abs(lit) for lit in _literals(layout)}
             for split in (False, True):
-                y, low, high = kernel.branch(res, 0, ranks, split, prop)
-                assert y == (x if x in occurring else kernel_py.min_rank_var(layout, ranks))
+                y, low, high = kernel.branch(res, kernel.HEUR_MIN_INDEX, split, prop)
+                assert y == min(occurring)
                 assert (decode_child(low), decode_child(high)) == (
                     oracle_child(layout, -y, split, prop),
                     oracle_child(layout, y, split, prop),
@@ -336,7 +349,7 @@ def test_selectors_match_definitions(kernel, data):
     assert kernel.select_var(res, kernel.HEUR_MAX_OCCURRENCE) == min(
         occurrences, key=lambda v: (-occurrences[v], v), default=0
     )
-    ranks = compiler.VarOrder(tuple(order)).rank_bytes
+    ranks = _rank_table(compiler.VarOrder(tuple(order)))
     assert kernel.min_rank_var(res, ranks) == min(occurrences, key=rank.get, default=0)
 
 
@@ -350,63 +363,66 @@ TIES = Cnf.from_clauses([[3, 4], [-1, 2], [-4, -3], [2, 1]], 4)
 @example(cnf=LEADING_EMPTY, rng=random.Random(0))
 def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
     # Ties included: the variable branch decides is the one _kernel_py's
-    # select_var, or with a rank table min_rank_var, picks from the
-    # residual in the byte layout, settled or not.  An input with an
-    # empty clause is a conflict at the root and never branches.
+    # select_var picks from the residual in the byte layout, settled or
+    # not, and on the formula renamed by an order min-index decides the
+    # renamed variable min_rank_var picks from the input's same residual.
+    # An input with an empty clause is a conflict at the root and never
+    # branches.
     raw = compute_key(cnf)
     if kernel.root(raw, False, False)[2]:
         assert cnf.has_empty_clause()
         return
     order = list(range(1, cnf.num_vars + 1))
     rng.shuffle(order)
-    ranks = compiler.VarOrder(tuple(order)).rank_bytes
+    order = compiler.VarOrder(tuple(order))
+    ranks = _rank_table(order)
+    shuffled = compute_key(renamed(cnf, order))
     roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
-    parents = [(res, prop) for res in roots for prop in (False, True)]
-    for res, prop in parents:
+    renamed_roots = kernel.root(shuffled, False, True)[0] + kernel.root(shuffled, False, False)[0]
+    assert len(roots) == len(renamed_roots)
+    for res, res_renamed in zip(roots, renamed_roots):
         layout = decode(res)
-        first = kernel_py.min_rank_var(layout, ranks)
-        for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
-            picked = kernel_py.select_var(layout, code)
-            for split in (False, True):
-                assert kernel.branch(res, code, None, split, prop)[0] == picked
-                assert kernel.branch(res, code, ranks, split, prop)[0] == first
+        first = order.rank[kernel_py.min_rank_var(layout, ranks)]
+        for prop, split in product((False, True), (False, True)):
+            for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
+                assert kernel.branch(res, code, split, prop)[0] == kernel_py.select_var(layout, code)
+            assert kernel.branch(res_renamed, kernel.HEUR_MIN_INDEX, split, prop)[0] == first
 
 
 # --- the decision step against the byte layout's reference -------------------
 
 
 def _walk_against_oracle(kernel, cnf, rng, steps=10):
-    # Settle the input, then branch on residuals drawn at random from
-    # everything settled so far, under every split, propagation, heuristic
-    # and rank-table setting (and with propagation on an input the root
-    # did not propagate); each step must give the reference's pick,
-    # children (implied literals in order, conflicts, components in
-    # order), and the keys must tell residuals apart exactly as their
-    # byte layouts do.
-    res0 = compute_key(cnf)
+    # Settle the input, and the input renamed by a shuffled order as the
+    # ordered search takes it, then branch on residuals drawn at random
+    # from everything settled so far, under every split, propagation and
+    # heuristic setting (and with propagation on an input the root did not
+    # propagate); each step must give the reference's pick, children
+    # (implied literals in order, conflicts, components in order), and the
+    # keys of one input must tell residuals apart exactly as their byte
+    # layouts do.
     order = list(range(1, cnf.num_vars + 1))
     rng.shuffle(order)
-    shuffled = compiler.VarOrder(tuple(order)).rank_bytes
-    for split in (False, True):
+    shuffled = renamed(cnf, compiler.VarOrder(tuple(order)))
+    for res0, split in product((compute_key(cnf), compute_key(shuffled)), (False, True)):
         for settle, prop in ((False, False), (False, True), (True, True)):
             root = kernel.root(res0, split, settle)
             assert decode_child(root) == oracle_root(res0, split, settle)
             layouts: dict[bytes, bytes] = {}
             keys: dict[bytes, bytes] = {}
             for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
-                for ranks in (None, shuffled):
-                    pool = list(root[0])
-                    for _ in range(steps):
-                        if not pool:
-                            break
-                        res = pool.pop(rng.randrange(len(pool)))
-                        layout, key = decode(res), kernel.key(res)
-                        assert layouts.setdefault(key, layout) == layout
-                        assert keys.setdefault(layout, key) == key
-                        x, low, high = kernel.branch(res, code, ranks, split, prop)
-                        want = oracle_branch(layout, code, ranks, split, prop)
-                        assert (x, decode_child(low), decode_child(high)) == want
-                        pool += low[0] + high[0]
+                pool = list(root[0])
+                for _ in range(steps):
+                    if not pool:
+                        break
+                    res = pool.pop(rng.randrange(len(pool)))
+                    layout, key = decode(res), kernel.key(res)
+                    assert layouts.setdefault(key, layout) == layout
+                    assert keys.setdefault(layout, key) == key
+                    x, low, high = kernel.branch(res, code, split, prop)
+                    want = oracle_branch(layout, code, split, prop)
+                    assert (x, decode_child(low), decode_child(high)) == want
+                    pool += low[0] + high[0]
 
 
 walked = settings(max_examples=60, deadline=None)

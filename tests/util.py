@@ -391,12 +391,11 @@ def oracle_child(res: bytes, lit: int, split: bool, propagate: bool):
     return oracle_root(byte_ops.condition(res, lit), split, propagate)
 
 
-def oracle_branch(res: bytes, heuristic: int, ranks: bytes | None, split: bool, propagate: bool):
+def oracle_branch(res: bytes, heuristic: int, split: bool, propagate: bool):
     """(x, low, high) that K.branch must give for the residual `res`, in
     the byte layout.
 
-    `x` is what select_var(res, heuristic) picks, or with a rank table
-    `ranks` what min_rank_var(res, ranks) picks; 0 when `res` has no
+    `x` is what select_var(res, heuristic) picks; 0 when `res` has no
     variable.  Each child is (parts, implied, conflict), exactly what
     conditioning `res` on the literal, then has_empty, then (with
     `propagate`) propagate, then (with `split`) split_components would
@@ -405,7 +404,7 @@ def oracle_branch(res: bytes, heuristic: int, ranks: bytes | None, split: bool, 
     in derivation order and `parts` the rest's components, or the rest
     alone, or [] when nothing is left.
     """
-    x = byte_ops.select_var(res, heuristic) if ranks is None else byte_ops.min_rank_var(res, ranks)
+    x = byte_ops.select_var(res, heuristic)
     if byte_ops.has_empty(res):
         return x, ([], (), True), ([], (), True)
     return x, oracle_child(res, -x, split, propagate), oracle_child(res, x, split, propagate)
