@@ -2,13 +2,13 @@
 
 The search runs on bitset residuals.  `root` takes the input formula in
 the byte layout below and settles it there (unit propagation, then the
-split into components), which costs what the formula holds.  It then
+split into components), which costs what the formula holds; what is
+left is the root formula.  It then
 builds one table per part: the mask of each clause's variables, and for
 each literal the mask of the clauses holding it.  A
-residual is then (table, S, V, settled): S and V are two Python ints
-over the table, S the positions of the surviving clauses and V the
-variables that still occur, and `settled` says that it has no unit
-clause.  An unsatisfied clause keeps exactly its literals over
+residual is then (table, S, V): S and V are two Python ints over the
+table, S the positions of the surviving clauses and V the variables that
+still occur.  An unsatisfied clause keeps exactly its literals over
 unassigned variables, so clause c of S holds exactly its table literals
 whose variables are in V, and the pair determines the residual formula
 (the hybrid encoding of sharpSAT, Thurley, SAT 2006).  A part's table
@@ -19,28 +19,32 @@ formula its masks are as wide as the component, not the formula.
 masks (max-occurrence is one bit_count per variable of V, ties to the
 smaller variable; min-index is V's lowest bit, which the ordered search
 also takes, on a formula renamed by the order), and derives both
-children: conditioning drops the clauses the literal satisfies from S
-and its variable from V, and then visits only the clauses of S that
-hold the opposite literal.  Unit propagation goes on in
-the manner of Chaff's counters (Moskewicz et al., DAC 2001): a clause's
-count of not-yet-false literals is the bit_count of its variables within
-V, a clause whose count reaches one enters a heap keyed by its position,
-and the heap's minimum is always the first unit clause of the residual
-the rescanning definition would see, so the implied literals come out in
-the same order.  The unit clauses of a parent that is not settled join
-the heap too.  A count reaching zero is a conflict.  Splitting is a
-breadth-first search over the masks, and its parts come out in order of
-their smallest clause.
+children.  Each child is one loop of the same step, first for the
+decision literal and then, with propagation, for each implied one:
+conditioning drops the clauses the literal satisfies from S and its
+variable from V, and then visits only the clauses of S that hold the
+opposite literal.  Unit propagation goes on in the manner of Chaff's
+counters (Moskewicz et al., DAC 2001): a clause's count of not-yet-false
+literals is the bit_count of its variables within V, a clause whose
+count reaches one enters a heap keyed by its position, and the heap's
+minimum is always the first unit clause of the residual the rescanning
+definition would see, so the implied literals come out in the same
+order.  A count reaching zero is a conflict.  A parent comes from `root`
+or `branch` under the same `propagate` as its children, so with
+propagation it holds no unit clause, and the decision literal's scan finds every unit clause of
+the child.  Splitting is a breadth-first search over the masks, and its
+parts come out in order of their smallest clause.
 
-`key` is the residual's cache key, in the settled input's coordinates:
-`root` numbers the settled input's clauses and variables part by part,
+`key` is the residual's cache key, in the root formula's coordinates:
+`root` numbers the root formula's clauses and variables part by part,
 each part's in increasing order, so a part's table is one contiguous
 range of that numbering, and its masks map to it by one shift each.  Keys
 are therefore equal exactly when the residuals are.  The key is the two
-masks at the fixed widths of the settled input behind a tag byte 0, a
-few C-level int operations; only on a settled input whose two masks are
+masks at the fixed widths of the root formula behind a tag byte 0, a
+few C-level int operations; only on a root formula whose two masks are
 wider than _MASK_KEY_BYTES is it the sorted ids of the residual's clauses
-and variables behind a tag byte 1, when those are shorter.
+and variables behind a tag byte 1, when those are shorter; `mask_bits`
+lists them one byte of the masks at a time.
 
 The byte layout is the root's input format.  `encode` writes it (for
 `compiler.compute_key` too) and `_read` is the one walk over its
@@ -66,16 +70,19 @@ components in the same order, and so the same circuits.
 """
 
 from array import array
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+
+from .store import mask_bits
 
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
 
-# A settled input whose two masks take at most this many bytes keys every
+# A root formula whose two masks take at most this many bytes keys every
 # residual by its masks: two shifts and one to_bytes, where the id form
-# takes a Python loop over the set bits.  The benchmark corpora's settled
-# inputs take 17 to 28 bytes.  Above the bound a small residual's ids are
-# kept when they are shorter, so that a wide input's keys stay small.
+# takes a Python step per nonzero byte of the masks and builds a list of
+# every set bit.  The benchmark corpora's root formulas take 17 to 28
+# bytes.  Above the bound a small residual's ids are kept when they are
+# shorter, so that a wide input's keys stay small.
 _MASK_KEY_BYTES = 64
 
 _INT32_MAX = 2**31 - 1
@@ -88,12 +95,11 @@ class _Table:
     variables, `occ[lit]` the mask of the clauses holding lit (a negative
     literal indexes from the end) and `vocc[x]` of those holding x or -x.
     `idx` holds the original clause indices and `gvar` the formula's
-    variables.  The settled input
-    numbers the table's clauses from `coff` and its variables from `voff`
-    + 1, in increasing order; `widths` are its key's: the mask key's
-    length `kbytes`, with S at bit `sshift` and V at bit `vshift`, and the
-    id form's array typecode `ids` and item width `idw`, or None and 0
-    when every key is a mask key."""
+    variables.  The root formula numbers the table's clauses from `coff`
+    and its variables from `voff` + 1, in increasing order; `widths` are
+    its key's: the mask key's length `kbytes`, with S at bit `sshift` and V
+    at bit `vshift`, and the id form's array typecode `ids` and item width
+    `idw`, or None and 0 when every key is a mask key."""
 
     __slots__ = ("idx", "cvars", "occ", "vocc", "gvar", "coff", "voff",
                  "sshift", "vshift", "kbytes", "ids", "idw")
@@ -123,21 +129,6 @@ class _Table:
         self.vshift = 8 * (1 + sbytes) + voff
 
 
-_BYTE_ONES = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
-
-
-def _ones(x: int):
-    """The positions of the set bits of x, in increasing order."""
-    if x < 256:
-        return _BYTE_ONES[x]
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 def root(res: bytes, split: bool, propagate: bool):
     """(parts, implied, conflict) of the input formula `res`, in the byte
     layout: conflict when it holds an empty clause or (with `propagate`)
@@ -159,19 +150,14 @@ def root(res: bytes, split: bool, propagate: bool):
     else:
         ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
         widths = sbytes, 1 + sbytes + vbytes, ids, array(ids).itemsize
-    # The settled input numbers its clauses and variables part by part.
+    # The root formula numbers its clauses and variables part by part.
     out = []
     coff = voff = 0
     for part, xs in zip(parts, xss):
-        out.append(_residual(_Table(part, xs, coff, voff, widths), propagate))
+        out.append((_Table(part, xs, coff, voff, widths), (1 << len(part)) - 1, (2 << len(xs)) - 2))
         coff += len(part)
         voff += len(xs)
     return out, implied, False
-
-
-def _residual(t, settled):
-    """The residual of all of t."""
-    return t, (1 << len(t.cvars)) - 1, (1 << len(t.gvar)) - 2, settled
 
 
 def branch(res, heuristic: int, split: bool, propagate: bool):
@@ -181,17 +167,15 @@ def branch(res, heuristic: int, split: bool, propagate: bool):
     `x` is the occurring variable in the most clauses (HEUR_MAX_OCCURRENCE,
     ties to the smaller) or the smallest one (HEUR_MIN_INDEX).  Each child
     is (parts, implied, conflict) as `root` gives it for the residual
-    conditioned on the literal.
+    conditioned on the literal.  `propagate` must be the value `root` took
+    for the residual's input: with it, the residual holds no unit clause.
     """
-    t, S, V, settled = res
+    t, S, V = res
     x = _pick(t, S, V, heuristic)
-    units = ()
-    if propagate and not settled:
-        cvars = t.cvars
-        units = [c for c in _ones(S) if (cvars[c] & V).bit_count() == 1]
-    low = _child(t, S, V, -x, split, propagate, units)
-    high = _child(t, S, V, x, split, propagate, units)
+    low = _child(t, S, V, -x, split, propagate)
+    high = _child(t, S, V, x, split, propagate)
     return t.gvar[x], low, high
+
 
 def _pick(t, S, V, heuristic) -> int:
     if heuristic == HEUR_MIN_INDEX:
@@ -208,70 +192,50 @@ def _pick(t, S, V, heuristic) -> int:
     return best
 
 
-def _child(t, S, V, lit, split, propagate, units):
-    """One child of `branch`: the residual (S, V) of t with `lit` true;
-    `units` are the parent's unit clauses when it is not settled."""
-    cvars = t.cvars
-    gone = S & t.occ[lit]
-    S ^= gone
-    V ^= 1 << (lit if lit > 0 else -lit)
-    heap: list[int] = []
-    hit = S & t.occ[-lit]
-    while hit:
-        low = hit & -hit
-        hit ^= low
-        c = low.bit_length() - 1
-        k = (cvars[c] & V).bit_count()
-        if k <= 1:
-            if k == 0:
-                return [], (), True
-            heap.append(c)
-    if units:
-        # A unit clause holding -lit is empty now, and one holding lit
-        # is gone; the others are still unit clauses.
-        heap += [c for c in units if S >> c & 1]
-        heapify(heap)
-    return _settle(t, S, V, gone, heap, split, propagate)
-
-
-def _settle(t, S, V, gone, heap, split, propagate):
-    """(parts, implied, conflict) of the residual (S, V) of t, whose unit
-    clauses are `heap` (a heap of positions) and whose V may still hold
-    variables of the clauses in `gone`, which are satisfied."""
+def _child(t, S, V, lit, split, propagate):
+    """One child of `branch`: (parts, implied, conflict) of the residual
+    (S, V) of t with `lit` true, and then, with `propagate`, the literal of
+    its first unit clause true, until none is left or a clause empties."""
+    occ, cvars = t.occ, t.cvars
     implied: list[int] = []
-    if propagate and heap:
-        occ, cvars = t.occ, t.cvars
-        while heap:
-            c = heappop(heap)
-            if not S >> c & 1:
-                continue
-            bit = cvars[c] & V
-            x = bit.bit_length() - 1
-            V ^= bit
-            if not occ[x] >> c & 1:
-                x = -x
-            implied.append(x)
-            sat = S & occ[x]
-            S ^= sat
-            gone |= sat
-            hit = S & occ[-x]
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                d = low.bit_length() - 1
-                k = (cvars[d] & V).bit_count()
-                if k <= 1:
-                    if k == 0:
-                        return [], (), True
-                    heappush(heap, d)
+    heap: list[int] = []
+    gone = 0
+    V ^= 1 << (lit if lit > 0 else -lit)
+    while True:
+        sat = S & occ[lit]
+        S ^= sat
+        gone |= sat
+        hit = S & occ[-lit]
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            c = low.bit_length() - 1
+            k = (cvars[c] & V).bit_count()
+            if k <= 1:
+                if k == 0:
+                    return [], (), True
+                if propagate:
+                    heappush(heap, c)
+        # A unit clause that a later literal satisfied is skipped.
+        while heap and not S >> heap[0] & 1:
+            heappop(heap)
+        if not heap:
+            break
+        c = heappop(heap)
+        bit = cvars[c] & V
+        V ^= bit
+        x = bit.bit_length() - 1
+        lit = x if occ[x] >> c & 1 else -x
+        implied.append(lit)
+    if implied:
         g = t.gvar
         implied = [g[u] if u > 0 else -g[-u] for u in implied]
     if not S:
         return [], tuple(implied), False
     if split:
-        return _split_masks(t, S, V, propagate), tuple(implied), False
+        return _split_masks(t, S, V), tuple(implied), False
     # A variable leaves V when the last clause holding it is satisfied.
-    cvars, vocc = t.cvars, t.vocc
+    vocc = t.vocc
     maybe = 0
     while gone:
         low = gone & -gone
@@ -283,15 +247,15 @@ def _settle(t, S, V, gone, heap, split, propagate):
         maybe ^= low
         if not S & vocc[low.bit_length() - 1]:
             V ^= low
-    return [(t, S, V, propagate)], tuple(implied), False
+    return [(t, S, V)], tuple(implied), False
 
 
-def _split_masks(t, S, V, settled) -> list:
+def _split_masks(t, S, V) -> list:
     """The variable-disjoint parts of the residual (S, V) of t, each with
     its own exact V, in order of their smallest clause."""
     cvars, vocc = t.cvars, t.vocc
     if not S & (S - 1):
-        return [(t, S, cvars[S.bit_length() - 1] & V, settled)]
+        return [(t, S, cvars[S.bit_length() - 1] & V)]
     parts = []
     while S:
         # S and V keep the clauses and variables no part has taken yet.
@@ -315,30 +279,28 @@ def _split_masks(t, S, V, settled) -> list:
             new &= V
             V ^= new
             vs |= new
-        parts.append((t, cs, vs, settled))
+        parts.append((t, cs, vs))
     return parts
 
 
 def key(res) -> bytes:
     """The cache key of a residual: equal exactly when the residuals are.
 
-    Tag 0 then S and V as masks of the settled input's fixed widths, in
-    its numbering.  On a settled input whose two masks are wider than
+    Tag 0 then S and V as masks of the root formula's fixed widths, in
+    its numbering.  On a root formula whose two masks are wider than
     _MASK_KEY_BYTES, tag 1 then the counts and the sorted ids of S's
     clauses and V's variables instead, when that is shorter, as unsigned
-    ints of the width the settled input's size needs.  So a key is never
+    ints of the width the root formula's size needs.  So a key is never
     longer than 1 + ceil(m / 8) + ceil((n + 1) / 8) bytes for m clauses
     over variables 1..n.
     """
-    t, S, V, _ = res
+    t, S, V = res
     if t.ids is not None:
         s, n = S.bit_count(), V.bit_count()
         if t.idw * (2 + s + n) < t.kbytes - 1:
-            c, v = t.coff, t.voff
-            if c or v:
-                ids = [s, n, *[c + i for i in _ones(S)], *[v + i for i in _ones(V)]]
-            else:
-                ids = [s, n, *_ones(S), *_ones(V)]
+            # mask_bits numbers bit i as i + 1.
+            c, v = t.coff - 1, t.voff - 1
+            ids = [s, n, *[c + i for i in mask_bits(S)], *[v + i for i in mask_bits(V)]]
             return b"\x01" + array(t.ids, ids).tobytes()
     return (S << t.sshift | V << t.vshift).to_bytes(t.kbytes, "little")
 
@@ -348,7 +310,7 @@ def key(res) -> bytes:
 
 def encode(records) -> bytes:
     """The byte layout of (clause index, literals) records, in their order;
-    ValueError when a variable exceeds the int32 bound."""
+    ValueError when a clause index or a variable exceeds the int32 bound."""
     out: list[int] = []
     for idx, lits in records:
         out.append(idx)
@@ -360,10 +322,21 @@ def encode(records) -> bytes:
         layout = None
     # The literal -2^31 fits its int32, but its variable does not.
     if layout is None or (layout and min(layout) < -_INT32_MAX):
-        raise ValueError(
-            "variable %d exceeds the int32 bound %d of the kernels' layout" % (max(map(abs, out)), _INT32_MAX)
-        )
+        raise ValueError("%s exceeds the int32 bound %d of the kernels' layout" % (_too_wide(out), _INT32_MAX))
     return layout.tobytes()
+
+
+def _too_wide(out) -> str:
+    """What of the records in `out`, flattened as in the layout, does not
+    fit the layout: the largest clause index if it does not, else the
+    largest variable."""
+    i = top = 0
+    while i < len(out):
+        top = max(top, out[i])
+        i += 2 + out[i + 1]
+    if top > _INT32_MAX:
+        return "clause index %d" % top
+    return "variable %d" % max(map(abs, out))
 
 
 def _read(res: bytes, propagate: bool):

@@ -56,6 +56,9 @@ class Cnf:
         normalized = tuple(sorted(((i, tuple(ls)) for i, ls in self.clauses)))
         prev = -1
         for idx, lits in normalized:
+            # The compiler's cache keys rely on no index being negative.
+            if idx < 0:
+                raise ValueError("negative clause index %d" % idx)
             if idx <= prev:
                 raise ValueError("duplicate clause index %d" % idx)
             prev = idx

@@ -108,6 +108,9 @@ def test_cnf_rejects_a_negative_universe_and_a_repeated_index():
         Cnf(-1, ())
     with pytest.raises(ValueError, match="^duplicate clause index 0$"):
         Cnf(3, ((0, (1,)), (0, (2,))))
+    # A negative index is named as such, not as a duplicate.
+    with pytest.raises(ValueError, match="^negative clause index -5$"):
+        Cnf(1, ((-5, (1,)),))
 
 
 # --- conditioning ----------------------------------------------------------

@@ -303,6 +303,13 @@ def test_variables_beyond_the_int32_bound_are_refused(kernel, monkeypatch):
         circuit = compile_cnf(Cnf.from_clauses([[1]], n), cfg)
         assert circuit.num_vars == n
         assert stats(circuit) == stats(compile_cnf(Cnf.from_clauses([[1]], 1), cfg))
+    # A clause index above the bound is named as one, in every mode.
+    wide = Cnf(1, ((2**31, (1,)),))
+    message = "^clause index 2147483648 exceeds the int32 bound 2147483647 of the kernels' layout$"
+    for mode in ("free", "decomposed", "ordered"):
+        order = VarOrder.identity(1) if mode == "ordered" else None
+        with pytest.raises(ValueError, match=message):
+            compile_cnf(wide, CompileConfig(mode=mode, order=order))
 
 
 # --- decomposed mode -----------------------------------------------------------

@@ -87,6 +87,9 @@ def _rank_table(order):
 
 
 def test_backends_agree(kernel_cy):
+    # branch propagates only under a root that propagated (see
+    # test_rebinding's settings test), so an unsettled residual branches
+    # without propagation alone.
     for cnf, _ in _cases(count=200, seed=29):
         inputs = [(compute_key(cnf), (0, 1))]
         inputs += [(compute_key(_first(cnf, x)), (0,)) for x in range(1, cnf.num_vars + 1)]
@@ -94,7 +97,7 @@ def test_backends_agree(kernel_cy):
             py_root, cy_root = kernel_py.root(res, split, settle), kernel_cy.root(res, split, settle)
             assert decode_child(py_root) == cy_root
             for py_part, cy_part in zip(py_root[0], cy_root[0]):
-                for code, prop in product(codes, (False, True)):
+                for code, prop in product(codes, (False, True) if settle else (False,)):
                     x, low, high = kernel_py.branch(py_part, code, split, prop)
                     assert (x, decode_child(low), decode_child(high)) == kernel_cy.branch(
                         cy_part, code, split, prop
@@ -308,17 +311,16 @@ def test_branch_child_kinds(kernel, clauses, low, high):
 def test_branch_matches_composition(kernel, rng):
     # Both children of every variable, with and without splitting and
     # propagation, on a residual as the search holds it (settled by root
-    # with propagation) and on the unsettled input, which free and
-    # decomposed search without propagation branch on; with propagation
-    # branch must also propagate the unit clauses an unsettled parent
-    # holds.  Min-index on the formula renamed to put x first decides x,
-    # as 1, when x occurs, and the first occurring variable of that order
-    # when it does not.
+    # with propagation), and without propagation on the unsettled input,
+    # which free and decomposed search without propagation branch on.
+    # Min-index on the formula renamed to put x first decides x, as 1,
+    # when x occurs, and the first occurring variable of that order when
+    # it does not.
     cnf = random_cnf(rng, max_vars=10, max_clauses=16)
     for x in range(1, cnf.num_vars + 1):
         raw = compute_key(_first(cnf, x))
-        roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
-        parents = [(res, prop) for res in roots for prop in (False, True)]
+        parents = [(res, prop) for res in kernel.root(raw, False, True)[0] for prop in (False, True)]
+        parents += [(res, False) for res in kernel.root(raw, False, False)[0]]
         for res, prop in parents:
             layout = decode(res)
             occurring = {abs(lit) for lit in _literals(layout)}
@@ -396,33 +398,32 @@ def _walk_against_oracle(kernel, cnf, rng, steps=10):
     # Settle the input, and the input renamed by a shuffled order as the
     # ordered search takes it, then branch on residuals drawn at random
     # from everything settled so far, under every split, propagation and
-    # heuristic setting (and with propagation on an input the root did not
-    # propagate); each step must give the reference's pick, children
+    # heuristic setting; each step must give the reference's pick, children
     # (implied literals in order, conflicts, components in order), and the
     # keys of one input must tell residuals apart exactly as their byte
     # layouts do.
     order = list(range(1, cnf.num_vars + 1))
     rng.shuffle(order)
     shuffled = renamed(cnf, compiler.VarOrder(tuple(order)))
-    for res0, split in product((compute_key(cnf), compute_key(shuffled)), (False, True)):
-        for settle, prop in ((False, False), (False, True), (True, True)):
-            root = kernel.root(res0, split, settle)
-            assert decode_child(root) == oracle_root(res0, split, settle)
-            layouts: dict[bytes, bytes] = {}
-            keys: dict[bytes, bytes] = {}
-            for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
-                pool = list(root[0])
-                for _ in range(steps):
-                    if not pool:
-                        break
-                    res = pool.pop(rng.randrange(len(pool)))
-                    layout, key = decode(res), kernel.key(res)
-                    assert layouts.setdefault(key, layout) == layout
-                    assert keys.setdefault(layout, key) == key
-                    x, low, high = kernel.branch(res, code, split, prop)
-                    want = oracle_branch(layout, code, split, prop)
-                    assert (x, decode_child(low), decode_child(high)) == want
-                    pool += low[0] + high[0]
+    inputs = (compute_key(cnf), compute_key(shuffled))
+    for res0, split, prop in product(inputs, (False, True), (False, True)):
+        root = kernel.root(res0, split, prop)
+        assert decode_child(root) == oracle_root(res0, split, prop)
+        layouts: dict[bytes, bytes] = {}
+        keys: dict[bytes, bytes] = {}
+        for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
+            pool = list(root[0])
+            for _ in range(steps):
+                if not pool:
+                    break
+                res = pool.pop(rng.randrange(len(pool)))
+                layout, key = decode(res), kernel.key(res)
+                assert layouts.setdefault(key, layout) == layout
+                assert keys.setdefault(layout, key) == key
+                x, low, high = kernel.branch(res, code, split, prop)
+                want = oracle_branch(layout, code, split, prop)
+                assert (x, decode_child(low), decode_child(high)) == want
+                pool += low[0] + high[0]
 
 
 walked = settings(max_examples=60, deadline=None)

@@ -58,13 +58,18 @@ MODE_OPS = {
 
 @pytest.fixture
 def rebound():
-    """Rebind compiler.KERNEL, Cache and NodeStore to counting stand-ins."""
+    """Rebind compiler.KERNEL, Cache and NodeStore to counting stand-ins;
+    `settings` records (name, split, propagate) of every root and branch
+    call, in call order."""
     calls = Counter()
+    settings: list[tuple[str, bool, bool]] = []
     kernel = compiler.KERNEL
 
     def counted(name, fn):
         def op(*args):
             calls[name] += 1
+            if name in ("root", "branch"):
+                settings.append((name, *args[-2:]))
             return fn(*args)
 
         return op
@@ -95,24 +100,38 @@ def rebound():
     saved = (compiler.KERNEL, compiler.Cache, compiler.NodeStore)
     compiler.KERNEL, compiler.Cache, compiler.NodeStore = ns, CountingCache, CountingStore
     try:
-        yield calls, CountingStore
+        yield calls, CountingStore, settings
     finally:
         compiler.KERNEL, compiler.Cache, compiler.NodeStore = saved
 
 
 @pytest.mark.parametrize("mode", sorted(COMPILERS))
 def test_compile_goes_through_rebound_names(rebound, mode):
-    calls, counting_store = rebound
+    calls, counting_store, _ = rebound
     circuit = COMPILERS[mode](random_3cnf(random.Random(5), 16, 2.5))
     assert isinstance(circuit.store, counting_store)
     assert MODE_OPS[mode] == {op for op in KERNEL_OPS if calls[op]}
     assert calls["cache.probe"] and calls["cache.insert"] and calls["store.get_node"]
 
 
+@pytest.mark.parametrize("propagate", [False, True])
+@pytest.mark.parametrize("mode", sorted(COMPILERS))
+def test_branch_gets_the_settings_root_settled_with(rebound, mode, propagate):
+    # _kernel_py.branch relies on it: a residual settled with propagation
+    # holds no unit clause, so branch looks for none before it conditions.
+    calls, _, settings = rebound
+    cnf = random_3cnf(random.Random(7), 30, 3.0)
+    order = bandwidth_order(cnf) if mode == "ordered" else None
+    compiler.compile_cnf(cnf, compiler.CompileConfig(mode=mode, order=order, unit_propagation=propagate))
+    assert settings[0] == ("root", mode == "decomposed", propagate)
+    assert calls["root"] == 1 and calls["branch"] > 10
+    assert {s[1:] for s in settings[1:]} == {settings[0][1:]}
+
+
 def test_free_compile_propagates_a_unit_chain_once(rebound):
     # x1 and x_i -> x_i+1: settling the input derives every literal in
     # one call, and the forced decisions need no branching.
-    calls, _ = rebound
+    calls, _, _ = rebound
     n = 200
     cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
     circuit = compile_free(cnf)
@@ -128,7 +147,7 @@ def test_ordered_compile_places_a_unit_chain_from_one_propagation(rebound):
     # branch on; the implied literals wait in rank order and become one
     # chain of forced decisions, under one cache probe whose key is the
     # waiting literals alone.
-    calls, _ = rebound
+    calls, _, _ = rebound
     n = 1000
     cnf = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
     circuit = compile_ordered(cnf, compiler.VarOrder.identity(n))
@@ -146,7 +165,7 @@ def test_settled_residuals_go_straight_to_the_cache(rebound, mode):
     # and branch); a fixpoint or component that comes out of that step is
     # keyed and probed as it is, and expanded by one branch call on a
     # miss, with no settling step of its own.
-    calls, _ = rebound
+    calls, _, _ = rebound
     COMPILERS[mode](random_3cnf(random.Random(7), 40, 3.0))
     assert calls["root"] == 1
     assert calls["key"] == calls["cache.probe"] > 100
@@ -158,7 +177,7 @@ def test_decomposed_compile_branches_once_per_decision(rebound):
     # Every decision node comes from one expanded residual, whose one
     # branch call picks its variable and settles both children; only the
     # input is settled by root.
-    calls, _ = rebound
+    calls, _, _ = rebound
     compile_decomposed(random_3cnf(random.Random(7), 40, 3.0))
     assert calls["branch"] > 100
     assert calls["branch"] == calls["store.get_node"]
@@ -171,7 +190,7 @@ def test_ordered_compile_branches_once_per_decision(rebound):
     # call per decision, which picks the variable, and only the input is
     # settled by root.  Without propagation no literal waits, so every
     # get_node call is a decision.
-    calls, _ = rebound
+    calls, _, _ = rebound
     cnf = random_3cnf(random.Random(7), 40, 3.0)
     compile_ordered(cnf, bandwidth_order(cnf))
     assert calls["branch"] > 100

@@ -412,12 +412,11 @@ def oracle_branch(res: bytes, heuristic: int, split: bool, propagate: bool):
 
 def decode(res) -> bytes:
     """A kernel residual in the byte layout: a compiled kernel's residual
-    is already in it, and a Python kernel residual (table, S, V, settled)
-    holds the clauses of S, each with its literals over the variables of
-    V."""
+    is already in it, and a Python kernel residual (table, S, V) holds the
+    clauses of S, each with its literals over the variables of V."""
     if isinstance(res, bytes):
         return res
-    t, S, V, _ = res
+    t, S, V = res
     out = array("i")
     for c in _bits(S):
         lits = [t.gvar[x] if t.occ[x] >> c & 1 else -t.gvar[x] for x in _bits(t.cvars[c] & V)]
