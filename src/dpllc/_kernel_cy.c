@@ -7,11 +7,16 @@
    documents, and it is its own cache key: `root` settles the input (what
    _kernel_py's has_empty, propagate and split_components do in turn),
    `branch(res, heuristic, split, propagate)` picks a decision's
-   variable (pick_var, what _kernel_py's select_var picks) and
-   conditions, propagates and splits both its children in one call, and
-   `key` returns the residual itself.  The single-step byte-layout
-   operations live in _kernel_py only.  Residuals come from _kernel_py's
-   encode or from this kernel, so record lengths are trusted.
+   variable (pick_var, what _kernel_py's select_var picks) and settles
+   both its children in one call, and `key` returns the residual itself.
+   Settling is one loop, condition_into, over one buffer: it conditions
+   on the decision literal (none for `root`) and, with propagation, again
+   in place on each unit it reports, until none is left or a record is
+   empty; split_parts then splits what is left.  So propagation is one
+   pass per implied literal, still quadratic in their number.  The
+   single-step byte-layout operations live in _kernel_py only.
+   Residuals come from _kernel_py's encode or from this kernel, so record
+   lengths are trusted.
 
    Build in place (the package falls back to _kernel_py without it):
 
@@ -82,11 +87,15 @@ max_var(const int *v, Py_ssize_t n)
     return best;
 }
 
-/* Writes v conditioned on lit into out (capacity >= n); returns its length. */
+/* Writes v[0..n) conditioned on lit into out, which may be v itself:
+   records only shorten, so no write overtakes the read it depends on.
+   Returns the length written, or -1 as soon as an empty record is
+   written; *unit is the literal of the first unit record written, or 0. */
 static Py_ssize_t
-condition_into(const int *v, Py_ssize_t n, int lit, int *out)
+condition_into(const int *v, Py_ssize_t n, int lit, int *out, int *unit)
 {
     Py_ssize_t i = 0, m = 0, j;
+    *unit = 0;
     while (i < n) {
         int k = v[i + 1];
         Py_ssize_t end = i + 2 + k, hit = -1;
@@ -100,54 +109,24 @@ condition_into(const int *v, Py_ssize_t n, int lit, int *out)
             out[m] = v[i];
             if (hit < 0) {
                 out[m + 1] = k;
-                memcpy(out + m + 2, v + i + 2, k * sizeof(int));
+                memmove(out + m + 2, v + i + 2, k * sizeof(int));
                 m += 2 + k;
             }
             else {
-                out[m + 1] = k - 1;
+                out[m + 1] = --k;
                 m += 2;
                 for (j = i + 2; j < end; j++)
                     if (j != hit)
                         out[m++] = v[j];
             }
+            if (k == 0)
+                return -1;
+            if (k == 1 && *unit == 0)
+                *unit = out[m - 1];
         }
         i = end;
     }
     return m;
-}
-
-/* Conditions on the first unit record until none is left or a record is
-   empty; returns whether one is.  The fixpoint is left in *res (v itself
-   when nothing was implied, else a or b, each of capacity >= n), and the
-   implied literals in implied, in derivation order. */
-static int
-unit_fixpoint(const int *v, Py_ssize_t n, int *a, int *b, int *implied,
-              Py_ssize_t *ni, const int **res, Py_ssize_t *nres)
-{
-    const int *cur = v;
-    for (;;) {
-        Py_ssize_t i = 0;
-        int unit = 0, conflict = 0;
-        while (i < n) {
-            int k = cur[i + 1];
-            if (k == 0) {
-                conflict = 1;
-                break;
-            }
-            if (k == 1 && unit == 0)
-                unit = cur[i + 2];
-            i += 2 + k;
-        }
-        if (conflict || unit == 0) {
-            *res = cur;
-            *nres = n;
-            return conflict;
-        }
-        implied[(*ni)++] = unit;
-        int *dst = cur == a ? b : a;
-        n = condition_into(cur, n, unit, dst);
-        cur = dst;
-    }
 }
 
 /* The decision variable of v[0..n) by heuristic: the smallest occurring
@@ -266,28 +245,28 @@ done:
 }
 
 /* One child of branch: (parts, implied, conflict) of v conditioned on lit,
-   or of v itself when lit is 0.  buf has room for 4n + 1 ints. */
+   or of v itself when lit is 0.  buf has room for 2n + 1 ints: the child,
+   which with prop is conditioned in place on each implied literal (the
+   first unit record's, by position) until none is left or a record is
+   empty, then the implied literals. */
 static PyObject *
 branch_child(const int *v, Py_ssize_t n, int lit, int split, int prop, int *buf)
 {
-    int *c = buf, *implied = buf + 3 * n;
-    const int *rest = c;
-    Py_ssize_t m = condition_into(v, n, lit, c), nrest = m, ni = 0, i;
-    int conflict = 0;
-    if (prop)
-        conflict = unit_fixpoint(c, m, buf + n, buf + 2 * n, implied, &ni, &rest, &nrest);
-    else
-        for (i = 0; i < m && !conflict; i += 2 + c[i + 1])
-            conflict = c[i + 1] == 0;
-    if (conflict)
+    int *c = buf, *implied = buf + n, unit;
+    Py_ssize_t m = condition_into(v, n, lit, c, &unit), ni = 0, i;
+    while (prop && m >= 0 && unit != 0) {
+        implied[ni++] = unit;
+        m = condition_into(c, m, unit, c, &unit);
+    }
+    if (m < 0)
         return Py_BuildValue("([]()O)", Py_True);
     PyObject *parts = NULL, *lits = NULL, *result = NULL;
     if (split)
-        parts = split_parts(rest, nrest);
-    else if (nrest == 0)
+        parts = split_parts(c, m);
+    else if (m == 0)
         parts = PyList_New(0);
     else {
-        PyObject *bytes = PyBytes_FromStringAndSize((const char *)rest, nrest * 4);
+        PyObject *bytes = PyBytes_FromStringAndSize((const char *)c, m * 4);
         if (bytes != NULL) {
             parts = PyList_New(1);
             if (parts == NULL)
@@ -322,7 +301,7 @@ branch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || (split = PyObject_IsTrue(args[2])) < 0 || (prop = PyObject_IsTrue(args[3])) < 0
         || (x = pick_var(v, n, heuristic)) < 0)
         return NULL;
-    int *buf = malloc((4 * n + 1) * sizeof(int));
+    int *buf = malloc((2 * n + 1) * sizeof(int));
     if (buf == NULL)
         return PyErr_NoMemory();
     PyObject *low = branch_child(v, n, -x, split, prop, buf), *high = NULL, *result = NULL;
@@ -343,7 +322,7 @@ root(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (expect_args("root", nargs, 3) < 0 || residual(args[0], &v, &n) < 0
         || (split = PyObject_IsTrue(args[1])) < 0 || (prop = PyObject_IsTrue(args[2])) < 0)
         return NULL;
-    int *buf = malloc((4 * n + 1) * sizeof(int));
+    int *buf = malloc((2 * n + 1) * sizeof(int));
     if (buf == NULL)
         return PyErr_NoMemory();
     PyObject *result = branch_child(v, n, 0, split, prop, buf);

@@ -59,7 +59,7 @@ class MembershipReport:
 
 
 def _path_to(store: NodeStore, root: int, target: int) -> list[int]:
-    """Some root-to-target node path, as a list of ids.
+    """Some root-to-target path of decisions, as a list of ids.
 
     Depth-first from the root; each node records the parent it was first
     expanded under, and the path is read back from those links, so memory
@@ -80,40 +80,24 @@ def _path_to(store: NodeStore, root: int, target: int) -> list[int]:
             continue
         parent[nid] = via
         node = store.nodes[nid]
-        kind = node[0]
-        kids = (node[2], node[3]) if kind == "D" else node[1] if kind == "A" else ()
-        for c in kids:
-            stack.append((c, nid))
+        if node[0] == "D":
+            stack += ((node[2], nid), (node[3], nid))
     raise AssertionError("target not reachable")
 
 
 def _descend_to_var(store: NodeStore, masks: list[int], nid: int, var: int) -> list[int]:
-    """Path from nid down to a node that decides or mentions var."""
+    """Path of decisions from nid, with var at or below it, down to one on var."""
     bit = 1 << (var - 1)
     path = [nid]
-    while True:
-        node = store.nodes[nid]
-        kind = node[0]
-        if kind == "L" and abs(node[1]) == var:
-            return path
-        if kind == "D" and node[1] == var:
-            return path
-        kids = (node[2], node[3]) if kind == "D" else node[1]
-        nid = next(c for c in kids if masks[c] & bit)
+    while store.nodes[nid][1] != var:
+        _, _, low, high = store.nodes[nid]
+        nid = low if masks[low] & bit else high
         path.append(nid)
+    return path
 
 
 def _render_path(store: NodeStore, path: list[int]) -> str:
-    parts = []
-    for nid in path:
-        node = store.nodes[nid]
-        if node[0] == "D":
-            parts.append("x%d@%d" % (node[1], nid))
-        elif node[0] == "L":
-            parts.append("lit%d@%d" % (node[1], nid))
-        else:
-            parts.append("%s@%d" % (node[0], nid))
-    return "->".join(parts)
+    return "->".join("x%d@%d" % (store.nodes[nid][1], nid) for nid in path)
 
 
 def _fbdd_witness(circuit: Circuit) -> str | None:

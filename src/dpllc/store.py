@@ -178,7 +178,8 @@ class Circuit:
     """A root in a node store plus the variables it ranges over.
 
     Those are 1..num_vars outside `fixed`, a bitmask (bit v - 1 for v) of
-    the variables that conditioning assigned; `universe` counts them.
+    the variables in 1..num_vars that conditioning assigned; `universe`
+    counts them.
 
     `order` and `masks` are computed on first use and kept, since the ids
     reachable from a root never change in the append-only arena.  Callers
@@ -194,6 +195,10 @@ class Circuit:
         self.store._check_id(self.root)
         if self.num_vars < 0:
             raise ValueError("negative universe")
+        if self.fixed < 0:
+            raise ValueError("negative fixed mask")
+        if self.fixed >> self.num_vars:
+            raise ValueError("fixed mask names a variable above %d" % self.num_vars)
 
     @property
     def universe(self) -> int:

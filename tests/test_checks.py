@@ -81,6 +81,23 @@ def test_fbdd_witness_below_the_root():
     assert report.witness == "variable 1 repeats on path x3@6->x4@5->x2@4->x1@3->x1@2"
 
 
+def test_fbdd_witness_past_a_shared_node():
+    # The path search meets `shared` twice, and the TRUE sink more often,
+    # before it reaches the repeat, so the witness must keep the parent
+    # each node was first expanded under.
+    s = NodeStore()
+    shared = s.get_node(2, FALSE, TRUE)
+    bad = s.get_node(6, TRUE, s.get_node(6, FALSE, TRUE))
+    root = s.get_node(1, s.get_node(4, bad, shared), s.get_node(3, shared, TRUE))
+    report = check_fbdd(Circuit(s, root, 6))
+    assert report.witness == "variable 6 repeats on path x1@7->x4@5->x6@4->x6@3"
+    path = [int(step.split("@")[1]) for step in report.witness.split()[-1].split("->")]
+    assert path[0] == root
+    for parent, child in zip(path, path[1:]):
+        assert child in s.nodes[parent][2:]
+    assert [s.nodes[nid][1] for nid in path[-2:]] == [6, 6]
+
+
 def test_fbdd_rejects_non_decision_nodes():
     s = NodeStore()
     report = check_fbdd(Circuit(s, s.literal(1), 1))

@@ -402,18 +402,24 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
     # variable: the free and ordered traces are as deep as the variable
     # count, far past the default recursion limit.  Each compile must also
     # finish within a fixed wall-clock budget, which a search that
-    # conditions the whole residual per forced literal does not.
+    # conditions the whole residual per forced literal does not.  The
+    # independent units imply every literal at once; in the chain
+    # [1], [-1, 2], ... each implied literal makes the next unit clause,
+    # so propagation cascades n deep.  Decomposed mode without propagation
+    # is left out for the chain: on `py` it overruns the budget.
     monkeypatch.setattr(compiler, "KERNEL", kernel)
     n = 10_000
     assert sys.getrecursionlimit() < n
-    cnf = Cnf.from_clauses([[v] for v in range(1, n + 1)], n)
+    units = Cnf.from_clauses([[v] for v in range(1, n + 1)], n)
+    chain = Cnf.from_clauses([[1]] + [[-v, v + 1] for v in range(1, n)], n)
     configs = [
         CompileConfig("free"),
         CompileConfig("ordered", order=VarOrder.identity(n)),
         CompileConfig("decomposed"),
-        CompileConfig("decomposed", unit_propagation=False),
     ]
-    for cfg in configs:
+    runs = [(units, cfg) for cfg in configs] + [(chain, cfg) for cfg in configs]
+    runs.append((units, CompileConfig("decomposed", unit_propagation=False)))
+    for cnf, cfg in runs:
         start = time.perf_counter()
         circuit = compile_cnf(cnf, cfg)
         elapsed = time.perf_counter() - start

@@ -90,6 +90,10 @@ def test_and_rejects_false():
         (lambda s: s.get_and_node([TRUE, 5]), StoreError, "invalid node id 5"),
         (lambda s: Circuit(s, 2, 1), StoreError, "invalid node id 2"),
         (lambda s: Circuit(s, TRUE, -1), ValueError, "negative universe"),
+        (lambda s: Circuit(s, TRUE, 2, fixed=-1), ValueError, "negative fixed mask"),
+        (lambda s: Circuit(s, TRUE, 2, fixed=1 << 5), ValueError, "fixed mask names a variable above 2"),
+        (lambda s: Circuit(s, TRUE, 2, fixed=0b100), ValueError, "fixed mask names a variable above 2"),
+        (lambda s: Circuit(s, TRUE, 0, fixed=1), ValueError, "fixed mask names a variable above 0"),
     ],
 )
 def test_constructors_reject_bad_arguments(build, error, message):
@@ -98,6 +102,12 @@ def test_constructors_reject_bad_arguments(build, error, message):
         build(s)
     assert str(info.value) == message
     assert len(s) == 2
+
+
+def test_circuit_accepts_a_fixed_mask_inside_its_bound():
+    s = NodeStore()
+    for fixed, universe in ((0, 2), (0b01, 1), (0b10, 1), (0b11, 0)):
+        assert Circuit(s, TRUE, 2, fixed=fixed).universe == universe
 
 
 def test_literal_hash_conses():
