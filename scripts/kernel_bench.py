@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-Generates a fixed set of random 3-CNF instances, compiles each with every
-mode under both kernel backends (each in its own process, selected via
-DPLLC_KERNEL), and prints a timing table.  A backend that fails to load
-(the compiled kernel when it is not built) shows as '-'; the exit status
-is non-zero only when no backend ran.
+Generates a fixed set of random 3-CNF instances and compiles each with
+every mode under both kernel backends, each run in its own process
+selected via DPLLC_KERNEL.  Each backend runs REPEATS times, the two
+alternating which goes first, and the table gives each mode's median and
+[min-max] in milliseconds, so that a change can be told from the spread
+between runs.  A backend that fails to load (the compiled kernel when it
+is not built) shows as '-'; the exit status is non-zero only when no
+backend ran.
 
     python3 scripts/kernel_bench.py            # both backends
     python3 scripts/kernel_bench.py --n 80     # bigger instances
@@ -15,11 +18,14 @@ import argparse
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
 
 BACKENDS = ("py", "cy")
+MODES = ("free", "ordered", "decomposed")
+REPEATS = 5
 
 
 def make_instances(n, count, seed=12345):
@@ -68,18 +74,26 @@ def main():
         return
 
     results = {}
-    for backend in BACKENDS:
-        env = dict(os.environ, DPLLC_KERNEL=backend)
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--run",
-             "--n", str(args.n), "--count", str(args.count)],
-            env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            print("backend %s failed:\n%s" % (backend, proc.stderr), file=sys.stderr)
-            continue
-        payload = json.loads(proc.stdout.strip().splitlines()[-1])
-        results[payload["backend"]] = payload["timings"]
+    failed = set()
+    for rep in range(REPEATS):
+        for backend in BACKENDS if rep % 2 == 0 else BACKENDS[::-1]:
+            if backend in failed:
+                continue
+            env = dict(os.environ, DPLLC_KERNEL=backend)
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--run",
+                 "--n", str(args.n), "--count", str(args.count)],
+                env=env, capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                print("backend %s failed:\n%s" % (backend, proc.stderr), file=sys.stderr)
+                failed.add(backend)
+                results.pop(backend, None)
+                continue
+            payload = json.loads(proc.stdout.strip().splitlines()[-1])
+            runs = results.setdefault(payload["backend"], {mode: [] for mode in MODES})
+            for mode in MODES:
+                runs[mode].append(payload["timings"][mode])
 
     if not results:
         sys.exit(1)
@@ -87,14 +101,22 @@ def main():
 
 
 def format_table(results):
-    """Seconds per mode for every backend, '-' for a backend that did not
-    run; the speedup column needs both."""
-    lines = ["%-12s %10s %10s %8s" % ("mode", "py", "cy", "speedup")]
-    for mode in ("free", "ordered", "decomposed"):
-        py, cy = (results.get(b, {}).get(mode) for b in BACKENDS)
-        cells = ["%9.2fs" % t if t is not None else "-" for t in (py, cy)]
+    """Milliseconds per mode for every backend, as the median and
+    [min-max] of its runs, '-' for a backend that did not run; the speedup
+    column, the ratio of the medians, needs both."""
+    lines = [
+        "milliseconds per mode, median [min-max] of %d runs per backend" % REPEATS,
+        "%-12s %22s %22s %8s" % ("mode", "py", "cy", "speedup"),
+    ]
+    for mode in MODES:
+        runs = [results.get(b, {}).get(mode) for b in BACKENDS]
+        cells = [
+            "%.1f [%.1f-%.1f]" % (1e3 * statistics.median(r), 1e3 * min(r), 1e3 * max(r)) if r else "-"
+            for r in runs
+        ]
+        py, cy = (statistics.median(r) if r else None for r in runs)
         speedup = "%7.1fx" % (py / cy) if py is not None and cy else "-"
-        lines.append("%-12s %10s %10s %8s" % (mode, cells[0], cells[1], speedup))
+        lines.append("%-12s %22s %22s %8s" % (mode, cells[0], cells[1], speedup))
     return "\n".join(lines)
 
 

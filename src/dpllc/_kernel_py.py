@@ -42,22 +42,22 @@ range of that numbering, and its masks map to it by one shift each.  Keys
 are therefore equal exactly when the residuals are.  The key is the two
 masks at the fixed widths of the root formula behind a tag byte 0, a
 few C-level int operations; only on a root formula whose two masks are
-wider than _MASK_KEY_BYTES is it the sorted ids of the residual's clauses
-and variables behind a tag byte 1, when those are shorter; `mask_bits`
-lists them one byte of the masks at a time.
+wider than _MASK_KEY_BYTES is it the nonzero byte spans of the two masks
+behind a tag byte 1, when those are shorter, a few more.
 
-The byte layout is the root's input format.  `encode` writes it (for
-`compiler.compute_key` too) and `_read` is the one walk over its
-records: it finds the empty ones and runs unit propagation with a heap
-of record positions, as `branch` does; `_components` groups what
-survives by union-find.  `root` settles the input with those two.  The
-single-step operations below them (`has_empty` to `split_components`),
-which the search does not call, are each a few lines over the same
-helpers.  They stay as the tests' reference for both kernels' `root`
-and `branch`, and as the names the benchmark's tracer looks up on this
-kernel (`min_rank_var` for the tracer only); the compiled kernel does
-not have them.  The layout holds one native int32 record per surviving
-clause, in increasing original-clause-index order,
+The byte layout is the root's input format.  `encode` writes it;
+`compiler.compile_cnf` hands it every input renamed, the clauses
+numbered 0..m-1 by position and the variables 1..k, so every value fits
+an int32.  `_read` is the one walk over its records: it finds the empty
+ones and runs unit propagation with a heap of record positions, as
+`branch` does; `_components` groups what survives by union-find.
+`root` settles the input with those two.  The single-step operations
+below them (`has_empty` to `split_components`), which the search does
+not call, are each a few lines over the same helpers.  They stay as the
+tests' reference for both kernels' `root` and `branch`, and as the names
+the benchmark's tracer looks up on this kernel (`min_rank_var` for the
+tracer only); the compiled kernel does not have them.  The layout holds one native int32 record per surviving
+clause, in increasing clause-index order,
 
     idx, k, lit_1, ..., lit_k
 
@@ -71,38 +71,36 @@ components in the same order, and so the same circuits.
 
 from array import array
 from heapq import heappop, heappush
-
-from .store import mask_bits
+from struct import Struct
 
 HEUR_MIN_INDEX = 0
 HEUR_MAX_OCCURRENCE = 1
 
 # A root formula whose two masks take at most this many bytes keys every
-# residual by its masks: two shifts and one to_bytes, where the id form
-# takes a Python step per nonzero byte of the masks and builds a list of
-# every set bit.  The benchmark corpora's root formulas take 17 to 28
-# bytes.  Above the bound a small residual's ids are kept when they are
-# shorter, so that a wide input's keys stay small.
+# residual by its masks: two shifts and one to_bytes, where the span form
+# takes a few more int operations and two packs per mask.  The benchmark
+# corpora's root formulas take 17 to 28 bytes.  Above the bound a small
+# residual's spans are kept when they are shorter, so that a wide input's
+# keys stay small.
 _MASK_KEY_BYTES = 64
 
-_INT32_MAX = 2**31 - 1
+# A span's first nonzero byte and its length in bytes.
+_SPAN_HEAD = Struct("<II")
 
 
 class _Table:
-    """The clauses of `records` ((original clause index, literals) pairs,
-    the literals sorted by variable) over the formula's variables `xs`
+    """The clauses of `records` ((clause index, literals) pairs, the
+    literals sorted by variable) over the formula's variables `xs`
     (sorted), numbered 0..m-1 and 1..n: `cvars[c]` the mask of c's
     variables, `occ[lit]` the mask of the clauses holding lit (a negative
     literal indexes from the end) and `vocc[x]` of those holding x or -x.
-    `idx` holds the original clause indices and `gvar` the formula's
-    variables.  The root formula numbers the table's clauses from `coff`
+    `idx` holds the clause indices and `gvar` the formula's variables.  The root formula numbers the table's clauses from `coff`
     and its variables from `voff` + 1, in increasing order; `widths` are
     its key's: the mask key's length `kbytes`, with S at bit `sshift` and V
-    at bit `vshift`, and the id form's array typecode `ids` and item width
-    `idw`, or None and 0 when every key is a mask key."""
+    at bit `vshift`, and `spans`, false when every key is a mask key."""
 
     __slots__ = ("idx", "cvars", "occ", "vocc", "gvar", "coff", "voff",
-                 "sshift", "vshift", "kbytes", "ids", "idw")
+                 "sshift", "vshift", "kbytes", "spans")
 
     def __init__(self, records, xs, coff, voff, widths):
         local = dict(zip(xs, range(1, len(xs) + 1)))
@@ -123,7 +121,7 @@ class _Table:
         self.gvar = [0, *xs]
         self.coff = coff
         self.voff = voff
-        sbytes, self.kbytes, self.ids, self.idw = widths
+        sbytes, self.kbytes, self.spans = widths
         # A mask key's first byte is its tag, 0.
         self.sshift = 8 + coff
         self.vshift = 8 * (1 + sbytes) + voff
@@ -145,11 +143,7 @@ def root(res: bytes, split: bool, propagate: bool):
     xss = [sorted({lit if lit > 0 else -lit for _, lits in part for lit in lits}) for part in parts]
     m, n = len(records), sum(map(len, xss))
     sbytes, vbytes = (m + 7) // 8, (n + 8) // 8
-    if sbytes + vbytes <= _MASK_KEY_BYTES:
-        widths = sbytes, 1 + sbytes + vbytes, None, 0
-    else:
-        ids = "B" if max(m, n) < 1 << 8 else "H" if max(m, n) < 1 << 16 else "I"
-        widths = sbytes, 1 + sbytes + vbytes, ids, array(ids).itemsize
+    widths = sbytes, 1 + sbytes + vbytes, sbytes + vbytes > _MASK_KEY_BYTES
     # The root formula numbers its clauses and variables part by part.
     out = []
     coff = voff = 0
@@ -288,55 +282,42 @@ def key(res) -> bytes:
 
     Tag 0 then S and V as masks of the root formula's fixed widths, in
     its numbering.  On a root formula whose two masks are wider than
-    _MASK_KEY_BYTES, tag 1 then the counts and the sorted ids of S's
-    clauses and V's variables instead, when that is shorter, as unsigned
-    ints of the width the root formula's size needs.  So a key is never
-    longer than 1 + ceil(m / 8) + ceil((n + 1) / 8) bytes for m clauses
-    over variables 1..n.
+    _MASK_KEY_BYTES, tag 1 then S and V in that numbering, each as its
+    nonzero byte span (see _span), instead, when that is shorter.  So a
+    key is never longer than 1 + ceil(m / 8) + ceil((n + 1) / 8) bytes for
+    m clauses over variables 1..n.
     """
     t, S, V = res
-    if t.ids is not None:
-        s, n = S.bit_count(), V.bit_count()
-        if t.idw * (2 + s + n) < t.kbytes - 1:
-            # mask_bits numbers bit i as i + 1.
-            c, v = t.coff - 1, t.voff - 1
-            ids = [s, n, *[c + i for i in mask_bits(S)], *[v + i for i in mask_bits(V)]]
-            return b"\x01" + array(t.ids, ids).tobytes()
+    if t.spans:
+        span = _span(S << t.coff) + _span(V << t.voff)
+        if len(span) < t.kbytes - 1:
+            return b"\x01" + span
     return (S << t.sshift | V << t.vshift).to_bytes(t.kbytes, "little")
+
+
+def _span(mask: int) -> bytes:
+    """The nonzero `mask` as the index of its first nonzero byte and the
+    number of bytes from there to its last, as two uint32, then those
+    bytes."""
+    start = ((mask & -mask).bit_length() - 1) >> 3
+    mask >>= 8 * start
+    size = (mask.bit_length() + 7) >> 3
+    return _SPAN_HEAD.pack(start, size) + mask.to_bytes(size, "little")
 
 
 # --- the byte layout ---------------------------------------------------------
 
 
 def encode(records) -> bytes:
-    """The byte layout of (clause index, literals) records, in their order;
-    ValueError when a clause index or a variable exceeds the int32 bound."""
+    """The byte layout of (clause index, literals) records, in their order.
+    The compiler's renamed inputs number no clause or variable past their
+    counts, so every value fits the layout's int32."""
     out: list[int] = []
     for idx, lits in records:
         out.append(idx)
         out.append(len(lits))
         out += lits
-    try:
-        layout = array("i", out)
-    except OverflowError:
-        layout = None
-    # The literal -2^31 fits its int32, but its variable does not.
-    if layout is None or (layout and min(layout) < -_INT32_MAX):
-        raise ValueError("%s exceeds the int32 bound %d of the kernels' layout" % (_too_wide(out), _INT32_MAX))
-    return layout.tobytes()
-
-
-def _too_wide(out) -> str:
-    """What of the records in `out`, flattened as in the layout, does not
-    fit the layout: the largest clause index if it does not, else the
-    largest variable."""
-    i = top = 0
-    while i < len(out):
-        top = max(top, out[i])
-        i += 2 + out[i + 1]
-    if top > _INT32_MAX:
-        return "clause index %d" % top
-    return "variable %d" % max(map(abs, out))
+    return array("i", out).tobytes()
 
 
 def _read(res: bytes, propagate: bool):

@@ -2,8 +2,7 @@
 
 Literals follow the DIMACS convention: variable x is the positive integer x,
 its negation is -x.  Every clause keeps the index it had in the input
-formula, so residual formulas obtained by conditioning stay identifiable
-(this is what the compiler's formula cache keys on).
+formula, so residual formulas obtained by conditioning stay identifiable.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class Cnf:
         normalized = tuple(sorted(((i, tuple(ls)) for i, ls in self.clauses)))
         prev = -1
         for idx, lits in normalized:
-            # The compiler's cache keys rely on no index being negative.
             if idx < 0:
                 raise ValueError("negative clause index %d" % idx)
             if idx <= prev:

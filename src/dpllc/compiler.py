@@ -14,16 +14,20 @@ under:
 
 So a discipline is a branch picker, whether components are split and
 where implied literals go; `compile_cnf` derives all three from a
-CompileConfig.  The ordered discipline needs no picker of its own: its
-input goes in with each variable renamed to its rank in the order, and
-there the first variable of the order that occurs is the least one, the
-min-index pick; variables are mapped back only where a node is built.
-The kernel (KERNEL) holds the residual formulas: the input goes in once,
-in the byte layout of `compute_key`, and every residual after that is
-the kernel's own, which it keys for the cache.  Formula caching memoizes
-the compilation of residual formulas under those keys, which are equal
+CompileConfig.  Every mode runs on a renamed input: `compile_cnf`
+numbers the clauses 0..m-1 by position and renames the variables, and
+they are mapped back only where a node is built.  The free and
+decomposed modes rename the occurring variables to 1..k in increasing
+order, which keeps every pick, record and component in its order.  The
+ordered discipline needs no picker of its own: its variables are
+renamed to their ranks in the order, and there the first variable of
+the order that occurs is the least one, the min-index pick.  The kernel
+(KERNEL) holds the residual formulas: the renamed input goes in once, in
+`_kernel_py`'s byte layout, and every residual after that is the
+kernel's own, which it keys for the cache.  Formula caching memoizes the
+compilation of residual formulas under those keys, which are equal
 exactly when the residuals are (in ordered mode with the implied
-literals still waiting for their turn appended, in renamed space).
+literals still waiting for their turn appended).
 The search runs on an explicit work stack, so formulas with very many
 variables cannot overflow the call stack.
 """
@@ -45,19 +49,6 @@ KERNEL = _kernel.impl
 
 MODES = ("free", "ordered", "decomposed")
 HEURISTICS = ("max-occurrence", "min-index")
-
-
-def compute_key(delta: Cnf) -> bytes:
-    """Canonical fingerprint of a formula in the kernels' byte layout:
-    per clause its index, its length and its literals sorted by variable.
-
-    It is the input format of K.root.  Equal fingerprints exactly when
-    the clause sets are identical.  The compiled kernel keeps its
-    residuals in this layout, and each one is its own cache key there;
-    the Python kernel keys a residual by its clause and variable sets
-    instead (see _kernel_py.key).
-    """
-    return encode((idx, sorted(lits, key=abs)) for idx, lits in delta.clauses)
 
 
 @dataclass(frozen=True)
@@ -222,17 +213,14 @@ class Cache:
 _KID, _DEC, _AND = 0, 1, 2
 
 
-def _chain(store: NodeStore, lits, node: int) -> int:
-    """Forced decisions on `lits` above `node`, the first on top; each
-    one's violating branch is the false sink."""
+def _chain(store: NodeStore, names, lits, node: int) -> int:
+    """Forced decisions on `lits` above `node`, the first on top, each
+    literal named names[lit]; each one's violating branch is the false
+    sink."""
     for lit in reversed(lits):
+        lit = names[lit]
         node = store.get_node(lit, FALSE, node) if lit > 0 else store.get_node(-lit, node, FALSE)
     return node
-
-
-def _renamed(table, lits) -> list[int]:
-    """`lits` with each variable x renamed to table[x]."""
-    return [table[lit] if lit > 0 else -table[-lit] for lit in lits]
 
 
 def _search(
@@ -240,7 +228,8 @@ def _search(
     store: NodeStore,
     cache: Cache | None,
     heuristic: int,
-    names: tuple[int, ...] | None,
+    names: list[int],
+    ordered: bool,
     decompose: bool,
     propagate: bool,
 ) -> int:
@@ -263,21 +252,21 @@ def _search(
                   branch returns become forced decisions above it, and
                   the others go down to both children.
 
-    In ordered mode (`names` given) res0 is the input with each variable
-    renamed to its 1-based rank in the order, and `heuristic` is
-    min-index, so the least variable that occurs is the order's first:
-    the search runs wholly in renamed space, waiting literals included,
-    and `names` maps a renamed variable back (variable x is names[x])
-    only where a node is built.
+    res0 is the renamed input (see compile_cnf), and the search runs
+    wholly in its numbering, implied and waiting literals included;
+    `names` maps a literal back (literal lit is names[lit], of either
+    sign) only where a node is built.  In ordered mode each variable is its 1-based rank in
+    the order, and `heuristic` is min-index, so the least variable that
+    occurs is the order's first.
 
     A propagated rest shares no variable with its implied literals, so
     the rest and the waiting literals together are the conditioned
     residual's function; its cache key is K.key of the rest (empty when
     nothing is left) and the waiting ones as a trailer record (-1, k,
     lit_1, ..., lit_k), which neither kernel's key can imitate: a byte
-    residual starts with a clause index, which is never negative, and a
-    Python kernel key with a tag byte, 0 for masks of the one length the
-    settled input fixes, 1 for sorted ids as many as its counts say; so
+    residual starts with a clause position, which is never negative, and
+    a Python kernel key with a tag byte, 0 for masks of the one length
+    the settled input fixes, 1 for byte spans whose lengths it holds; so
     each key is as long as its own content says.  A `_DEC` frame holds
     the key to cache the node under (None without a cache) and the forced
     prefix to chain above the node.
@@ -293,7 +282,7 @@ def _search(
             if conflict:
                 vals.append(FALSE)
                 continue
-            if names is not None:
+            if ordered:
                 if implied:
                     waiting = tuple(sorted(waiting + implied, key=abs))
                 res = parts[0] if parts else None
@@ -315,7 +304,7 @@ def _search(
             high = vals.pop()
             node = store.get_node(x, vals.pop(), high)
             if forced:
-                node = _chain(store, forced, node)
+                node = _chain(store, names, forced, node)
             if key is not None:
                 cache.insert(key, node)
             vals.append(node)
@@ -328,9 +317,9 @@ def _search(
             if FALSE in parts:
                 vals.append(FALSE)
             elif decompose:
-                vals.append(store.get_and_node([store.literal(lit) for lit in implied] + parts))
+                vals.append(store.get_and_node([store.literal(names[lit]) for lit in implied] + parts))
             else:
-                vals.append(_chain(store, implied, parts[0] if parts else TRUE))
+                vals.append(_chain(store, names, implied, parts[0] if parts else TRUE))
             continue
         key = None
         if cache is not None:
@@ -343,19 +332,17 @@ def _search(
                 continue
         if not res:
             # Only ordered mode leaves waiting literals without a residual.
-            node = _chain(store, _renamed(names, waiting), TRUE)
+            node = _chain(store, names, waiting, TRUE)
             if key is not None:
                 cache.insert(key, node)
             vals.append(node)
             continue
         x, low, high = K.branch(res, heuristic, decompose, propagate)
         forced = ()
-        if names is not None:
-            if waiting:
-                cut = bisect_left(waiting, x, key=abs)
-                forced, waiting = _renamed(names, waiting[:cut]), waiting[cut:]
-            x = names[x]
-        work.append((_DEC, x, key, forced))
+        if waiting:
+            cut = bisect_left(waiting, x, key=abs)
+            forced, waiting = waiting[:cut], waiting[cut:]
+        work.append((_DEC, names[x], key, forced))
         work.append((_KID, high, waiting))
         work.append((_KID, low, waiting))
     return vals[0]
@@ -397,18 +384,28 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     cfg.validate()
     K = KERNEL
     code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
-    names = None
-    if cfg.mode == "ordered":
+    ordered = cfg.mode == "ordered"
+    if ordered:
         order = cfg.order
         if order.n < delta.num_vars:
             raise ValueError("order covers %d of %d variables" % (order.n, delta.num_vars))
         # Each variable renamed to its rank: min-index branching then
         # follows the order.
-        names = (0, *order.order)
-        res0 = encode((idx, sorted(_renamed(order.rank, lits), key=abs)) for idx, lits in delta.clauses)
+        xs = order.order
         code = K.HEUR_MIN_INDEX
     else:
-        res0 = compute_key(delta)
+        # The occurring variables renamed to 1..k in increasing order,
+        # which keeps every pick, record and component in its order.
+        xs = sorted(delta.variables())
+    rename = dict(zip(xs, range(1, len(xs) + 1)))
+    # names[lit] is the input's literal for lit; a negative one indexes
+    # from the end.
+    names = [0, *xs, *[-x for x in reversed(xs)]]
+    # Clause c is the c-th of delta.clauses, which are sorted by index.
+    res0 = encode(
+        (c, sorted([rename[lit] if lit > 0 else -rename[-lit] for lit in lits], key=abs))
+        for c, (_, lits) in enumerate(delta.clauses)
+    )
     store = NodeStore()
     cache = Cache() if cfg.caching else None
     root = _search(
@@ -417,6 +414,7 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
         cache,
         code,
         names,
+        ordered,
         decompose=cfg.mode == "decomposed",
         propagate=cfg.unit_propagation,
     )

@@ -185,5 +185,5 @@ def test_cache_keys_are_one_to_one_across_backends(kernel_cy, monkeypatch):
                 if trailer:
                     assert cfg.mode == "ordered"
                     assert len(trailer) == 4 * (2 + array("i", trailer)[1])
-        # Tag 0 is the mask form, tag 1 the sorted ids.
+        # Tag 0 is the mask form, tag 1 the byte spans.
         assert tags == {0, 1} if wide else tags <= {0}

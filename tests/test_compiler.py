@@ -20,13 +20,13 @@ from dpllc.compiler import (
     compile_decomposed,
     compile_free,
     compile_ordered,
-    compute_key,
 )
 from dpllc.queries import model_count
 from dpllc.store import FALSE, TRUE, serialize, stats
 
 from util import (
     brute_force_count,
+    compute_key,
     condition,
     model_set,
     oracle_bandwidth_order,
@@ -287,29 +287,39 @@ def test_ordered_requires_covering_order():
         compile_ordered(running_cnf(), VarOrder.identity(2))
 
 
-def test_variables_beyond_the_int32_bound_are_refused(kernel, monkeypatch):
-    # The kernels' layout holds a literal as an int32: a variable above
-    # 2^31 - 1 is a ValueError, also as the literal -2^31, which fits its
-    # int32 while its variable does not.  A huge universe whose variables
-    # are small compiles.
+def test_variables_beyond_the_int32_bound_compile(kernel, monkeypatch):
+    # compile_cnf numbers the clauses by position and renames the
+    # occurring variables to 1..k, so no variable or clause index reaches
+    # a kernel as it is: each formula below, with a variable or a clause
+    # index past the int32 bound 2^31 - 1 (the literal -2^31 fits an
+    # int32, its variable does not), compiles to a circuit the size of the
+    # same formula renamed small, on variables 1, 2 and 3.
     monkeypatch.setattr(compiler, "KERNEL", kernel)
     n = 3_000_000_000
+
+    def through(x):
+        return Cnf.from_clauses([[1, x], [-x, 2]], max(n, abs(x)))
+
+    small = Cnf.from_clauses([[1, 3], [-3, 2]], 3)
+    cases = [
+        (through(n), ("free", "decomposed")),
+        (through(2**31 - 1), ("free", "decomposed")),
+        (through(-(2**31)), ("free", "decomposed")),
+        (Cnf(3, ((0, (1, 3)), (2**31, (-3, 2)))), ("free", "decomposed", "ordered")),
+    ]
+    for cnf, modes in cases:
+        for mode in modes:
+            order = VarOrder.identity(3) if mode == "ordered" else None
+            for propagate in (True, False):
+                cfg = CompileConfig(mode=mode, order=order, unit_propagation=propagate)
+                circuit = compile_cnf(cnf, cfg)
+                assert circuit.num_vars == cnf.num_vars
+                assert stats(circuit) == stats(compile_cnf(small, cfg))
     for mode in ("free", "decomposed"):
         cfg = CompileConfig(mode=mode)
-        for clause, var in (([n], n), ([1, -(2**31)], 2**31)):
-            message = "^variable %d exceeds the int32 bound 2147483647 of the kernels' layout$" % var
-            with pytest.raises(ValueError, match=message):
-                compile_cnf(Cnf.from_clauses([clause], n), cfg)
         circuit = compile_cnf(Cnf.from_clauses([[1]], n), cfg)
         assert circuit.num_vars == n
         assert stats(circuit) == stats(compile_cnf(Cnf.from_clauses([[1]], 1), cfg))
-    # A clause index above the bound is named as one, in every mode.
-    wide = Cnf(1, ((2**31, (1,)),))
-    message = "^clause index 2147483648 exceeds the int32 bound 2147483647 of the kernels' layout$"
-    for mode in ("free", "decomposed", "ordered"):
-        order = VarOrder.identity(1) if mode == "ordered" else None
-        with pytest.raises(ValueError, match=message):
-            compile_cnf(wide, CompileConfig(mode=mode, order=order))
 
 
 # --- decomposed mode -----------------------------------------------------------
@@ -430,16 +440,50 @@ def test_deep_instances_do_not_overflow_the_stack(kernel, monkeypatch):
 def test_wide_ordered_compile_under_rcm(monkeypatch):
     # 4,000 variable-disjoint clauses in one residual: a pick that looks
     # at every variable left, or an order that scans every vertex left per
-    # component, made this take about 29 s.
+    # component, made this take about 29 s.  At 8,000, cache keys that
+    # list every clause and variable of a residual took 1.7-1.9 s.
     monkeypatch.setattr(compiler, "KERNEL", _kernel.load("py"))
-    k = 4_000
-    cnf = _disjoint_pairs(k)
-    start = time.perf_counter()
-    circuit = compile_ordered(cnf, bandwidth_order(cnf))
-    elapsed = time.perf_counter() - start
-    assert elapsed < DEEP_BUDGET_S, "took %.2f s" % elapsed
-    assert stats(circuit) == (2 * k + 2, 4 * k)
-    assert model_count(circuit) == 3**k
+    for k in (4_000, 8_000):
+        cnf = _disjoint_pairs(k)
+        start = time.perf_counter()
+        circuit = compile_ordered(cnf, bandwidth_order(cnf))
+        elapsed = time.perf_counter() - start
+        assert elapsed < DEEP_BUDGET_S, "%d pairs took %.2f s" % (k, elapsed)
+        assert stats(circuit) == (2 * k + 2, 4 * k)
+        assert model_count(circuit) == 3**k
+
+
+# What the cache may hold at the end of the 4,000-pair ordered compile
+# above, on the Python kernel: 7.0 MB when a key is the byte spans of a
+# residual's two masks, 12.5 MB when it listed their clause and variable
+# ids.
+WIDE_ORDERED_CACHE_BYTES = 9_000_000
+
+
+def test_wide_ordered_cache_keys_are_byte_spans(monkeypatch):
+    # One residual of 4,000 clauses: each cache key holds what is left of
+    # its two masks, as the byte span from the first nonzero byte to the
+    # last, not one id per clause and variable left.
+    monkeypatch.setattr(compiler, "KERNEL", _kernel.load("py"))
+    cnf = _disjoint_pairs(4_000)
+    order = bandwidth_order(cnf)
+    kept = []
+
+    class KeptCache(Cache):
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    monkeypatch.setattr(compiler, "Cache", KeptCache)
+    tracemalloc.start()
+    try:
+        compile_ordered(cnf, order)
+        with_cache = tracemalloc.get_traced_memory()[0]
+        kept.clear()
+        held = with_cache - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < WIDE_ORDERED_CACHE_BYTES, "the cache held %d bytes" % held
 
 
 # What the cache may still hold at the end of the wide compile below:

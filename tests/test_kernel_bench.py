@@ -1,7 +1,8 @@
-"""scripts/kernel_bench.py reports every backend that ran and fails only
-when none did."""
+"""scripts/kernel_bench.py reports every backend that ran, as the median
+and [min-max] of its runs, and fails only when none did."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,18 +25,28 @@ def bench(cwd, pythonpath):
     )
 
 
+CELL = r"(-|(\d+\.\d) \[(\d+\.\d)-(\d+\.\d)\])"
+ROW = re.compile(r"^(\w+) +%s +%s +(\S+)$" % (CELL, CELL))
+
+
 def test_table_keeps_the_backends_that_ran():
     proc = bench(ROOT, str(SRC))
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.strip().splitlines()
-    assert rows[0].split() == ["mode", "py", "cy", "speedup"]
-    assert [row.split()[0] for row in rows[1:]] == ["free", "ordered", "decomposed"]
-    for row in rows[1:]:
-        mode, py, cy, speedup = row.split()
-        assert py.endswith("s") and float(py[:-1]) >= 0
+    assert rows[0] == "milliseconds per mode, median [min-max] of 5 runs per backend"
+    assert rows[1].split() == ["mode", "py", "cy", "speedup"]
+    assert [row.split()[0] for row in rows[2:]] == ["free", "ordered", "decomposed"]
+    for row in rows[2:]:
+        # mode, then per backend its cell and the cell's three numbers.
+        fields = ROW.match(row).groups()
+        cy, speedup = fields[5], fields[9]
+        median, low, high = map(float, fields[2:5])
+        assert 0 <= low <= median <= high
         if cy == "-":
-            assert speedup == "-" and "backend cy failed" in proc.stderr
+            assert speedup == "-" and proc.stderr.count("backend cy failed") == 1
         else:
+            median, low, high = map(float, fields[6:9])
+            assert 0 <= low <= median <= high
             assert speedup.endswith("x")
 
 
@@ -49,4 +60,4 @@ def test_exit_status_is_nonzero_when_no_backend_ran(tmp_path):
     proc = bench(tmp_path, str(tmp_path))
     assert proc.returncode != 0
     assert proc.stdout == ""
-    assert "backend py failed" in proc.stderr
+    assert proc.stderr.count("backend py failed") == 1

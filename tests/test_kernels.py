@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import dpllc.compiler as compiler
 from dpllc import _kernel
 from dpllc.cnf import Cnf
-from dpllc.compiler import compute_key
 
 from util import (
     components,
+    compute_key,
     condition,
     decode,
     decode_child,

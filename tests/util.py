@@ -312,6 +312,18 @@ def unit_propagate(delta: Cnf) -> tuple[Cnf, list[int], bool]:
         cur = condition(cur, unit)
 
 
+def compute_key(delta: Cnf) -> bytes:
+    """Canonical fingerprint of a formula in the kernels' byte layout:
+    per clause its index, its length and its literals sorted by variable.
+
+    Equal fingerprints exactly when the clause sets are identical.  The
+    compiler hands the kernels its input in this layout, renamed (see
+    compiler.compile_cnf); the tests feed the layout to `root` and to the
+    single-step operations unrenamed.
+    """
+    return byte_ops.encode((idx, sorted(lits, key=abs)) for idx, lits in delta.clauses)
+
+
 def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
     """Branch variable of a formula under the named heuristic, by the
     byte layout's select_var (in _kernel_py; both kernels' branch picks
@@ -324,7 +336,7 @@ def select_variable(delta: Cnf, heuristic: str = "max-occurrence") -> int:
     if heuristic not in compiler.HEURISTICS:
         raise ValueError("unknown heuristic %r" % heuristic)
     code = byte_ops.HEUR_MAX_OCCURRENCE if heuristic == "max-occurrence" else byte_ops.HEUR_MIN_INDEX
-    var = byte_ops.select_var(compiler.compute_key(delta), code)
+    var = byte_ops.select_var(compute_key(delta), code)
     if var == 0:
         raise ValueError("formula mentions no variables")
     return var
