@@ -7,11 +7,7 @@ every workload untraced (`--trace 0`) on seeds 101-110 and traced
 file holds every metric's median, quartiles and raw value per seed, and
 every run's outcome and provenance (kernel backend, Python, commit, sha256
 of src/).  A run that exits non-zero, times out or prints no result is
-recorded with what it did print; it is never dropped.  A traced group also
-holds `compile_ratios`: each per-layer seconds metric (`*.s`) divided by
-`compiler.compile.s` of the same run, summarized the same way.  The layer
-seconds of one run tend to swing together, so the ratio compares layers
-across runs better than the raw seconds do.
+recorded with what it did print; it is never dropped.
 
 With `--parent DIR` (another checkout, usually of the parent commit) every
 run is paired with the same run in DIR, the two sides taking turns to go
@@ -42,7 +38,6 @@ WORKLOADS = _perfbench.WORKLOADS
 SEEDS = {0: tuple(range(101, 111)), 1: tuple(range(101, 104))}
 PROVENANCE = ("kernel_backend", "python", "commit", "src_sha256")
 RUN_TIMEOUT_S = 400  # perfbench ends a run itself after 170 s
-COMPILE_LAYER = "compiler.compile.s"
 
 
 def parse_run(workload: str, seed: int, trace: int, exit_code: int | None, stdout: str, stderr: str) -> dict:
@@ -99,25 +94,9 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compile_ratios(runs: list[dict]) -> dict:
-    """Per `*.s` layer metric, its value over `compiler.compile.s` of the
-    same run, for every run that timed a compile."""
-    ratios: dict[str, dict] = {}
-    for run in runs:
-        compile_s = run["metrics"].get(COMPILE_LAYER, {}).get("value")
-        if not compile_s:
-            continue
-        for name, m in run["metrics"].items():
-            if name.endswith(".s") and name != COMPILE_LAYER:
-                entry = ratios.setdefault(name, {"unit": "ratio", "values": {}})
-                entry["values"][str(run["seed"])] = m["value"] / compile_s
-    return ratios
-
-
 def aggregate(runs: list[dict]) -> dict:
     """Group runs by workload and trace setting; per metric, the median and
-    quartiles over every run that printed it, and its value per seed; for a
-    traced group the same for every layer's share of the compile."""
+    quartiles over every run that printed it, and its value per seed."""
     groups: dict[str, dict] = {}
     for run in runs:
         key = "%s/trace%d" % (run["workload"], run["trace"])
@@ -131,9 +110,7 @@ def aggregate(runs: list[dict]) -> dict:
                 entry = metrics.setdefault(name, {"unit": m["unit"], "values": {}})
                 entry["values"][str(run["seed"])] = m["value"]
         group["metrics"] = metrics
-        if group["trace"]:
-            group["compile_ratios"] = compile_ratios(group["runs"])
-        for entry in (*metrics.values(), *group.get("compile_ratios", {}).values()):
+        for entry in metrics.values():
             entry.update(summarize(list(entry["values"].values())))
     return groups
 

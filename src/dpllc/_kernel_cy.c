@@ -19,8 +19,8 @@
    lengths are trusted.  The compiler hands in its input renamed, clauses
    numbered 0..m-1 and variables 1..k, so the per-variable tables of
    pick_var and split_parts, sized by the largest variable, are bounded
-   by the number of variables that occur in the input (by the order's
-   length in ordered mode), whatever the input's own numbers.
+   by the number of variables that occur in the input, in every mode,
+   whatever the input's own numbers.
 
    Build in place (the package falls back to _kernel_py without it):
 

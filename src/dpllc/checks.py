@@ -30,6 +30,7 @@ depends on the recursion limit.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .cnf import Cnf
@@ -137,53 +138,47 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
     if witness is not None:
         return MembershipReport(False, "obdd", witness=witness)
     nodes = circuit.store.nodes
-    # Decision variables in first-seen topological order, and the
-    # parent-above-child variable pairs of decision edges.
-    vars_seen: dict[int, None] = {}
-    edges: set[tuple[int, int]] = set()
+    # Each decision variable, in first-seen topological order, to the
+    # variables decided directly below it.
+    below: dict[int, set[int]] = {}
     for nid in circuit.order:
         node = nodes[nid]
-        if node[0] != "D":
-            continue
-        vars_seen[node[1]] = None
-        for child in (node[2], node[3]):
-            cnode = nodes[child]
-            if cnode[0] == "D":
-                edges.add((node[1], cnode[1]))
+        if node[0] == "D":
+            succ = below.get(node[1])
+            if succ is None:
+                succ = below[node[1]] = set()
+            for child in (node[2], node[3]):
+                cnode = nodes[child]
+                if cnode[0] == "D":
+                    succ.add(cnode[1])
     if order is not None:
         rank = order.rank
-        for var in vars_seen:
+        for var in below:
             if var > order.n:
                 return MembershipReport(
                     False, "obdd", witness="variable %d missing from the order" % var
                 )
-        for a, b in sorted(edges):
-            if rank[a] >= rank[b]:
-                return MembershipReport(
-                    False,
-                    "obdd",
-                    witness="decision on %d above %d violates the order" % (a, b),
-                )
+        # The least violating edge is the witness.
+        bad = [(a, b) for a, bs in below.items() for b in bs if rank[a] >= rank[b]]
+        if bad:
+            return MembershipReport(
+                False, "obdd", witness="decision on %d above %d violates the order" % min(bad)
+            )
         return MembershipReport(True, "obdd", order=order.order)
-    # Recover an order: topological sort of the precedence constraints.
-    succ: dict[int, set[int]] = {}
-    indeg: dict[int, int] = {}
-    for a, b in edges:
-        if b not in succ.setdefault(a, set()):
-            succ[a].add(b)
-            indeg[b] = indeg.get(b, 0) + 1
-    ready = sorted(v for v in vars_seen if indeg.get(v, 0) == 0)
-    recovered: list[int] = []
+    # Recover an order: topological sort of the constraints, least first.
+    above = Counter(b for bs in below.values() for b in bs)
+    ready = [v for v in below if not above[v]]
     heapq.heapify(ready)
+    recovered: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         recovered.append(v)
-        for w in sorted(succ.get(v, ())):
-            indeg[w] -= 1
-            if indeg[w] == 0:
+        for w in below[v]:
+            above[w] -= 1
+            if not above[w]:
                 heapq.heappush(ready, w)
-    if len(recovered) != len(vars_seen):
-        cyc = sorted(v for v in vars_seen if indeg.get(v, 0) > 0)
+    if len(recovered) != len(below):
+        cyc = sorted(v for v in below if above[v])
         return MembershipReport(
             False,
             "obdd",

@@ -16,18 +16,18 @@ So a discipline is a branch picker, whether components are split and
 where implied literals go; `compile_cnf` derives all three from a
 CompileConfig.  Every mode runs on a renamed input: `compile_cnf`
 numbers the clauses 0..m-1 by position and renames the variables, and
-they are mapped back only where a node is built.  The free and
-decomposed modes rename the occurring variables to 1..k in increasing
-order, which keeps every pick, record and component in its order.  The
-ordered discipline needs no picker of its own: its variables are
-renamed to their ranks in the order, and there the first variable of
-the order that occurs is the least one, the min-index pick.  The kernel
+they are mapped back only where a node is built.  Every mode renames
+the occurring variables to 1..k: the free and decomposed modes in
+increasing order, which keeps every pick, record and component in its
+order, and the ordered mode by rank in the order.  So the ordered
+discipline needs no picker of its own: the first variable of the order
+that occurs is the least one, the min-index pick.  The kernel
 (KERNEL) holds the residual formulas: the renamed input goes in once, in
 `_kernel_py`'s byte layout, and every residual after that is the
 kernel's own, which it keys for the cache.  Formula caching memoizes the
 compilation of residual formulas under those keys, which are equal
-exactly when the residuals are (in ordered mode with the implied
-literals still waiting for their turn appended).
+exactly when the residuals are (in ordered mode followed by the implied
+literals still waiting for their turn, and their count).
 The search runs on an explicit work stack, so formulas with very many
 variables cannot overflow the call stack.
 """
@@ -167,7 +167,7 @@ class CompileConfig:
                   ordering property, so the implied literals wait until
                   the order reaches them and then become forced decisions
                   whose violating branch is the false sink.  The search
-                  runs on the formula renamed by the order, where the
+                  runs on the formula renamed by rank, where the
                   waiting literals are kept sorted by variable.  A conflict
                   makes the residual the false sink at once.  Neither
                   changes the canonical trace; an unsatisfiable subtree
@@ -255,21 +255,19 @@ def _search(
     res0 is the renamed input (see compile_cnf), and the search runs
     wholly in its numbering, implied and waiting literals included;
     `names` maps a literal back (literal lit is names[lit], of either
-    sign) only where a node is built.  In ordered mode each variable is its 1-based rank in
-    the order, and `heuristic` is min-index, so the least variable that
-    occurs is the order's first.
+    sign) only where a node is built.  In ordered mode the variables are
+    numbered by rank among those that occur, and `heuristic` is
+    min-index, so the least variable that occurs is the order's first.
 
     A propagated rest shares no variable with its implied literals, so
     the rest and the waiting literals together are the conditioned
-    residual's function; its cache key is K.key of the rest (empty when
-    nothing is left) and the waiting ones as a trailer record (-1, k,
-    lit_1, ..., lit_k), which neither kernel's key can imitate: a byte
-    residual starts with a clause position, which is never negative, and
-    a Python kernel key with a tag byte, 0 for masks of the one length
-    the settled input fixes, 1 for byte spans whose lengths it holds; so
-    each key is as long as its own content says.  A `_DEC` frame holds
-    the key to cache the node under (None without a cache) and the forced
-    prefix to chain above the node.
+    residual's function.  Its cache key is K.key of the rest (empty when
+    nothing is left), and in ordered mode then the int32 trailer
+    (lit_1, ..., lit_k, k) of the k waiting literals, also for k = 0.
+    Read from the end, the count delimits the trailer, so two keys are
+    equal exactly when their kernel keys and waiting literals are.  A
+    `_DEC` frame holds the key to cache the node under (None without a
+    cache) and the forced prefix to chain above the node.
     """
     K = KERNEL
     work: list[tuple] = [(_KID, K.root(res0, decompose, propagate), ())]
@@ -324,8 +322,8 @@ def _search(
         key = None
         if cache is not None:
             key = K.key(res) if res else b""
-            if waiting:
-                key += array("i", (-1, len(waiting), *waiting)).tobytes()
+            if ordered:
+                key += array("i", (*waiting, len(waiting))).tobytes()
             hit = cache.probe(key)
             if hit is not None:
                 vals.append(hit)
@@ -385,18 +383,18 @@ def compile_cnf(delta: Cnf, cfg: CompileConfig) -> Circuit:
     K = KERNEL
     code = K.HEUR_MAX_OCCURRENCE if cfg.heuristic == "max-occurrence" else K.HEUR_MIN_INDEX
     ordered = cfg.mode == "ordered"
+    # The occurring variables are renamed to 1..k in increasing order, or
+    # by rank in ordered mode, where min-index branching then follows the
+    # order.
+    occurring = delta.variables()
     if ordered:
         order = cfg.order
         if order.n < delta.num_vars:
             raise ValueError("order covers %d of %d variables" % (order.n, delta.num_vars))
-        # Each variable renamed to its rank: min-index branching then
-        # follows the order.
-        xs = order.order
+        xs = [v for v in order.order if v in occurring]
         code = K.HEUR_MIN_INDEX
     else:
-        # The occurring variables renamed to 1..k in increasing order,
-        # which keeps every pick, record and component in its order.
-        xs = sorted(delta.variables())
+        xs = sorted(occurring)
     rename = dict(zip(xs, range(1, len(xs) + 1)))
     # names[lit] is the input's literal for lit; a negative one indexes
     # from the end.

@@ -150,6 +150,59 @@ def test_obdd_flags_a_variable_missing_from_the_order():
     assert report.witness == "variable 3 missing from the order"
 
 
+def test_obdd_conflict_witness_names_every_variable_left_unordered():
+    # 1 above 2 under x5's low branch, 2 above 1 under its high one; x4
+    # lies below both, so no order can place it either.  x3 and x5 order.
+    s = NodeStore()
+    x4 = s.get_node(4, FALSE, TRUE)
+    a = s.get_node(2, FALSE, s.get_node(1, FALSE, x4))
+    b = s.get_node(1, FALSE, s.get_node(2, x4, TRUE))
+    circuit = Circuit(s, s.get_node(3, s.get_node(5, a, b), x4), 6)
+    assert check_fbdd(circuit).verdict
+    report = check_obdd(circuit)
+    assert (report.verdict, report.order) == (False, None)
+    assert report.witness == "variables [1, 2, 4] appear in conflicting orders"
+
+
+def _diamond():
+    """x3 over x4 and x2; x4 over x2 and x1; x2 over x1."""
+    s = NodeStore()
+    x1 = s.get_node(1, FALSE, TRUE)
+    x2 = s.get_node(2, x1, TRUE)
+    return Circuit(s, s.get_node(3, s.get_node(4, x2, x1), x2), 4)
+
+
+@pytest.mark.parametrize(
+    "order, witness",
+    [
+        ((3, 4, 2, 1), None),
+        ((1, 2, 3, 4), "decision on 2 above 1 violates the order"),
+        ((4, 3, 2, 1), "decision on 3 above 4 violates the order"),
+        # (3, 2) and (4, 2) both violate; the least edge is named.
+        ((2, 3, 4, 1), "decision on 3 above 2 violates the order"),
+        # 4 is met before 3, bottom-up.
+        ((2, 1), "variable 4 missing from the order"),
+        ((1,), "variable 2 missing from the order"),
+    ],
+)
+def test_obdd_witness_under_an_explicit_order(order, witness):
+    report = check_obdd(_diamond(), VarOrder(order))
+    assert (report.verdict, report.witness) == (witness is None, witness)
+    assert report.order == (order if witness is None else None)
+
+
+def test_obdd_recovered_order_takes_the_least_free_variable_first():
+    # Two chains, 5 above 2 and 4 above 1, under 6; the order is completed
+    # over 1..8 by 3, 7 and 8.
+    s = NodeStore()
+    left = s.get_node(5, FALSE, s.get_node(2, FALSE, TRUE))
+    right = s.get_node(4, s.get_node(1, TRUE, FALSE), FALSE)
+    report = check_obdd(Circuit(s, s.get_node(6, left, right), 8))
+    assert (report.verdict, report.witness) == (True, None)
+    assert report.order == (6, 4, 1, 5, 2, 3, 7, 8)
+    assert check_obdd(_diamond()).order == (3, 4, 2, 1)
+
+
 def test_obdd_walks_the_circuit_once(monkeypatch):
     circuit = compile_ordered(running_cnf(), VarOrder((2, 3, 1)))
     calls = []

@@ -119,13 +119,25 @@ def _cache_log(kernel, cnf, cfg, monkeypatch):
     return log
 
 
-def _trailer(layout_key: bytes) -> bytes:
-    """The ordered trailer (-1, k, waiting...) of a byte-layout key."""
-    v = memoryview(layout_key).cast("i")
+def _trailer(key: bytes, ordered: bool) -> bytes:
+    """The trailer (lit_1, ..., lit_k, k) that ends an ordered key, read
+    from its end; b"" for a key of another mode."""
+    if not ordered:
+        return b""
+    k = array("i", key[-4:])[0]
+    assert 0 <= k and 4 * (k + 1) <= len(key)
+    return key[-4 * (k + 1) :]
+
+
+def _is_layout(key: bytes) -> bool:
+    """Whether key is whole byte-layout records (c, k, lit_1, ..., lit_k)."""
+    if len(key) % 4:
+        return False
+    v = memoryview(key).cast("i")
     i = 0
-    while i < len(v) and v[i] != -1:
+    while i + 1 < len(v) and v[i] >= 0 and v[i + 1] >= 0:
         i += 2 + v[i + 1]
-    return layout_key[4 * i :]
+    return i == len(v)
 
 
 def unit_chains(*lengths):
@@ -176,14 +188,14 @@ def test_cache_keys_are_one_to_one_across_backends(kernel_cy, monkeypatch):
             for (_, py_key, _), (_, cy_key, _) in zip(py, cy):
                 assert forward.setdefault(py_key, cy_key) == cy_key
                 assert backward.setdefault(cy_key, py_key) == py_key
-                trailer = _trailer(cy_key)
+                # Every ordered key ends with a trailer, and the rest of
+                # every key is the kernel's own.
+                trailer = _trailer(cy_key, cfg.mode == "ordered")
                 assert py_key.endswith(trailer)
+                assert _is_layout(cy_key[: len(cy_key) - len(trailer)])
                 body = py_key[: len(py_key) - len(trailer)]
                 assert len(body) <= bound
                 if body:
                     tags.add(body[0])
-                if trailer:
-                    assert cfg.mode == "ordered"
-                    assert len(trailer) == 4 * (2 + array("i", trailer)[1])
         # Tag 0 is the mask form, tag 1 the byte spans.
         assert tags == {0, 1} if wide else tags <= {0}
