@@ -13,7 +13,15 @@ With `--parent DIR` (another checkout, usually of the parent commit) every
 run is paired with the same run in DIR, the two sides taking turns to go
 first by seed parity.  The parent's runs are kept as their own groups
 (`parent_groups`), and every end-to-end metric of this checkout gets
-`wins`, the seeds on which it beat the parent, out of `pairs`.
+`wins`, the seeds on which it beat the parent, out of `pairs`.  Untraced,
+each also gets two flags, and the script prints one line per workload and
+metric with the parent's median [q1-q3], this checkout's median,
+wins/pairs and the flags that are set:
+
+- `gain`: it won at least 9 of every 10 pairs, and its median is better
+  than the parent's by more than the parent's q3 - q1;
+- `regressed`: its median is worse than the parent's by more than the
+  metric's `bound` in BENCHMARK.json, a fraction of the parent's median.
 
     python3 scripts/bench_record.py --label baseline   # writes BENCH_baseline.json
     python3 scripts/bench_record.py --label pr --parent ../parent-checkout
@@ -117,19 +125,46 @@ def aggregate(runs: list[dict]) -> dict:
 
 def add_wins(groups: dict, parent_groups: dict) -> None:
     """Per end-to-end metric, the seeds on which this checkout's value is
-    better than the parent's (a tie is no win), out of the seeds both have."""
+    better than the parent's (a tie is no win), out of the seeds both have;
+    untraced, also the `gain` and `regressed` flags of the module docstring."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     for key, group in groups.items():
         before = parent_groups.get(key, {}).get("metrics", {})
         for name, entry in group["metrics"].items():
-            if name not in better or name not in before:
+            if name not in spec or name not in before:
                 continue
-            theirs = before[name]["values"]
+            old = before[name]
+            theirs = old["values"]
             pairs = [(v, theirs[s]) for s, v in entry["values"].items() if s in theirs]
-            sign = 1 if better[name] == "higher" else -1
-            entry["wins"] = sum(sign * (mine - old) > 0 for mine, old in pairs)
+            sign = 1 if spec[name]["better"] == "higher" else -1
+            entry["wins"] = sum(sign * (mine - was) > 0 for mine, was in pairs)
             entry["pairs"] = len(pairs)
+            if group["trace"] == 0:
+                better_by = sign * (entry["median"] - old["median"])
+                entry["gain"] = bool(pairs) and 10 * entry["wins"] >= 9 * len(pairs) and (
+                    better_by > old["q3"] - old["q1"]
+                )
+                entry["regressed"] = -better_by > spec[name]["bound"] * abs(old["median"])
+
+
+def verdict_lines(rec: dict) -> list[str]:
+    """One line per untraced workload and end-to-end metric of a record
+    made with a parent: medians, quartiles, wins and flags."""
+    lines = []
+    for key, group in sorted(rec["groups"].items()):
+        before = rec["parent_groups"].get(key, {}).get("metrics", {})
+        for name, entry in sorted(group["metrics"].items()):
+            if "gain" not in entry:
+                continue
+            old = before[name]
+            flags = [flag for flag in ("gain", "regressed") if entry[flag]]
+            lines.append(
+                "%s %s: parent %.4g [%.4g-%.4g] -> %.4g %s, wins %d/%d%s"
+                % (group["workload"], name, old["median"], old["q1"], old["q3"], entry["median"],
+                   entry["unit"], entry["wins"], entry["pairs"], "".join(" " + f for f in flags))
+            )
+    return lines
 
 
 def record(label: str, parent: str | None = None, run=run_once) -> tuple[dict, list[dict]]:
@@ -166,6 +201,8 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(rec, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if args.parent:
+        print("\n".join(verdict_lines(rec)))
     print(path)
     return 0 if all(r["correct"] for r in runs) else 1
 

@@ -152,12 +152,14 @@ def check_obdd(circuit: Circuit, order: VarOrder | None = None) -> MembershipRep
                 if cnode[0] == "D":
                     succ.add(cnode[1])
     if order is not None:
-        rank = order.rank
         for var in below:
             if var > order.n:
                 return MembershipReport(
                     False, "obdd", witness="variable %d missing from the order" % var
                 )
+        # Ranks of the decided variables only, so a long order costs one
+        # pass and no table of its own size.
+        rank = {var: pos for pos, var in enumerate(order.order) if var in below}
         # The least violating edge is the witness.
         bad = [(a, b) for a, bs in below.items() for b in bs if rank[a] >= rank[b]]
         if bad:

@@ -37,7 +37,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import _kernel
 from ._kernel_py import encode
@@ -65,14 +64,6 @@ class VarOrder:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    @cached_property
-    def rank(self) -> tuple[int, ...]:
-        """rank[var] is var's 1-based position in the order; rank[0] is unused."""
-        rank = [0] * (self.n + 1)
-        for pos, var in enumerate(self.order, 1):
-            rank[var] = pos
-        return tuple(rank)
 
     @classmethod
     def identity(cls, n: int) -> "VarOrder":

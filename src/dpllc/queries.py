@@ -8,14 +8,31 @@ the parent's variables contributes its count times 2^g, and the root count
 scales by 2^(universe - |vars(root)|), the universe counting the free
 variables: those of 1..num_vars that conditioning has not fixed.
 
+The decision queries rest on one lemma.  The `NodeStore` constructors
+never build a false or true conjunct or a decision with equal children
+(`NodeStore.audit` re-verifies this), and `annotate` verifies that
+conjuncts share no variable and that no decision re-tests its variable.
+So, by induction over the topological order, every node other than the
+false sink has a model and every node other than the true sink has a
+countermodel.  A decision's children differ, so one of them is not the
+false sink (and one is not the true sink), and its variable is free
+below both.  A conjunction's conjuncts are neither sink and share no
+variable.  A node whose variables a term misses keeps that closed form
+under the term: it is satisfiable unless it is the false sink, and valid
+only if it is the true sink.
+
 Costs, for a circuit of |C| reachable nodes and edges over n variables:
 
 - A circuit computes its topological order and variable masks once, on
   first use (O(|C|)), and every pass reads them.
-- `model_count`, `is_consistent` and `is_valid` take one bottom-up sweep;
-  counting does big-integer arithmetic of up to n bits per node.
-- `entails_clause` and `is_implicant` take one sweep under the clause's
-  negation or the term, and build no store.
+- `model_count` takes one bottom-up sweep, with big-integer arithmetic
+  of up to n bits per node.
+- `is_consistent` and `is_valid` read no node once the circuit is
+  annotated: by the lemma they compare the root with a sink.
+- `entails_clause` and `is_implicant` take one depth-first search under
+  the clause's negation or the term.  It enters only nodes whose
+  variables meet it, stops once the answer is known, and reads each node
+  and edge at most once, so it is O(|C|) at worst; it builds no store.
 - `condition_circuit` takes two passes: one top-down pass marks what the
   conditioned root still reaches, and one bottom-up pass rebuilds only
   the marked nodes in a fresh, reduced store.  On a source of decisions
@@ -39,7 +56,7 @@ from typing import Iterable, Iterator
 
 from .cnf import as_term
 # `reachable` stays importable here because the benchmark's tracer rebinds it.
-from .store import FALSE, TRUE, Circuit, NodeStore, mask_bits, reachable
+from .store import FALSE, TRUE, Circuit, NodeStore, _mask_of, mask_bits, reachable
 
 # 2^61 - 1, a Mersenne prime; field for the polynomial identity test.
 EQ_PRIME = (1 << 61) - 1
@@ -115,52 +132,153 @@ def _assignment(term: frozenset[int], circuit: Circuit) -> dict[int, bool]:
 
 
 def _decide_under(
-    circuit: Circuit, order: list[int], assigned: dict[int, bool], validity: bool
+    circuit: Circuit, masks: list[int], assigned: dict[int, bool], validity: bool
 ) -> bool:
     """Is the circuit conditioned on `assigned` satisfiable (or, with
-    `validity`, valid)?  One sweep over `order`.
+    `validity`, valid)?  A depth-first search from the root that stops
+    once the answer is known.
 
-    Decomposability and determinism make both local: a conjunction of
-    variable-disjoint parts is satisfiable (valid) iff every part is, and
-    a decision on an unassigned variable absent below it iff either
-    branch is satisfiable (both are valid).  An unassigned literal is
-    satisfiable but not valid.
+    By the lemma in the module docstring, a node whose variable mask
+    misses the term is decided in closed form, so the search enters only
+    children whose masks meet it.  An assigned decision is its one branch
+    and a literal in the term is its value.  Decomposability makes the
+    rest local: a conjunction of variable-disjoint parts is satisfiable
+    (valid) iff every part is, and a decision on an unassigned variable
+    absent below it iff either branch is satisfiable (both are valid).
+    So a node is an AND or an OR of its children, and the first child
+    whose outcome decides it ends it.  A node looks at its closed-form
+    and already decided children before it descends into any, and keeps
+    the rest in a frame with a cursor; each node is entered once and
+    records its outcome once, so the search reads each node once and
+    each edge at most twice.
     """
     nodes = circuit.store.nodes
-    holds = [False] * len(nodes)
+    root = circuit.root
+    term = _mask_of(assigned)
+    # Outcomes are 1 (fails) and 2 (holds).  In closed form only TRUE
+    # holds under validity and only FALSE fails under satisfiability, so a
+    # node c the term misses has the outcome closed[c == sink].
+    sink = TRUE if validity else FALSE
+    closed = (1, 2) if validity else (2, 1)
+    if not masks[root] & term:
+        return closed[root == sink] == 2
+    # The outcome that decides an unassigned decision on its own: a
+    # holding branch under satisfiability, a failing one under validity.
+    either = 1 if validity else 2
     value = assigned.get
-    for nid in order:
+    state = bytearray(len(nodes))
+    # Frames: an id whose outcome is the next outcome handed up; an
+    # unassigned decision (id, high) waiting on its low branch; a
+    # conjunction [id, pending conjuncts, cursor].
+    stack: list = []
+    push = stack.append
+    pop = stack.pop
+    nid = root
+    while True:
         node = nodes[nid]
         kind = node[0]
         if kind == "D":
             val = value(node[1])
-            if val is not None:
-                holds[nid] = holds[node[3] if val else node[2]]
-            elif validity:
-                holds[nid] = holds[node[2]] and holds[node[3]]
+            if val is None:
+                low = node[2]
+                high = node[3]
+                a = state[low] if masks[low] & term else closed[low == sink]
+                if a == either:
+                    outcome = a
+                else:
+                    b = state[high] if masks[high] & term else closed[high == sink]
+                    if b == either or a and b:
+                        outcome = b
+                    elif a:
+                        push(nid)
+                        nid = high
+                        continue
+                    elif b:
+                        push(nid)
+                        nid = low
+                        continue
+                    else:
+                        push((nid, high))
+                        nid = low
+                        continue
             else:
-                holds[nid] = holds[node[2]] or holds[node[3]]
+                child = node[3] if val else node[2]
+                if masks[child] & term:
+                    outcome = state[child]
+                    if not outcome:
+                        push(nid)
+                        nid = child
+                        continue
+                else:
+                    outcome = closed[child == sink]
         elif kind == "A":
-            holds[nid] = all(map(holds.__getitem__, node[1]))
-        elif kind == "L":
-            val = value(abs(node[1]))
-            holds[nid] = not validity if val is None else val == (node[1] > 0)
-        elif kind == "T":
-            holds[nid] = True
-    return holds[circuit.root]
+            pending = []
+            outcome = 2
+            for c in node[1]:
+                s = state[c] if masks[c] & term else closed[c == sink]
+                if s == 1:
+                    outcome = 1
+                    break
+                if not s:
+                    pending.append(c)
+            else:
+                if pending:
+                    push([nid, pending, 0])
+                    nid = pending[0]
+                    continue
+        else:
+            lit = node[1]
+            outcome = 2 if value(abs(lit)) == (lit > 0) else 1
+        state[nid] = outcome
+        # Hand the outcome up until a frame has a child left to enter.
+        while stack:
+            top = pop()
+            if top.__class__ is int:
+                state[top] = outcome
+            elif top.__class__ is tuple:
+                if outcome != either:
+                    high = top[1]
+                    outcome = state[high]
+                    if not outcome:
+                        push(top[0])
+                        nid = high
+                        break
+                state[top[0]] = outcome
+            else:
+                if outcome == 2:
+                    pending = top[1]
+                    k = top[2] + 1
+                    n = len(pending)
+                    while k < n:
+                        outcome = state[pending[k]]
+                        if outcome != 2:
+                            break
+                        k += 1
+                    if not outcome:
+                        top[2] = k
+                        push(top)
+                        nid = pending[k]
+                        break
+                state[top[0]] = outcome
+        else:
+            return outcome == 2
 
 
 def is_consistent(circuit: Circuit) -> bool:
-    """Satisfiability by a single bottom-up sweep."""
-    order, _ = annotate(circuit)
-    return _decide_under(circuit, order, {}, validity=False)
+    """Satisfiability.  Once `annotate` has verified the circuit, the
+    lemma in the module docstring makes it `root != FALSE`."""
+    annotate(circuit)
+    return circuit.root != FALSE
 
 
 def is_valid(circuit: Circuit) -> bool:
-    """True iff every assignment over the universe satisfies the circuit."""
-    order, masks = annotate(circuit)
+    """True iff every assignment over the universe satisfies the circuit.
+    Once `annotate` has verified the circuit and the root's variables are
+    known to be free, the lemma in the module docstring makes it
+    `root == TRUE`."""
+    _, masks = annotate(circuit)
     _check_universe(circuit, masks[circuit.root])
-    return _decide_under(circuit, order, {}, validity=True)
+    return circuit.root == TRUE
 
 
 def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
@@ -236,35 +354,40 @@ def condition_circuit(circuit: Circuit, term: Iterable[int]) -> Circuit:
 def entails_clause(circuit: Circuit, clause: Iterable[int]) -> bool:
     """Does the circuit imply the clause?
 
-    One consistency sweep under the clause's negation: the clause is
-    entailed iff no model survives it.  Tautologous clauses are entailed
-    trivially and reported without a sweep.  On a decision-DNNF circuit,
-    answers and errors are those of checking
-    `condition_circuit(circuit, negation)` for consistency.
+    One satisfiability search under the clause's negation (see
+    `_decide_under`): the clause is entailed iff no model survives it.
+    Tautologous clauses are entailed trivially and reported without a
+    search.  On a decision-DNNF circuit, answers and errors are those of
+    checking `condition_circuit(circuit, negation)` for consistency.
     """
     lits = list(clause)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
     if any(-l in lits for l in lits):
         return True
     assigned = _assignment(as_term([-l for l in lits]), circuit)
-    order, _ = annotate(circuit)
-    return not _decide_under(circuit, order, assigned, validity=False)
+    _, masks = annotate(circuit)
+    return not _decide_under(circuit, masks, assigned, validity=False)
 
 
 def is_implicant(term: Iterable[int], circuit: Circuit) -> bool:
     """Does the term imply the circuit?
 
-    One validity sweep under the term, which must assign free variables
-    only.  Inconsistent terms imply everything.  On a decision-DNNF
-    circuit whose variables are free, answers and errors are those of
-    `is_valid` on `condition_circuit(circuit, term)`.
+    One validity search under the term (see `_decide_under`), which must
+    assign free variables only.  Inconsistent terms imply everything.  On
+    a decision-DNNF circuit whose variables are free, answers and errors
+    are those of `is_valid` on `condition_circuit(circuit, term)`.
     """
+    lits = list(term)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
     try:
-        t = as_term(term)
+        t = as_term(lits)
     except ValueError:
         return True
     assigned = _assignment(t, circuit)
-    order, _ = annotate(circuit)
-    return _decide_under(circuit, order, assigned, validity=True)
+    _, masks = annotate(circuit)
+    return _decide_under(circuit, masks, assigned, validity=True)
 
 
 def enumerate_models(circuit: Circuit) -> Iterator[frozenset[int]]:

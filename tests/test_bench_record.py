@@ -178,3 +178,63 @@ def test_a_run_writes_no_bytecode_into_the_checkout(monkeypatch):
     assert seen["cmd"][1:] == [
         "perfbench/run.py", "--workload", "query-mix", "--seed", "101", "--trace", "0"
     ]
+
+
+
+def _groups(metrics, trace=0):
+    """Groups of query-mix runs on seeds 101.. that print `metrics`, a
+    map from each metric to its value per run."""
+    runs = []
+    for i, seed in enumerate(range(101, 101 + len(next(iter(metrics.values()))))):
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {m: {"value": v[i], "unit": "ms"} for m, v in metrics.items()}}
+        runs.append(bench_record.parse_run("query-mix", seed, trace, 0, json.dumps(result), ""))
+    return bench_record.aggregate(runs)
+
+
+def _flags(parent, change, metric="query_p50_ms", trace=0):
+    groups = _groups({metric: change}, trace)
+    bench_record.add_wins(groups, _groups({metric: parent}, trace))
+    entry = groups["query-mix/trace%d" % trace]["metrics"][metric]
+    return entry["wins"], entry.get("gain"), entry.get("regressed")
+
+
+PARENT = [3.00, 3.02, 3.04, 3.06, 3.08, 3.10, 3.12, 3.14, 3.16, 3.18]  # q3 - q1 = 0.09
+
+
+def test_a_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_quartiles():
+    assert _flags(PARENT, [1.9] * 10) == (10, True, False)
+    assert _flags(PARENT, [1.9] * 9 + [3.5]) == (9, True, False)
+    # Eight wins are too few, whatever the gap.
+    assert _flags(PARENT, [1.9] * 8 + [3.5, 3.5]) == (8, False, False)
+    # Ten wins by less than the parent's own spread: medians 3.09 -> 3.01.
+    assert _flags(PARENT, [p - 0.08 for p in PARENT]) == (10, False, False)
+    # The gain is in the direction the metric calls better.
+    assert _flags(PARENT, [2 * p for p in PARENT], "queries_per_s") == (10, True, False)
+
+
+def test_a_regression_is_a_median_worse_than_the_bound():
+    # query_p50_ms has the bound 0.25: a median 3.09 -> 3.86 is within it.
+    assert _flags(PARENT, [1.249 * p for p in PARENT]) == (0, False, False)
+    assert _flags(PARENT, [1.26 * p for p in PARENT]) == (0, False, True)
+    # Higher is better for queries_per_s.
+    assert _flags(PARENT, [0.8 * p for p in PARENT], "queries_per_s") == (0, False, False)
+    assert _flags(PARENT, [0.7 * p for p in PARENT], "queries_per_s") == (0, False, True)
+    # peak_rss_mb has the bound 0.15.
+    assert _flags(PARENT, [1.2 * p for p in PARENT], "peak_rss_mb") == (0, False, True)
+
+
+def test_a_traced_group_gets_no_flags():
+    assert _flags(PARENT, [1.9] * 10, trace=1) == (10, None, None)
+
+
+def test_the_verdict_lines_state_medians_quartiles_wins_and_flags():
+    parent = {"query_p50_ms": PARENT, "query_p90_ms": PARENT, "post_compile_s": PARENT}
+    change = {"query_p50_ms": [1.9] * 10, "query_p90_ms": PARENT, "post_compile_s": [4.0] * 10}
+    rec = {"groups": _groups(change), "parent_groups": _groups(parent)}
+    bench_record.add_wins(rec["groups"], rec["parent_groups"])
+    assert bench_record.verdict_lines(rec) == [
+        "query-mix post_compile_s: parent 3.09 [3.045-3.135] -> 4 ms, wins 0/10 regressed",
+        "query-mix query_p50_ms: parent 3.09 [3.045-3.135] -> 1.9 ms, wins 10/10 gain",
+        "query-mix query_p90_ms: parent 3.09 [3.045-3.135] -> 3.09 ms, wins 0/10",
+    ]

@@ -81,9 +81,17 @@ def _first(cnf, x):
     return renamed(cnf, compiler.VarOrder((x, *(v for v in range(1, cnf.num_vars + 1) if v != x))))
 
 
+def _ranks(order):
+    """ranks[var] is var's 1-based position in `order`; ranks[0] is unused."""
+    ranks = [0] * (order.n + 1)
+    for pos, var in enumerate(order.order, 1):
+        ranks[var] = pos
+    return ranks
+
+
 def _rank_table(order):
     """The int32 rank table of `order` that _kernel_py.min_rank_var takes."""
-    return array("i", order.rank).tobytes()
+    return array("i", _ranks(order)).tobytes()
 
 
 def test_backends_agree(kernel_cy):
@@ -377,6 +385,7 @@ def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
     order = list(range(1, cnf.num_vars + 1))
     rng.shuffle(order)
     order = compiler.VarOrder(tuple(order))
+    rank = _ranks(order)
     ranks = _rank_table(order)
     shuffled = compute_key(renamed(cnf, order))
     roots = kernel.root(raw, False, True)[0] + kernel.root(raw, False, False)[0]
@@ -384,7 +393,7 @@ def test_branch_picks_what_the_pickers_pick(kernel, cnf, rng):
     assert len(roots) == len(renamed_roots)
     for res, res_renamed in zip(roots, renamed_roots):
         layout = decode(res)
-        first = order.rank[kernel_py.min_rank_var(layout, ranks)]
+        first = rank[kernel_py.min_rank_var(layout, ranks)]
         for prop, split in product((False, True), (False, True)):
             for code in (kernel.HEUR_MIN_INDEX, kernel.HEUR_MAX_OCCURRENCE):
                 assert kernel.branch(res, code, split, prop)[0] == kernel_py.select_var(layout, code)

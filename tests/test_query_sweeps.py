@@ -5,6 +5,7 @@ recursion limit."""
 import random
 import re
 import sys
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -26,11 +27,12 @@ from dpllc.queries import (
     model_count,
     prob_equiv,
 )
-from dpllc.store import FALSE, TRUE, Circuit, NodeStore, reachable
+from dpllc.store import FALSE, TRUE, Circuit, NodeStore, parse_nnf, reachable, serialize
 
 from util import (
     compiled_family,
     oracle_condition_circuit,
+    oracle_decide_under,
     oracle_entails_clause,
     oracle_enumerate_models,
     oracle_is_implicant,
@@ -94,6 +96,119 @@ def test_term_queries_match_condition_then_query(seed):
     rng = random.Random(seed)
     for circuit in compiled_family(rng):
         _assert_term_queries_match(rng, circuit)
+
+
+def _assert_decisions_match_the_sweep(rng, circuit):
+    # Every query against the full sweep, under terms of every length from
+    # none to all the free variables.
+    order, _ = annotate(circuit)
+    assert is_consistent(circuit) == oracle_decide_under(circuit, order, {}, False)
+    assert is_valid(circuit) == oracle_decide_under(circuit, order, {}, True)
+    free = [v for v in range(1, circuit.num_vars + 1) if not circuit.fixed >> (v - 1) & 1]
+    for k in range(len(free) + 1):
+        term = [v if rng.random() < 0.5 else -v for v in rng.sample(free, k)]
+        assigned = {abs(l): l > 0 for l in term}
+        assert is_implicant(term, circuit) == oracle_decide_under(circuit, order, assigned, True), term
+        clause = [-l for l in term]
+        assert entails_clause(circuit, clause) == (
+            not oracle_decide_under(circuit, order, assigned, False)
+        ), clause
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 32))
+def test_decision_queries_match_the_full_sweep(seed):
+    rng = random.Random(seed)
+    for circuit in compiled_family(rng):
+        _assert_decisions_match_the_sweep(rng, circuit)
+        _assert_decisions_match_the_sweep(rng, parse_nnf(serialize(circuit)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1 << 32), st.integers(2, 60))
+def test_decision_queries_on_wide_conjunctions_match_the_full_sweep(seed, width):
+    rng = random.Random(seed)
+    _assert_decisions_match_the_sweep(rng, _wide(rng, width))
+
+
+def test_zero_is_not_a_literal():
+    circuit = compile_decomposed(running_cnf())
+    for query in (
+        lambda: entails_clause(circuit, [0]),
+        lambda: entails_clause(circuit, [1, -1, 0]),
+        lambda: is_implicant([0], circuit),
+        lambda: is_implicant([2, 0, -2], circuit),
+        lambda: condition_circuit(circuit, [0]),
+    ):
+        with pytest.raises(ValueError, match="^0 is not a literal$"):
+            query()
+
+
+class _CountingNodes(list):
+    """A store's node list that counts reads by node id."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.reads = Counter()
+
+    def __getitem__(self, nid):
+        self.reads[nid] += 1
+        return super().__getitem__(nid)
+
+
+def _counting(circuit):
+    annotate(circuit)
+    nodes = circuit.store.nodes = _CountingNodes(circuit.store.nodes)
+    return nodes.reads
+
+
+def test_consistency_and_validity_read_no_node():
+    for circuit in compiled_family(random.Random(5)):
+        reads = _counting(circuit)
+        is_consistent(circuit)
+        is_valid(circuit)
+        assert not reads
+
+
+def test_a_term_that_fixes_the_root_reads_one_branch():
+    for seed in range(6):
+        cnf = random_3cnf(random.Random(seed), 12, 2.0)
+        for circuit in (compile_free(cnf), compile_decomposed(cnf)):
+            root = circuit.store.nodes[circuit.root]
+            if root[0] != "D":
+                continue
+            _, var, low, high = root
+            only_low = set(reachable(circuit.store, low)) - set(reachable(circuit.store, high))
+            reads = _counting(circuit)
+            rng = random.Random(seed)
+            for _ in range(10):
+                picked = [v for v in rng.sample(range(1, 13), 3) if v != var]
+                rest = [v if rng.random() < 0.5 else -v for v in picked]
+                is_implicant([var, *rest], circuit)
+                entails_clause(circuit, [-var, *rest])
+            assert reads and not only_low & set(reads)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 1 << 32), st.integers(2, 300))
+def test_a_search_reads_each_node_of_a_wide_conjunction_at_most_once(seed, width):
+    rng = random.Random(seed)
+    circuit = _wide(rng, width)
+    _, masks = annotate(circuit)
+    reads = _counting(circuit)
+    for _ in range(5):
+        picked = rng.sample(range(1, 2 * width + 1), rng.randint(1, 2 * width))
+        term = [v if rng.random() < 0.5 else -v for v in picked]
+        term_mask = sum(1 << (v - 1) for v in picked)
+        for query in (
+            lambda: is_implicant(term, circuit),
+            lambda: entails_clause(circuit, [-l for l in term]),
+        ):
+            reads.clear()
+            query()
+            assert max(reads.values(), default=0) <= 1
+            # Only nodes whose variables meet the term are read.
+            assert all(masks[nid] & term_mask for nid in reads)
 
 
 @settings(max_examples=60, deadline=None)

@@ -636,8 +636,41 @@ def oracle_condition_circuit(circuit: Circuit, term) -> Circuit:
     return Circuit(out, remap[circuit.root], circuit.num_vars, fixed)
 
 
+def oracle_decide_under(circuit, order, assigned, validity) -> bool:
+    """Is the circuit conditioned on `assigned` satisfiable (or, with
+    `validity`, valid)?  One bottom-up sweep over the whole `order`: a
+    conjunction of variable-disjoint parts holds iff every part does, a
+    decision on an unassigned variable iff either branch is satisfiable
+    (both are valid), and an unassigned literal is satisfiable but not
+    valid."""
+    nodes = circuit.store.nodes
+    holds = [False] * len(nodes)
+    value = assigned.get
+    for nid in order:
+        node = nodes[nid]
+        kind = node[0]
+        if kind == "D":
+            val = value(node[1])
+            if val is not None:
+                holds[nid] = holds[node[3] if val else node[2]]
+            elif validity:
+                holds[nid] = holds[node[2]] and holds[node[3]]
+            else:
+                holds[nid] = holds[node[2]] or holds[node[3]]
+        elif kind == "A":
+            holds[nid] = all(map(holds.__getitem__, node[1]))
+        elif kind == "L":
+            val = value(abs(node[1]))
+            holds[nid] = not validity if val is None else val == (node[1] > 0)
+        elif kind == "T":
+            holds[nid] = True
+    return holds[circuit.root]
+
+
 def oracle_entails_clause(circuit, clause) -> bool:
     lits = list(clause)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
     if any(-l in lits for l in lits):
         return True
     if not lits:
@@ -646,8 +679,11 @@ def oracle_entails_clause(circuit, clause) -> bool:
 
 
 def oracle_is_implicant(term, circuit) -> bool:
+    lits = list(term)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
     try:
-        t = as_term(term)
+        t = as_term(lits)
     except ValueError:
         return True
     conditioned = condition_circuit(circuit, t)
